@@ -58,10 +58,10 @@ go run -race ./cmd/extractocol -cache "$smoke/cache" -profile "$apkb" \
 
 echo "== differential harness under -race"
 # Correctness gate over the seeded generative corpus: 100 generated apps,
-# every equivalence axis (same-seed regeneration, serial/parallel,
-# cold/warm cache, budgeted/unbudgeted, oracle/indexed pairing, and the
-# interpretive-vs-compiled signature matcher over recorded and labeled
-# traffic) must be byte-identical. The deadline feeds the budgeted axis;
+# all five equivalence axes (same-seed regeneration, serial/parallel,
+# cold/warm cache, budgeted/unbudgeted, and the interpretive-vs-compiled
+# signature matcher over recorded and labeled traffic) must be
+# byte-identical. The deadline feeds the budgeted axis;
 # generous on purpose — a budget that trips under -race is itself a
 # mismatch.
 go run -race ./cmd/evaluate -gen 1729:100 -deadline 5m

@@ -179,9 +179,10 @@ func TestForwardFactsSeedOrderDeterministic(t *testing.T) {
 		t.Fatalf("only %d seed methods, want a wide seed set", len(seeds))
 	}
 
-	project := func(legacy bool, iters int64) string {
+	// The same contract for the reference replay is pinned in package taint
+	// (TestLegacyReplayMatchesDense).
+	project := func(iters int64) string {
 		eng := taint.NewEngine(app.Prog, model, cg)
-		eng.Legacy = legacy
 		eng.Budget = budget.New(budget.Limits{FixpointIters: iters})
 		res := eng.ForwardFacts(seeds)
 		if iters > 0 && res.Truncated == nil {
@@ -195,19 +196,16 @@ func TestForwardFactsSeedOrderDeterministic(t *testing.T) {
 		return sb.String()
 	}
 
-	for _, legacy := range []bool{false, true} {
-		want := project(legacy, 40)
-		for run := 1; run < 8; run++ {
-			if got := project(legacy, 40); got != want {
-				t.Fatalf("legacy=%v: truncated result diverged on run %d\n--- first ---\n%s\n--- run %d ---\n%s",
-					legacy, run, want, run, got)
-			}
+	want := project(40)
+	for run := 1; run < 8; run++ {
+		if got := project(40); got != want {
+			t.Fatalf("truncated result diverged on run %d\n--- first ---\n%s\n--- run %d ---\n%s",
+				run, want, run, got)
 		}
-		// Unbudgeted fixpoints must agree too (and with each other across
-		// runs, which the pinned-report suite already covers corpus-wide).
-		full := project(legacy, 0)
-		if full == "" {
-			t.Fatalf("legacy=%v: empty unbudgeted result", legacy)
-		}
+	}
+	// Unbudgeted fixpoints must agree too (and with each other across runs,
+	// which the pinned-report suite already covers corpus-wide).
+	if full := project(0); full == "" {
+		t.Fatal("empty unbudgeted result")
 	}
 }

@@ -45,16 +45,6 @@ type Options struct {
 	ModelIntents bool
 	// Model overrides the semantic model; nil uses semmodel.Default().
 	Model *semmodel.Model
-	// PairingOracle swaps the inverted-index pairing analysis for the
-	// reference pairwise-scan implementation (pairing.AnalyzeOracle). The
-	// two are held to identical output by the differential harness; the
-	// oracle is quadratic and exists for equivalence checking only.
-	PairingOracle bool
-	// LegacySets runs every taint fixpoint (slice extraction and pairing
-	// flow checks) on the pre-interning string/map replay instead of the
-	// dense bitset path. Like PairingOracle this is a differential-testing
-	// oracle — reports must come out identical — and is never cached.
-	LegacySets bool
 	// Workers bounds the intra-app worker pools (slice extraction and
 	// signature building): 0 means GOMAXPROCS, 1 forces serial execution.
 	// Output is deterministic regardless.
@@ -423,19 +413,14 @@ func Analyze(p *ir.Program, opts Options) (rep *Report, err error) {
 		Col:            col,
 		Summaries:      sums,
 		Budget:         bud,
-		LegacySets:     opts.LegacySets,
 	})
 	note(sliceDiags...)
 	endSlice()
 
 	endPairing := col.Phase(obs.PhasePairing)
 	pairStats := col.NewShard()
-	analyzePairs := pairing.Analyze
-	if opts.PairingOracle {
-		analyzePairs = pairing.AnalyzeOracle
-	}
-	pairs := analyzePairs(txs)
-	note(pairing.VerifyFlowBudgeted(p, model, cg, pairs, pairStats, sums, bud, opts.LegacySets)...)
+	pairs := pairing.Analyze(txs)
+	note(pairing.VerifyFlowBudgeted(p, model, cg, pairs, pairStats, sums, bud)...)
 	col.Drain(pairStats)
 	pairByTx := map[*slice.Transaction]pairing.Pair{}
 	for _, pr := range pairs {

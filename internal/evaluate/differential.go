@@ -23,11 +23,14 @@ import (
 
 // Differential-testing harness: the seeded generative corpus (corpus.Rand)
 // is run through every configuration that must not change analysis output —
-// serial vs parallel fan-out, cold vs warm result cache, budgeted vs
-// unbudgeted execution, and oracle vs inverted-index pairing — and every
-// app's report is compared byte-for-byte against the serial baseline. A
-// same-seed regeneration pass closes the loop: the corpus itself must be
-// reproducible, not just the analysis of one in-memory instance of it.
+// serial vs parallel fan-out, cold vs warm result cache, and budgeted vs
+// unbudgeted execution — and every app's report is compared byte-for-byte
+// against the serial baseline; a fifth axis holds the two traffic matcher
+// backends to identical classifications. A same-seed regeneration pass
+// closes the loop: the corpus itself must be reproducible, not just the
+// analysis of one in-memory instance of it. The reference taint and pairing
+// implementations are checked against the production paths by the taint
+// and pairing package tests.
 
 // DiffConfig parameterizes one differential run.
 type DiffConfig struct {
@@ -327,39 +330,7 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 		return nil, err
 	}
 
-	// Axis 5: pairing oracle vs inverted index, over the whole corpus.
-	err = axis("pairing", "oracle pairwise-scan vs inverted-index pairing", func() ([]DiffMismatch, error) {
-		got, err := analyzeGen(apps, 1, tel(func(_ *corpus.App, opts *core.Options) error {
-			opts.PairingOracle = true
-			return nil
-		}))
-		if err != nil {
-			return nil, err
-		}
-		return compareAxis(apps, baseline, got, ""), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Axis 6: legacy string/map taint replay vs dense interned path. Every
-	// taint fixpoint (slicing and pairing flow checks) runs on the
-	// pre-interning implementation; reports must be byte-identical.
-	err = axis("legacysets", "legacy string/map taint sets vs dense bitsets", func() ([]DiffMismatch, error) {
-		got, err := analyzeGen(apps, 1, tel(func(_ *corpus.App, opts *core.Options) error {
-			opts.LegacySets = true
-			return nil
-		}))
-		if err != nil {
-			return nil, err
-		}
-		return compareAxis(apps, baseline, got, ""), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Axis 7: interpretive signature matcher vs compiled sigvm bytecode.
+	// Axis 5: interpretive signature matcher vs compiled sigvm bytecode.
 	// Every app's signatures classify two traffic sources — the recorded
 	// trace of a manual fuzz session and seeded labeled entries from
 	// trace.RandEntries — through both backends (the VM under parallel

@@ -62,7 +62,7 @@ type Pair struct {
 // when its owner count is 1), and shared-handler detection is a lookup in
 // the precomputed partition — O(total statements) per group where the
 // previous implementation re-ran pairwise set scans per transaction,
-// O(n²·|stmts|) in group size. Results are identical (pairing_oracle_test.go
+// O(n²·|stmts|) in group size. Results are identical (oracle_test.go
 // keeps the old implementation as an equivalence oracle).
 func Analyze(txs []*slice.Transaction) []Pair {
 	byDP := map[taint.StmtID][]*slice.Transaction{}
@@ -256,7 +256,7 @@ func stmtHash(s uint32) uint64 {
 // (summaries are universe-independent, so the slice phase's cache is
 // directly reusable here).
 func VerifyFlow(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, pairs []Pair, stats *obs.Shard, sums *taint.SummaryCache) {
-	VerifyFlowBudgeted(p, model, cg, pairs, stats, sums, nil, false)
+	VerifyFlowBudgeted(p, model, cg, pairs, stats, sums, nil)
 }
 
 // VerifyFlowBudgeted is VerifyFlow under a budget: each pair's flow check
@@ -264,11 +264,9 @@ func VerifyFlow(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, pairs
 // checks were dropped), a truncated propagation leaves the pair unconfirmed
 // with a diagnostic, and a panicking check is recovered per pair. Degraded
 // pairs keep FlowConfirmed == false — pairing quality downgrades, the
-// report still ships. A nil budget behaves exactly like VerifyFlow. legacy
-// selects the taint engine's pre-interning replay (differential oracle).
+// report still ships. A nil budget behaves exactly like VerifyFlow.
 func VerifyFlowBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
-	pairs []Pair, stats *obs.Shard, sums *taint.SummaryCache, bud *budget.Budget,
-	legacy bool) []budget.Diagnostic {
+	pairs []Pair, stats *obs.Shard, sums *taint.SummaryCache, bud *budget.Budget) []budget.Diagnostic {
 
 	var diags []budget.Diagnostic
 	for i := range pairs {
@@ -289,7 +287,7 @@ func VerifyFlowBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Grap
 			diags = append(diags, d)
 			break
 		}
-		if d := verifyPairFlow(p, model, cg, pr, site, stats, sums, bud, legacy); d != nil {
+		if d := verifyPairFlow(p, model, cg, pr, site, stats, sums, bud); d != nil {
 			diags = append(diags, *d)
 		}
 	}
@@ -300,7 +298,7 @@ func VerifyFlowBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Grap
 // and budget truncation into a diagnostic (nil when the check completed).
 func verifyPairFlow(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 	pr *Pair, site string, stats *obs.Shard, sums *taint.SummaryCache,
-	bud *budget.Budget, legacy bool) (diag *budget.Diagnostic) {
+	bud *budget.Budget) (diag *budget.Diagnostic) {
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -318,7 +316,6 @@ func verifyPairFlow(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 	eng.Stats = stats
 	eng.Budget = bud
 	eng.BudgetPhase = budget.PhasePairing
-	eng.Legacy = legacy
 	if sums != nil {
 		eng.Summaries = sums
 	}

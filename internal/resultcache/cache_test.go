@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -417,6 +418,13 @@ func TestKeySensitivity(t *testing.T) {
 	if KeyFor("ab", opts) == base {
 		t.Error("binary hash change kept the key")
 	}
+	// The default fingerprint is pinned: every production key, and with it
+	// every on-disk entry, stays valid only while this string is unchanged
+	// (a deliberate change must bump CodecVersion instead).
+	const defaultFP = "fp1|hops=1|scope=|intents=false|slicesteps=0|fixiters=0|explain=false"
+	if fp, ok := Fingerprint(opts); !ok || fp != defaultFP {
+		t.Errorf("Fingerprint(NewOptions()) = %q, %v; want %q, true", fp, ok, defaultFP)
+	}
 
 	mutations := map[string]func(*core.Options){
 		"hops":       func(o *core.Options) { o.MaxAsyncHops = 2 },
@@ -441,6 +449,9 @@ func TestKeySensitivity(t *testing.T) {
 		"deadline": func(o *core.Options) { o.Deadline = 1 },
 		"workers":  func(o *core.Options) { o.Workers = 7 },
 		"tracer":   func(o *core.Options) { o.Tracer = obs.NewTracer() },
+		"obs":      func(o *core.Options) { o.Obs = obs.NewRegistry() },
+		"events":   func(o *core.Options) { o.Events = obs.NewEventLog(io.Discard) },
+		"flight":   func(o *core.Options) { o.Flight = true },
 	}
 	for name, mutate := range neutral {
 		o := core.NewOptions()

@@ -10,13 +10,9 @@ import (
 // taint-propagation rules (tainted LHS taints RHS; callee parameters taint
 // caller arguments; taint is consumed at definitions).
 //
-// Propagation rules live in the buildBackward* functions below as transfer
-// summaries; the worklist loop replays memoized summaries (see summary.go).
+// Propagation rules live in scanBackward below as transfer summaries; the
+// worklist loop replays memoized summaries (see summary.go).
 func (e *Engine) Backward(dp StmtID, reg int) *Result {
-	e.ensure()
-	if e.Legacy {
-		return e.legacyBackward(dp, reg)
-	}
 	res := e.newResult()
 	w := newDenseWorklist(e.idx)
 	res.AddStmt(dp.Method, dp.Index)
@@ -25,15 +21,6 @@ func (e *Engine) Backward(dp StmtID, reg int) *Result {
 	}
 	e.run(w, res, dirBackward, dp.Method)
 	return res
-}
-
-// buildBackward derives the string-form backward summary of (method, reg)
-// for the legacy replay engine; the hot path lowers the same scan straight
-// to compiled form through a denseBuilder (see compiledLookup).
-func (e *Engine) buildBackward(method string, reg int) *methodSummary {
-	b := &sumBuilder{e: e}
-	e.scanBackward(b, method, reg)
-	return b.done()
 }
 
 // scanBackward emits the backward transfer effects of (method, reg) — the

@@ -11,13 +11,9 @@ import (
 // forward propagation rules apply; heap writes record response-originated
 // objects for inter-transaction dependency analysis.
 //
-// Propagation rules live in the buildForward* functions below as transfer
-// summaries; the worklist loop replays memoized summaries (see summary.go).
+// Propagation rules live in scanForward below as transfer summaries; the
+// worklist loop replays memoized summaries (see summary.go).
 func (e *Engine) Forward(origin StmtID, reg int) *Result {
-	e.ensure()
-	if e.Legacy {
-		return e.legacyForward(origin, reg)
-	}
 	res := e.newResult()
 	w := newDenseWorklist(e.idx)
 	res.AddStmt(origin.Method, origin.Index)
@@ -32,10 +28,6 @@ func (e *Engine) Forward(origin StmtID, reg int) *Result {
 // given as (method, register) pairs; used by the pairing analysis, which
 // taints URI slices and checks reachability into response slices.
 func (e *Engine) ForwardFacts(seeds map[StmtID]int) *Result {
-	e.ensure()
-	if e.Legacy {
-		return e.legacyForwardFacts(seeds)
-	}
 	res := e.newResult()
 	w := newDenseWorklist(e.idx)
 	// Seeds are pushed in sorted (method, index) order so the worklist —
@@ -54,15 +46,6 @@ func (e *Engine) ForwardFacts(seeds map[StmtID]int) *Result {
 	}
 	e.run(w, res, dirForward, site)
 	return res
-}
-
-// buildForward derives the string-form forward summary of (method, reg)
-// for the legacy replay engine; the hot path lowers the same scan straight
-// to compiled form through a denseBuilder (see compiledLookup).
-func (e *Engine) buildForward(method string, reg int) *methodSummary {
-	b := &sumBuilder{e: e}
-	e.scanForward(b, method, reg)
-	return b.done()
 }
 
 // scanForward emits the forward transfer effects of (method, reg) — the

@@ -23,8 +23,8 @@
 // SummaryCache, and every set (slice statements, worklist dedup, universe)
 // is an intern.Bits bitset. Strings only appear at the boundaries: summary
 // construction (cold, memoized) and the Result accessors consumed by the
-// report layer. The pre-interning string/map replay survives in legacy.go
-// behind Engine.Legacy as the differential-testing oracle.
+// report layer. The pre-interning string/map replay lives on in the package
+// tests as the reference implementation the dense path is checked against.
 package taint
 
 import (
@@ -224,11 +224,6 @@ type Engine struct {
 	// traversals.
 	Summaries *SummaryCache
 
-	// Legacy selects the pre-interning string/map replay (legacy.go): the
-	// reference implementation the differential harness holds the dense
-	// path to byte-identical reports against. Off for production runs.
-	Legacy bool
-
 	// Budget, when non-nil, bounds every fixpoint this engine runs: the
 	// worklist polls it at the loop head and stops with Result.Truncated
 	// set once a limit trips. Nil means unlimited.
@@ -290,16 +285,6 @@ func (e *Engine) universeHas(id uint32) bool {
 	return e.Universe == nil || e.Universe.Has(id)
 }
 
-// inUniverse is universeHas by method ref, for the legacy replay and the
-// string-form summary gate checks.
-func (e *Engine) inUniverse(method string) bool {
-	if e.Universe == nil {
-		return true
-	}
-	id, ok := e.idx.MethodID(method)
-	return ok && e.Universe.Has(id)
-}
-
 // direction selects which transfer summaries a worklist run consults.
 type direction uint8
 
@@ -350,10 +335,8 @@ type cFact struct {
 }
 
 // denseWorklist deduplicates facts through two bitsets — register slots for
-// local facts, interned location IDs for heap facts — replacing the
-// map[fact]bool of the legacy replay. Dedup ignores hops (the first visit,
-// which the LIFO order makes the lowest-hop one, wins), exactly like the
-// legacy key with hops zeroed.
+// local facts, interned location IDs for heap facts. Dedup ignores hops (the
+// first visit, which the LIFO order makes the lowest-hop one, wins).
 type denseWorklist struct {
 	items     []cFact
 	seenLocal *intern.Bits // ir.Index register-slot space

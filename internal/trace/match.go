@@ -34,10 +34,9 @@ type MatchResult struct {
 
 // MatchOptions selects the matcher backend behind MatchReport. The zero
 // value is the interpretive matcher — the equivalence oracle, kept exactly
-// as shipped (the same survival pattern as pairing.AnalyzeOracle and
-// core.Options.LegacySets). VM switches to the compiled matcher
-// (internal/sigvm); the two are held byte-identical by a differential axis
-// in internal/evaluate and by FuzzSigVM.
+// as shipped. VM switches to the compiled matcher (internal/sigvm); the two
+// are held byte-identical by a differential axis in internal/evaluate and by
+// FuzzSigVM.
 type MatchOptions struct {
 	// VM matches with the compiled sigvm backend instead of the
 	// interpretive one.
