@@ -14,6 +14,7 @@ import (
 	"extractocol/internal/corpus"
 	"extractocol/internal/dex"
 	"extractocol/internal/evaluate"
+	"extractocol/internal/ir"
 	"extractocol/internal/report"
 )
 
@@ -215,5 +216,34 @@ func TestInjectedHangDegradesOnlyTargetApp(t *testing.T) {
 				t.Errorf("report changed under budget\n--- clean ---\n%s\n--- budgeted ---\n%s", b, g)
 			}
 		})
+	}
+}
+
+// A superclass cycle would send every chain walker (dispatch resolution,
+// CHA, implementer lookup) into a loop no budget check interrupts.
+// Validate rejects the cycle, so Analyze must fail fast with an error
+// instead of hanging.
+func TestSuperclassCycleRejected(t *testing.T) {
+	p := ir.NewProgram("t.cycle")
+	a := p.AddClass(&ir.Class{Name: "t.cycle.A", Super: "t.cycle.B"})
+	p.AddClass(&ir.Class{Name: "t.cycle.B", Super: "t.cycle.A"})
+	b := ir.NewMethod(a, "onCreate", false, nil, "void")
+	b.InvokeVoid("t.cycle.A.refresh", b.This())
+	b.ReturnVoid()
+	b.Done()
+	p.Manifest.EntryPoints = []ir.EntryPoint{{Method: "t.cycle.A.onCreate", Kind: ir.EventCreate}}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := core.Analyze(p, core.NewOptions())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "superclass chain is cyclic") {
+			t.Fatalf("Analyze = %v, want a cyclic superclass chain error", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Analyze still running after 1s on a cyclic superclass chain")
 	}
 }

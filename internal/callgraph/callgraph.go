@@ -108,7 +108,7 @@ func (g *Graph) addMethodEdges(m *ir.Method) {
 				added[target.Ref()] = true
 			}
 			// CHA: any subclass override is a possible target.
-			for _, sub := range g.prog.Subclasses(recvCls) {
+			for _, sub := range g.idx.Subclasses(recvCls) {
 				if sc := g.prog.Class(sub); sc != nil {
 					if sm := sc.Method(name); sm != nil && !added[sm.Ref()] {
 						g.addEdge(Edge{Caller: m.Ref(), Site: i, Callee: sm.Ref()})
@@ -118,7 +118,7 @@ func (g *Graph) addMethodEdges(m *ir.Method) {
 			}
 			// Interface dispatch: implementers of the declared interface.
 			if g.prog.Class(recvCls) == nil || in.Kind == ir.InvokeInterface {
-				for _, impl := range g.prog.Implementers(recvCls) {
+				for _, impl := range g.idx.Implementers(recvCls) {
 					if target := g.prog.ResolveMethod(impl, name); target != nil && !added[target.Ref()] {
 						g.addEdge(Edge{Caller: m.Ref(), Site: i, Callee: target.Ref()})
 						added[target.Ref()] = true

@@ -174,7 +174,9 @@ func TestCalleesAt(t *testing.T) {
 	t.Fatal("work call site not found")
 }
 
-func TestInterfaceDispatch(t *testing.T) {
+// interfaceApp calls t.Listener.onEvent on a parameter typed with the
+// interface; t.Impl is its only implementer.
+func interfaceApp() *ir.Program {
 	p := ir.NewProgram("t")
 	impl := p.AddClass(&ir.Class{Name: "t.Impl", Interfaces: []string{"t.Listener"}})
 	im := ir.NewMethod(impl, "onEvent", false, nil, "void")
@@ -187,8 +189,11 @@ func TestInterfaceDispatch(t *testing.T) {
 	b.InvokeVoid("t.Listener.onEvent", l)
 	b.ReturnVoid()
 	b.Done()
+	return p
+}
 
-	g := Build(p, semmodel.Default())
+func TestInterfaceDispatch(t *testing.T) {
+	g := Build(interfaceApp(), semmodel.Default())
 	if len(edgesTo(g, "t.Main.go", "t.Impl.onEvent")) != 1 {
 		t.Fatal("interface dispatch edge missing")
 	}

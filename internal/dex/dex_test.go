@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +143,22 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 		if _, err := Decode(data[:n]); err == nil {
 			t.Fatalf("accepted %d-byte truncation", n)
 		}
+	}
+}
+
+// Encode writes any program; Decode must refuse one whose superclass chain
+// is cyclic, since every dispatch walk over it would never terminate.
+func TestDecodeRejectsSuperclassCycle(t *testing.T) {
+	p := sampleProgram()
+	p.AddClass(&ir.Class{Name: "com.example.app.A", Super: "com.example.app.B"})
+	p.AddClass(&ir.Class{Name: "com.example.app.B", Super: "com.example.app.A"})
+	data, err := Encode(p)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	_, err = Decode(data)
+	if err == nil || !strings.Contains(err.Error(), "class com.example.app.A: superclass chain is cyclic") {
+		t.Fatalf("Decode = %v, want a cyclic superclass chain error", err)
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 // path: every method gets a dense uint32 ID in program order, and every
 // statement and register slot gets a dense ID derived from per-method base
 // offsets. Statement sets, taint universes and worklist dedup then become
-// intern.Bits operations instead of map[string]bool hashing.
+// intern.Bits operations instead of map[string]bool hashing. The class
+// hierarchy is tabulated here too, so resolving CHA and interface dispatch
+// at a call site is a lookup, not a whole-program scan.
 //
 // Concurrency contract: an Index is built once per program (NewIndex,
 // called before the parallel analysis phases start — callgraph.Build does
@@ -27,13 +29,19 @@ type Index struct {
 	stmtBase []uint32
 	regBase  []uint32
 	sorted   []uint32 // method IDs ordered by Ref, for deterministic walks
+
+	// Class hierarchy tables for CHA and interface dispatch, name-keyed
+	// like the IR's own superclass and interface references.
+	subs  map[string][]string // superclass name -> transitive subclasses
+	impls map[string][]string // interface name -> implementing classes
 }
 
 // NewIndex builds the dense index over every method of p, in program
 // order (all classes, library included, so any resolvable ref maps).
 func NewIndex(p *Program) *Index {
 	x := &Index{ids: map[string]uint32{}}
-	for _, c := range p.Classes() {
+	classes := p.Classes()
+	for _, c := range classes {
 		for _, m := range c.Methods {
 			x.ids[m.Ref()] = uint32(len(x.methods))
 			x.methods = append(x.methods, m)
@@ -52,8 +60,54 @@ func NewIndex(p *Program) *Index {
 	sort.Slice(x.sorted, func(i, j int) bool {
 		return x.methods[x.sorted[i]].Ref() < x.methods[x.sorted[j]].Ref()
 	})
+	x.buildHierarchy(p, classes)
 	return x
 }
+
+// buildHierarchy fills the subclass and implementer tables in one pass:
+// each class walks its own superclass chain once, joining the subclass
+// list of every ancestor name (in-program or not) and the implementer list
+// of every interface declared along the way. The walk is bounded by the
+// class count, so a cyclic chain in a program that skipped Validate still
+// terminates (its lists are then unspecified).
+func (x *Index) buildHierarchy(p *Program, classes []*Class) {
+	x.subs = map[string][]string{}
+	x.impls = map[string][]string{}
+	for _, c := range classes {
+		cur := c
+		for step := 0; cur != nil && step < len(classes); step++ {
+			for _, iface := range cur.Interfaces {
+				// c's entries are appended contiguously, so checking the
+				// tail dedups an interface declared at several levels.
+				if l := x.impls[iface]; len(l) == 0 || l[len(l)-1] != c.Name {
+					x.impls[iface] = append(l, c.Name)
+				}
+			}
+			if cur.Super == "" {
+				break
+			}
+			x.subs[cur.Super] = append(x.subs[cur.Super], c.Name)
+			cur = p.classes[cur.Super]
+		}
+	}
+	for _, l := range x.subs {
+		sort.Strings(l)
+	}
+	for _, l := range x.impls {
+		sort.Strings(l)
+	}
+}
+
+// Subclasses returns the names of all classes that have cls on their
+// superclass chain (not including cls itself), sorted. cls need not be a
+// class of the program: a library superclass lists its app subclasses.
+// The slice is shared; callers must treat it as read-only.
+func (x *Index) Subclasses(cls string) []string { return x.subs[cls] }
+
+// Implementers returns the names of classes declaring interface iface,
+// directly or through a superclass, sorted. The slice is shared; callers
+// must treat it as read-only.
+func (x *Index) Implementers(iface string) []string { return x.impls[iface] }
 
 // NumMethods returns the number of indexed methods.
 func (x *Index) NumMethods() int { return len(x.methods) }

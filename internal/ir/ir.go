@@ -525,46 +525,6 @@ func (p *Program) ResolveMethod(cls, name string) *Method {
 	return nil
 }
 
-// Subclasses returns the names of all classes that have cls on their
-// superclass chain (not including cls itself), sorted.
-func (p *Program) Subclasses(cls string) []string {
-	var out []string
-	for name, c := range p.classes {
-		for s := c.Super; s != ""; {
-			if s == cls {
-				out = append(out, name)
-				break
-			}
-			sc := p.classes[s]
-			if sc == nil {
-				break
-			}
-			s = sc.Super
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Implementers returns the names of classes declaring the given interface,
-// directly or through a superclass, sorted.
-func (p *Program) Implementers(iface string) []string {
-	var out []string
-	for name := range p.classes {
-		for c := p.classes[name]; c != nil; c = p.classes[c.Super] {
-			if containsStr(c.Interfaces, iface) {
-				out = append(out, name)
-				break
-			}
-			if c.Super == "" {
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // InstrCount returns the total number of instructions across app classes.
 func (p *Program) InstrCount() int {
 	n := 0
@@ -586,20 +546,15 @@ func SplitRef(ref string) (cls, member string, ok bool) {
 	return ref[:i], ref[i+1:], true
 }
 
-func containsStr(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-// Validate checks structural invariants: branch targets in range, register
-// operands within the declared register count, entry points resolvable.
-// It returns a descriptive error for the first violation found.
+// Validate checks structural invariants: acyclic superclass chains,
+// branch targets in range, register operands within the declared register
+// count, entry points resolvable. It returns a descriptive error for the
+// first violation found.
 func (p *Program) Validate() error {
 	for _, c := range p.Classes() {
+		if p.superCycle(c) {
+			return fmt.Errorf("class %s: superclass chain is cyclic", c.Name)
+		}
 		for _, m := range c.Methods {
 			if err := validateMethod(m); err != nil {
 				return fmt.Errorf("%s: %w", m.Ref(), err)
@@ -612,6 +567,24 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
+}
+
+// superCycle reports whether c's superclass chain revisits a class. An
+// acyclic chain passes at most len(p.classes)-1 classes above c, so a walk
+// that gets further, or back to c, has entered a cycle — one through c or
+// one further up.
+func (p *Program) superCycle(c *Class) bool {
+	for s, steps := c.Super, 0; s != ""; steps++ {
+		sc := p.classes[s]
+		if sc == nil {
+			return false
+		}
+		if sc == c || steps == len(p.classes) {
+			return true
+		}
+		s = sc.Super
+	}
+	return false
 }
 
 func validateMethod(m *Method) error {

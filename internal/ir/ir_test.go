@@ -163,13 +163,43 @@ func TestSubclassesAndImplementers(t *testing.T) {
 	p.AddClass(&Class{Name: "t.Base"})
 	p.AddClass(&Class{Name: "t.A", Super: "t.Base", Interfaces: []string{"t.Runnable"}})
 	p.AddClass(&Class{Name: "t.B", Super: "t.A"})
-	subs := p.Subclasses("t.Base")
+	x := NewIndex(p)
+	subs := x.Subclasses("t.Base")
 	if len(subs) != 2 || subs[0] != "t.A" || subs[1] != "t.B" {
 		t.Fatalf("Subclasses = %v", subs)
 	}
-	impls := p.Implementers("t.Runnable")
+	impls := x.Implementers("t.Runnable")
 	if len(impls) != 2 || impls[0] != "t.A" || impls[1] != "t.B" {
 		t.Fatalf("Implementers = %v", impls)
+	}
+}
+
+func TestValidateRejectsSuperclassCycle(t *testing.T) {
+	cases := map[string][]*Class{
+		"A->B->A": {{Name: "t.A", Super: "t.B"}, {Name: "t.B", Super: "t.A"}},
+		"A->A":    {{Name: "t.A", Super: "t.A"}},
+		"C->A->B->A": {{Name: "t.C", Super: "t.A"},
+			{Name: "t.A", Super: "t.B"}, {Name: "t.B", Super: "t.A"}},
+	}
+	for name, classes := range cases {
+		p := NewProgram("t")
+		for _, c := range classes {
+			p.AddClass(c)
+		}
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), "class "+classes[0].Name+": superclass chain is cyclic") {
+			t.Errorf("%s: Validate = %v, want a cyclic-chain error naming %s", name, err, classes[0].Name)
+		}
+		// The hierarchy tables bound their chain walks, so indexing an
+		// unvalidated cyclic program still terminates.
+		NewIndex(p)
+	}
+
+	p := NewProgram("t")
+	p.AddClass(&Class{Name: "t.A", Super: "t.B"})
+	p.AddClass(&Class{Name: "t.B", Super: "t.Outside"})
+	if err := p.Validate(); err != nil {
+		t.Errorf("acyclic chain leaving the program: Validate = %v", err)
 	}
 }
 

@@ -82,7 +82,7 @@ func (ev *evaluator) resolveCallee(m *ir.Method, in *ir.Instr) *ir.Method {
 		return t
 	}
 	// Single implementer of an interface.
-	impls := ev.prog.Implementers(cls)
+	impls := ev.idx.Implementers(cls)
 	if len(impls) == 1 {
 		return ev.prog.ResolveMethod(impls[0], name)
 	}
