@@ -33,9 +33,10 @@ go vet ./...
 echo "== fault injection under -race"
 # Robustness gate: injected panics and hangs in every pipeline phase must
 # degrade into diagnostics, not crashes, with the per-job recovery paths
-# racing against the worker pools; malformed input (a superclass cycle) must
-# be rejected, not spun on.
-go test -race -run 'TestFaultInjection|TestDecodeFault|TestInjectedHang|TestEvaluateAggregates|TestDegradation|TestSuperclassCycleRejected' .
+# racing against the worker pools; malformed input (a superclass cycle, a
+# method name declared twice in one class) must be rejected, not spun on or
+# half-analyzed.
+go test -race -run 'TestFaultInjection|TestDecodeFault|TestInjectedHang|TestEvaluateAggregates|TestDegradation|TestSuperclassCycleRejected|TestDuplicateMethodRejected' .
 
 echo "== go test -race"
 go test -race ./...

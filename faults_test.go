@@ -247,3 +247,42 @@ func TestSuperclassCycleRejected(t *testing.T) {
 		t.Fatal("Analyze still running after 1s on a cyclic superclass chain")
 	}
 }
+
+// dupOnClick declares t.dup.Main.onClick twice: an empty body and one
+// holding a complete HttpClient GET flow. Both bodies would share the ref
+// the slicer and the taint engine address them by.
+func dupOnClick(withEmpty bool) *ir.Program {
+	p := ir.NewProgram("t.dup")
+	c := p.AddClass(&ir.Class{Name: "t.dup.Main"})
+	if withEmpty {
+		e := ir.NewMethod(c, "onClick", false, nil, "void")
+		e.ReturnVoid()
+		e.Done()
+	}
+	b := ir.NewMethod(c, "onClick", false, nil, "void")
+	uri := b.ConstStr("https://dup.example.com/items")
+	req := b.New("org.apache.http.client.methods.HttpGet")
+	b.InvokeSpecial("org.apache.http.client.methods.HttpGet.<init>", req, uri)
+	cl := b.New("org.apache.http.impl.client.DefaultHttpClient")
+	b.InvokeSpecial("org.apache.http.impl.client.DefaultHttpClient.<init>", cl)
+	b.Invoke("org.apache.http.client.HttpClient.execute", cl, req)
+	b.ReturnVoid()
+	b.Done()
+	p.Manifest.EntryPoints = []ir.EntryPoint{{Method: "t.dup.Main.onClick", Kind: ir.EventClick}}
+	return p
+}
+
+// TestDuplicateMethodRejected: a class declaring one method name twice
+// used to lose the transaction in either body without a word. Analyze must
+// reject the program and name the class and the method; the GET flow alone
+// is a real transaction.
+func TestDuplicateMethodRejected(t *testing.T) {
+	rep, err := core.Analyze(dupOnClick(false), core.NewOptions())
+	if err != nil || len(rep.Transactions) != 1 {
+		t.Fatalf("single onClick: Analyze = %v, %v; want one transaction", rep, err)
+	}
+	_, err = core.Analyze(dupOnClick(true), core.NewOptions())
+	if err == nil || !strings.Contains(err.Error(), "class t.dup.Main: method onClick is declared more than once") {
+		t.Fatalf("Analyze = %v, want a duplicate method error", err)
+	}
+}

@@ -1,7 +1,6 @@
 package callgraph
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
@@ -40,48 +39,12 @@ func TestTypesMemoized(t *testing.T) {
 	}
 }
 
-// ReachableFrom must memoize per root and agree with the uncached Reachable.
-func TestReachableFromMemoized(t *testing.T) {
-	p := testApp()
-	g := Build(p, semmodel.Default())
-
-	root := "t.app.Main.onCreate"
-	r1 := g.ReachableFrom(root)
-	r2 := g.ReachableFrom(root)
-	if len(r1) == 0 {
-		t.Fatal("empty reachable set")
-	}
-	// Same canonical map on the second query.
-	if reflect.ValueOf(r1).Pointer() != reflect.ValueOf(r2).Pointer() {
-		t.Error("ReachableFrom returned distinct maps; cache not shared")
-	}
-	fresh := g.Reachable([]string{root})
-	if len(fresh) != len(r1) {
-		t.Fatalf("ReachableFrom disagrees with Reachable: %d vs %d", len(r1), len(fresh))
-	}
-	for m := range fresh {
-		if !r1[m] {
-			t.Errorf("memoized set missing %s", m)
-		}
-	}
-
-	col := obs.NewCollector()
-	g.DrainCacheCounters(col)
-	prof := col.Snapshot()
-	if got := prof.Counter(obs.CtrCacheReachableMisses); got != 1 {
-		t.Errorf("reachable misses = %d, want 1", got)
-	}
-	if got := prof.Counter(obs.CtrCacheReachableHits); got != 1 {
-		t.Errorf("reachable hits = %d, want 1", got)
-	}
-}
-
 // DrainCacheCounters must reset the accumulators: a second drain with no
 // intervening queries adds nothing.
 func TestDrainCacheCountersResets(t *testing.T) {
 	p := testApp()
 	g := Build(p, semmodel.Default())
-	g.ReachableFrom("t.app.Main.onCreate")
+	g.ReachableBits("t.app.Main.onCreate")
 
 	col := obs.NewCollector()
 	g.DrainCacheCounters(col)
@@ -100,7 +63,7 @@ func TestDrainCacheCountersResets(t *testing.T) {
 }
 
 // The cache must be safe for concurrent readers (exercised under -race by
-// ci.sh): many goroutines hammering Types and ReachableFrom concurrently.
+// ci.sh): many goroutines hammering Types and ReachableBits concurrently.
 func TestCacheConcurrentReaders(t *testing.T) {
 	p := testApp()
 	g := Build(p, semmodel.Default())
@@ -116,7 +79,7 @@ func TestCacheConcurrentReaders(t *testing.T) {
 					t.Error("empty types under concurrency")
 					return
 				}
-				if len(g.ReachableFrom("t.app.Main.onCreate")) == 0 {
+				if g.ReachableBits("t.app.Main.onCreate").Empty() {
 					t.Error("empty reachable set under concurrency")
 					return
 				}

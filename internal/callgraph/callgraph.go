@@ -7,8 +7,9 @@
 package callgraph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"extractocol/internal/intern"
@@ -18,31 +19,38 @@ import (
 )
 
 // Edge is one resolved call: the instruction at Site in Caller may invoke
-// Callee. Implicit marks callback edges synthesized from async
-// registrations rather than direct invocations.
+// Callee. Both ends are dense method IDs in the graph's ir.Index; strings
+// appear only where a caller resolves an ID back to its ref. Implicit marks
+// callback edges synthesized from async registrations rather than direct
+// invocations.
 type Edge struct {
-	Caller   string // fully qualified method ref
-	Site     int    // instruction index within the caller
-	Callee   string // fully qualified method ref (always an app method)
+	Caller   uint32 // dense method ID
+	Site     int32  // instruction index within the caller; -1 for an async chain edge
+	Callee   uint32 // dense method ID (always an app method)
 	Implicit bool
 }
 
-// Graph is the call graph over app methods. Beyond the edge sets it carries
-// the per-program analysis cache shared by every transaction extraction:
-// memoized per-method type inference and per-root reachability, safe for
-// concurrent readers (the slice worker pool queries both from many
-// goroutines at once).
+// Graph is the call graph over app methods, in ir.Index space. Beyond the
+// edges it carries the per-program tables every transaction extraction
+// reads: the semantic-model entry of each invoke, each app method's
+// inferred register types and the memoized per-root reachable sets. Build
+// fills all of them but the reachable sets, which fill on first query;
+// every query is safe for concurrent readers (the slice worker pool asks
+// from many goroutines at once).
 type Graph struct {
-	prog  *ir.Program
-	model *semmodel.Model
-	idx   *ir.Index
-	out   map[string][]Edge // caller -> edges
-	in    map[string][]Edge // callee -> edges
+	prog *ir.Program
+	idx  *ir.Index
 
-	mu        sync.RWMutex
-	types     map[string][]string        // method ref -> inferred register types
-	reach     map[string]map[string]bool // root ref -> reachable method set
-	reachBits map[string]*intern.Bits    // root ref -> reachable method-ID set
+	// Compressed adjacency: method id's outgoing edges are
+	// out[outBase[id]:outBase[id+1]], ordered by (site, callee ref), and its
+	// incoming edges in[inBase[id]:inBase[id+1]], in insertion order.
+	out, in         []Edge
+	outBase, inBase []uint32
+
+	sem   []*semmodel.Method            // statement ID -> model entry of the invoke there
+	types [][]string                    // app method ID -> inferred register types
+	reach []atomic.Pointer[intern.Bits] // root method ID -> reachable method-ID set
+	none  intern.Bits                   // the reachable set of a root the program lacks
 
 	typesHits, typesMisses atomic.Int64
 	reachHits, reachMisses atomic.Int64
@@ -50,28 +58,64 @@ type Graph struct {
 
 // Build constructs the call graph for every app method in p.
 func Build(p *ir.Program, model *semmodel.Model) *Graph {
-	g := &Graph{prog: p, model: model, idx: ir.NewIndex(p),
-		out: map[string][]Edge{}, in: map[string][]Edge{},
-		types: map[string][]string{}, reach: map[string]map[string]bool{},
-		reachBits: map[string]*intern.Bits{}}
-	for _, c := range p.AppClasses() {
+	idx := ir.NewIndex(p)
+	n := idx.NumMethods()
+	g := &Graph{prog: p, idx: idx,
+		sem:   make([]*semmodel.Method, idx.NumStmts()),
+		types: make([][]string, n),
+		reach: make([]atomic.Pointer[intern.Bits], n)}
+	var edges []Edge
+	id := uint32(0)
+	for _, c := range p.Classes() {
 		for _, m := range c.Methods {
-			g.addMethodEdges(m)
+			for i := range m.Instrs {
+				if in := &m.Instrs[i]; in.Op == ir.OpInvoke {
+					g.sem[idx.StmtID(id, i)] = model.Lookup(in.Sym)
+				}
+			}
+			if !c.Library {
+				g.types[id] = InferTypes(p, m)
+				g.typesMisses.Add(1)
+				edges = g.methodEdges(edges, id, m)
+			}
+			id++
 		}
 	}
-	for _, edges := range g.out {
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].Site != edges[j].Site {
-				return edges[i].Site < edges[j].Site
-			}
-			return edges[i].Callee < edges[j].Callee
+	g.out, g.outBase = adjacency(edges, n, func(e *Edge) uint32 { return e.Caller })
+	g.in, g.inBase = adjacency(edges, n, func(e *Edge) uint32 { return e.Callee })
+	for c := 0; c < n; c++ {
+		slices.SortStableFunc(g.out[g.outBase[c]:g.outBase[c+1]], func(a, b Edge) int {
+			return cmp.Or(cmp.Compare(a.Site, b.Site), cmp.Compare(idx.RefRank(a.Callee), idx.RefRank(b.Callee)))
 		})
 	}
 	return g
 }
 
-func (g *Graph) addMethodEdges(m *ir.Method) {
-	types := g.Types(m)
+// adjacency groups edges by key with a stable counting sort, so each
+// method's list keeps insertion order, and returns the grouped edges with
+// the per-method bounds.
+func adjacency(edges []Edge, n int, key func(*Edge) uint32) ([]Edge, []uint32) {
+	base := make([]uint32, n+1)
+	for i := range edges {
+		base[key(&edges[i])+1]++
+	}
+	for i := 1; i <= n; i++ {
+		base[i] += base[i-1]
+	}
+	out := make([]Edge, len(edges))
+	next := make([]uint32, n)
+	copy(next, base)
+	for i := range edges {
+		k := key(&edges[i])
+		out[next[k]] = edges[i]
+		next[k]++
+	}
+	return out, base
+}
+
+// methodEdges appends the edges of every call site in method id.
+func (g *Graph) methodEdges(edges []Edge, id uint32, m *ir.Method) []Edge {
+	types := g.types[id]
 	for i := range m.Instrs {
 		in := &m.Instrs[i]
 		if in.Op != ir.OpInvoke {
@@ -81,184 +125,192 @@ func (g *Graph) addMethodEdges(m *ir.Method) {
 		if !ok {
 			continue
 		}
+		site := int32(i)
 
 		// Implicit callback edges from modeled async registrations.
-		if e := g.model.Lookup(in.Sym); e != nil && e.CallbackMethod != "" {
-			g.addCallbackEdge(m, i, in, e, types)
+		if e := g.sem[g.idx.StmtID(id, i)]; e != nil && e.CallbackMethod != "" {
+			edges = g.callbackEdges(edges, id, site, in, e, types)
 			continue
 		}
 
 		// Direct edges to app methods.
 		switch in.Kind {
 		case ir.InvokeStatic, ir.InvokeSpecial:
-			if target := g.prog.ResolveMethod(cls, name); target != nil {
-				g.addEdge(Edge{Caller: m.Ref(), Site: i, Callee: target.Ref()})
+			if target, ok := g.idx.ResolveMethod(cls, name); ok {
+				edges = append(edges, Edge{Caller: id, Site: site, Callee: target})
 			}
 		default: // virtual / interface dispatch
 			// Prefer the precise receiver type when locally inferable.
 			recvCls := cls
-			if len(in.Args) > 0 && in.Args[0] < len(types) && types[in.Args[0]] != "" {
-				if g.prog.Class(types[in.Args[0]]) != nil {
+			if len(in.Args) > 0 && in.Args[0] >= 0 && in.Args[0] < len(types) && types[in.Args[0]] != "" {
+				if g.idx.HasClass(types[in.Args[0]]) {
 					recvCls = types[in.Args[0]]
 				}
 			}
-			added := map[string]bool{}
-			if target := g.prog.ResolveMethod(recvCls, name); target != nil {
-				g.addEdge(Edge{Caller: m.Ref(), Site: i, Callee: target.Ref()})
-				added[target.Ref()] = true
+			// Targets are deduplicated against the edges this site already
+			// added: edges[lo:].
+			lo := len(edges)
+			if target, ok := g.idx.ResolveMethod(recvCls, name); ok {
+				edges = addSiteEdge(edges, lo, Edge{Caller: id, Site: site, Callee: target})
 			}
 			// CHA: any subclass override is a possible target.
 			for _, sub := range g.idx.Subclasses(recvCls) {
-				if sc := g.prog.Class(sub); sc != nil {
-					if sm := sc.Method(name); sm != nil && !added[sm.Ref()] {
-						g.addEdge(Edge{Caller: m.Ref(), Site: i, Callee: sm.Ref()})
-						added[sm.Ref()] = true
-					}
+				if target, ok := g.idx.OwnMethod(sub, name); ok {
+					edges = addSiteEdge(edges, lo, Edge{Caller: id, Site: site, Callee: target})
 				}
 			}
 			// Interface dispatch: implementers of the declared interface.
-			if g.prog.Class(recvCls) == nil || in.Kind == ir.InvokeInterface {
+			if !g.idx.HasClass(recvCls) || in.Kind == ir.InvokeInterface {
 				for _, impl := range g.idx.Implementers(recvCls) {
-					if target := g.prog.ResolveMethod(impl, name); target != nil && !added[target.Ref()] {
-						g.addEdge(Edge{Caller: m.Ref(), Site: i, Callee: target.Ref()})
-						added[target.Ref()] = true
+					if target, ok := g.idx.ResolveMethod(impl, name); ok {
+						edges = addSiteEdge(edges, lo, Edge{Caller: id, Site: site, Callee: target})
 					}
 				}
 			}
 		}
 	}
+	return edges
 }
 
-// addCallbackEdge synthesizes an implicit edge for an async registration
+// addSiteEdge appends e unless one of the call site's edges, edges[lo:],
+// already reaches its callee.
+func addSiteEdge(edges []Edge, lo int, e Edge) []Edge {
+	for _, prev := range edges[lo:] {
+		if prev.Callee == e.Callee {
+			return edges
+		}
+	}
+	return append(edges, e)
+}
+
+// callbackEdges synthesizes an implicit edge for an async registration
 // like task.execute(...) -> Task.doInBackground, thread.start() -> run.
-func (g *Graph) addCallbackEdge(m *ir.Method, site int, in *ir.Instr, e *semmodel.Method, types []string) {
+func (g *Graph) callbackEdges(edges []Edge, id uint32, site int32, in *ir.Instr, e *semmodel.Method, types []string) []Edge {
 	if e.CallbackArg >= len(in.Args) {
-		return
+		return edges
 	}
 	reg := in.Args[e.CallbackArg]
 	if reg == ir.NoReg || reg >= len(types) {
-		return
+		return edges
 	}
 	cbType := types[reg]
 	if cbType == "" {
-		return
+		return edges
 	}
-	target := g.prog.ResolveMethod(cbType, e.CallbackMethod)
-	if target == nil {
-		return
+	target, ok := g.idx.ResolveMethod(cbType, e.CallbackMethod)
+	if !ok {
+		return edges
 	}
-	g.addEdge(Edge{Caller: m.Ref(), Site: site, Callee: target.Ref(), Implicit: true})
+	edges = append(edges, Edge{Caller: id, Site: site, Callee: target, Implicit: true})
 
 	// AsyncTask chains doInBackground's result into onPostExecute.
 	if e.Kind == semmodel.KAsyncExecute {
-		if post := g.prog.ResolveMethod(cbType, "onPostExecute"); post != nil {
-			g.addEdge(Edge{Caller: target.Ref(), Site: -1, Callee: post.Ref(), Implicit: true})
+		if post, ok := g.idx.ResolveMethod(cbType, "onPostExecute"); ok {
+			edges = append(edges, Edge{Caller: target, Site: -1, Callee: post, Implicit: true})
 		}
 	}
+	return edges
 }
 
-func (g *Graph) addEdge(e Edge) {
-	g.out[e.Caller] = append(g.out[e.Caller], e)
-	g.in[e.Callee] = append(g.in[e.Callee], e)
+// Callees returns all outgoing edges of method caller, ordered by (site,
+// callee ref). The slice is shared; callers must treat it as read-only.
+func (g *Graph) Callees(caller uint32) []Edge {
+	lo, hi := g.outBase[caller], g.outBase[caller+1]
+	return g.out[lo:hi:hi]
+}
+
+// Callers returns all incoming edges of method callee, in the order Build
+// found them. The slice is shared; callers must treat it as read-only.
+func (g *Graph) Callers(callee uint32) []Edge {
+	lo, hi := g.inBase[callee], g.inBase[callee+1]
+	return g.in[lo:hi:hi]
 }
 
 // CalleesAt returns the resolved targets of the call site at instruction
-// index site in caller.
-func (g *Graph) CalleesAt(caller string, site int) []Edge {
-	var out []Edge
-	for _, e := range g.out[caller] {
-		if e.Site == site {
-			out = append(out, e)
+// index site in method caller: a subslice of Callees, so it allocates
+// nothing.
+func (g *Graph) CalleesAt(caller uint32, site int) []Edge {
+	es := g.Callees(caller)
+	lo, hi := 0, len(es)
+	for lo < hi { // first edge with Site >= site
+		mid := int(uint(lo+hi) >> 1)
+		if int(es[mid].Site) < site {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return out
+	hi = lo
+	for hi < len(es) && int(es[hi].Site) == site {
+		hi++
+	}
+	return es[lo:hi:hi]
 }
 
-// Callees returns all outgoing edges of caller.
-func (g *Graph) Callees(caller string) []Edge { return g.out[caller] }
+// ModelAt returns the semantic-model entry of the invoke at dense
+// statement stmt, resolved once by Build; nil when stmt is not an invoke of
+// a modeled API.
+func (g *Graph) ModelAt(stmt uint32) *semmodel.Method { return g.sem[stmt] }
 
-// Callers returns all incoming edges of callee.
-func (g *Graph) Callers(callee string) []Edge { return g.in[callee] }
-
-// Types returns the memoized intra-procedural register types of m (see
-// InferTypes). The returned slice is shared: callers must treat it as
-// read-only. Safe for concurrent use; Build warms the cache for every app
-// method, so post-build queries are hits.
+// Types returns the register types Build inferred for m (see InferTypes),
+// resolving m by ref; a method outside the program is inferred afresh. The
+// returned slice is shared: callers must treat it as read-only.
 func (g *Graph) Types(m *ir.Method) []string {
-	ref := m.Ref()
-	g.mu.RLock()
-	t, ok := g.types[ref]
-	g.mu.RUnlock()
-	if ok {
+	if id, ok := g.idx.MethodID(m.Ref()); ok {
+		return g.TypesOf(id)
+	}
+	g.typesMisses.Add(1)
+	return InferTypes(g.prog, m)
+}
+
+// TypesOf returns the register types Build inferred for method id; a
+// library method, which Build does not tabulate, is inferred afresh. The
+// returned slice is shared: callers must treat it as read-only.
+func (g *Graph) TypesOf(id uint32) []string {
+	if t := g.types[id]; t != nil {
 		g.typesHits.Add(1)
 		return t
 	}
 	g.typesMisses.Add(1)
-	t = InferTypes(g.prog, m)
-	g.mu.Lock()
-	if prev, ok := g.types[ref]; ok {
-		t = prev // another goroutine built it first; keep one canonical slice
-	} else {
-		g.types[ref] = t
-	}
-	g.mu.Unlock()
-	return t
-}
-
-// ReachableFrom returns the memoized reachable set of a single root (the
-// per-entry-point transaction universe). The returned map is shared:
-// callers must treat it as read-only. Safe for concurrent use.
-func (g *Graph) ReachableFrom(root string) map[string]bool {
-	g.mu.RLock()
-	r, ok := g.reach[root]
-	g.mu.RUnlock()
-	if ok {
-		g.reachHits.Add(1)
-		return r
-	}
-	g.reachMisses.Add(1)
-	r = g.Reachable([]string{root})
-	g.mu.Lock()
-	if prev, ok := g.reach[root]; ok {
-		r = prev
-	} else {
-		g.reach[root] = r
-	}
-	g.mu.Unlock()
-	return r
+	return InferTypes(g.prog, g.idx.MethodAt(id))
 }
 
 // Index returns the program's dense method/statement index, built once by
 // Build and read-only afterwards (safe for concurrent use).
 func (g *Graph) Index() *ir.Index { return g.idx }
 
-// ReachableBits is ReachableFrom over dense method IDs: the memoized
-// per-entry-point transaction universe as an intern.Bits, so the taint
-// engine's gate checks are single bit tests. The returned set is shared:
-// callers must treat it as read-only. Safe for concurrent use.
+// ReachableBits returns the memoized per-entry-point transaction universe:
+// the dense IDs of the methods reachable from root along direct and
+// implicit edges, so the taint engine's gate checks are single bit tests.
+// The first query per root walks the out-edges in ID space; later queries
+// return the same set. The returned set is shared: callers must treat it
+// as read-only. Safe for concurrent use.
 func (g *Graph) ReachableBits(root string) *intern.Bits {
-	g.mu.RLock()
-	b, ok := g.reachBits[root]
-	g.mu.RUnlock()
-	if ok {
+	id, ok := g.idx.MethodID(root)
+	if !ok {
+		g.reachMisses.Add(1)
+		return &g.none
+	}
+	if b := g.reach[id].Load(); b != nil {
 		g.reachHits.Add(1)
 		return b
 	}
 	g.reachMisses.Add(1)
-	r := g.Reachable([]string{root})
-	b = intern.NewBits(g.idx.NumMethods())
-	for ref := range r {
-		if id, ok := g.idx.MethodID(ref); ok {
-			b.Add(id)
+	b := intern.NewBits(g.idx.NumMethods())
+	b.Add(id)
+	stack := []uint32{id}
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range g.Callees(m) {
+			if b.Add(e.Callee) {
+				stack = append(stack, e.Callee)
+			}
 		}
 	}
-	g.mu.Lock()
-	if prev, ok := g.reachBits[root]; ok {
-		b = prev
-	} else {
-		g.reachBits[root] = b
+	if !g.reach[id].CompareAndSwap(nil, b) {
+		b = g.reach[id].Load() // another goroutine won; keep one canonical set
 	}
-	g.mu.Unlock()
 	return b
 }
 
@@ -270,31 +322,6 @@ func (g *Graph) DrainCacheCounters(col *obs.Collector) {
 	col.Add(obs.CtrCacheReachableMisses, g.reachMisses.Swap(0))
 	col.Add(obs.CtrCacheInferTypesHits, g.typesHits.Swap(0))
 	col.Add(obs.CtrCacheInferTypesMisses, g.typesMisses.Swap(0))
-}
-
-// Reachable computes the set of method refs reachable from the given
-// roots, following both direct and implicit edges. The result is freshly
-// allocated; prefer ReachableFrom for the memoized single-root variant.
-func (g *Graph) Reachable(roots []string) map[string]bool {
-	seen := map[string]bool{}
-	var stack []string
-	for _, r := range roots {
-		if g.prog.Method(r) != nil && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		m := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.out[m] {
-			if !seen[e.Callee] {
-				seen[e.Callee] = true
-				stack = append(stack, e.Callee)
-			}
-		}
-	}
-	return seen
 }
 
 // AnalysisRoots returns the entry-point methods the static analyzer may

@@ -1,6 +1,7 @@
 package callgraph
 
 import (
+	"slices"
 	"testing"
 
 	"extractocol/internal/ir"
@@ -63,40 +64,79 @@ func testApp() *ir.Program {
 	return p
 }
 
-func edgesTo(g *Graph, caller, callee string) []Edge {
+// id resolves a method ref to its dense ID, failing the test when the
+// program has no such method.
+func id(t *testing.T, g *Graph, ref string) uint32 {
+	t.Helper()
+	mid, ok := g.Index().MethodID(ref)
+	if !ok {
+		t.Fatalf("no method %s", ref)
+	}
+	return mid
+}
+
+func edgesTo(t *testing.T, g *Graph, caller, callee string) []Edge {
+	t.Helper()
 	var out []Edge
-	for _, e := range g.Callees(caller) {
-		if e.Callee == callee {
+	for _, e := range g.Callees(id(t, g, caller)) {
+		if e.Callee == id(t, g, callee) {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
+// reachableRefs is the string-keyed reachability walk ReachableBits
+// replaced: a depth-first search over method refs from the given roots.
+// It is the oracle the dense walk is checked against.
+func reachableRefs(g *Graph, roots []string) map[string]bool {
+	x := g.Index()
+	seen := map[string]bool{}
+	var stack []string
+	for _, r := range roots {
+		if _, ok := x.MethodID(r); ok && !seen[r] {
+			seen[r] = true
+			stack = append(stack, r)
+		}
+	}
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		mid, _ := x.MethodID(m)
+		for _, e := range g.Callees(mid) {
+			if callee := x.MethodAt(e.Callee).Ref(); !seen[callee] {
+				seen[callee] = true
+				stack = append(stack, callee)
+			}
+		}
+	}
+	return seen
+}
+
 func TestDirectStaticEdge(t *testing.T) {
 	g := Build(testApp(), semmodel.Default())
-	if len(edgesTo(g, "t.app.Main.onCreate", "t.app.Main.helper")) != 1 {
+	if len(edgesTo(t, g, "t.app.Main.onCreate", "t.app.Main.helper")) != 1 {
 		t.Fatal("missing static call edge onCreate -> helper")
 	}
 }
 
 func TestCHAVirtualDispatchIncludesOverrides(t *testing.T) {
 	g := Build(testApp(), semmodel.Default())
-	if len(edgesTo(g, "t.app.Main.onCreate", "t.app.Base.work")) != 1 {
+	if len(edgesTo(t, g, "t.app.Main.onCreate", "t.app.Base.work")) != 1 {
 		t.Fatal("missing Base.work edge")
 	}
-	if len(edgesTo(g, "t.app.Main.onCreate", "t.app.Sub.work")) != 1 {
+	if len(edgesTo(t, g, "t.app.Main.onCreate", "t.app.Sub.work")) != 1 {
 		t.Fatal("CHA should include override Sub.work")
 	}
 }
 
 func TestImplicitAsyncTaskEdges(t *testing.T) {
 	g := Build(testApp(), semmodel.Default())
-	es := edgesTo(g, "t.app.Main.onCreate", "t.app.FetchTask.doInBackground")
+	es := edgesTo(t, g, "t.app.Main.onCreate", "t.app.FetchTask.doInBackground")
 	if len(es) != 1 || !es[0].Implicit {
 		t.Fatalf("implicit execute->doInBackground edge wrong: %+v", es)
 	}
-	chain := edgesTo(g, "t.app.FetchTask.doInBackground", "t.app.FetchTask.onPostExecute")
+	chain := edgesTo(t, g, "t.app.FetchTask.doInBackground", "t.app.FetchTask.onPostExecute")
 	if len(chain) != 1 || !chain[0].Implicit {
 		t.Fatalf("doInBackground->onPostExecute chain missing: %+v", chain)
 	}
@@ -104,7 +144,7 @@ func TestImplicitAsyncTaskEdges(t *testing.T) {
 
 func TestCallersIndex(t *testing.T) {
 	g := Build(testApp(), semmodel.Default())
-	callers := g.Callers("t.app.Main.helper")
+	callers := g.Callers(id(t, g, "t.app.Main.helper"))
 	if len(callers) != 2 { // onCreate and onIntentOnly
 		t.Fatalf("helper callers = %d, want 2", len(callers))
 	}
@@ -121,7 +161,7 @@ func TestAnalysisRootsExcludeIntents(t *testing.T) {
 func TestReachabilityStopsAtIntentOnlyFlows(t *testing.T) {
 	p := testApp()
 	g := Build(p, semmodel.Default())
-	reach := g.Reachable(AnalysisRoots(p))
+	reach := reachableRefs(g, AnalysisRoots(p))
 	if !reach["t.app.FetchTask.doInBackground"] {
 		t.Fatal("async callback should be reachable")
 	}
@@ -164,7 +204,7 @@ func TestCalleesAt(t *testing.T) {
 	for i := range m.Instrs {
 		in := &m.Instrs[i]
 		if in.Op == ir.OpInvoke && in.Sym == "t.app.Base.work" {
-			es := g.CalleesAt("t.app.Main.onCreate", i)
+			es := g.CalleesAt(id(t, g, "t.app.Main.onCreate"), i)
 			if len(es) != 2 {
 				t.Fatalf("CalleesAt(work) = %d edges, want 2 (Base+Sub)", len(es))
 			}
@@ -172,6 +212,35 @@ func TestCalleesAt(t *testing.T) {
 		}
 	}
 	t.Fatal("work call site not found")
+}
+
+// Out-edges are ordered by (site, callee ref) whatever order the classes
+// were declared in. Here the subclass precedes its base, so method ID
+// order and ref order disagree at the one virtual call site.
+func TestCalleesOrderedByRef(t *testing.T) {
+	p := ir.NewProgram("t")
+	sub := p.AddClass(&ir.Class{Name: "t.z.Sub", Super: "t.a.Base"})
+	sw := ir.NewMethod(sub, "work", false, nil, "void")
+	sw.ReturnVoid()
+	sw.Done()
+	base := p.AddClass(&ir.Class{Name: "t.a.Base"})
+	bw := ir.NewMethod(base, "work", false, nil, "void")
+	bw.ReturnVoid()
+	bw.Done()
+	main := p.AddClass(&ir.Class{Name: "t.Main"})
+	b := ir.NewMethod(main, "run", true, []string{"t.a.Base"}, "void")
+	b.InvokeVoid("t.a.Base.work", b.Param(0))
+	b.ReturnVoid()
+	b.Done()
+
+	g := Build(p, semmodel.Default())
+	var got []string
+	for _, e := range g.Callees(id(t, g, "t.Main.run")) {
+		got = append(got, g.Index().MethodAt(e.Callee).Ref())
+	}
+	if want := []string{"t.a.Base.work", "t.z.Sub.work"}; !slices.Equal(got, want) {
+		t.Fatalf("Callees(t.Main.run) = %v, want %v", got, want)
+	}
 }
 
 // interfaceApp calls t.Listener.onEvent on a parameter typed with the
@@ -194,7 +263,7 @@ func interfaceApp() *ir.Program {
 
 func TestInterfaceDispatch(t *testing.T) {
 	g := Build(interfaceApp(), semmodel.Default())
-	if len(edgesTo(g, "t.Main.go", "t.Impl.onEvent")) != 1 {
+	if len(edgesTo(t, g, "t.Main.go", "t.Impl.onEvent")) != 1 {
 		t.Fatal("interface dispatch edge missing")
 	}
 }

@@ -17,16 +17,21 @@ import (
 // and method order, its Callees in order and then its Callers in order.
 // Edge order is observable to every caller of Callees and Callers, so a
 // reordering that leaves every report unchanged still moves the hash.
+//
+// Edges carry dense method IDs; the hash resolves them to refs, so it pins
+// the same bytes the string-keyed graph produced.
 func hashEdges(h hash.Hash, p *ir.Program, g *callgraph.Graph) {
+	x := g.Index()
+	ref := func(id uint32) string { return x.MethodAt(id).Ref() }
 	for _, c := range p.Classes() {
 		for _, m := range c.Methods {
-			ref := m.Ref()
-			fmt.Fprintf(h, "method %s\n", ref)
-			for _, e := range g.Callees(ref) {
-				fmt.Fprintf(h, "out %s %d %s %t\n", e.Caller, e.Site, e.Callee, e.Implicit)
+			fmt.Fprintf(h, "method %s\n", m.Ref())
+			id, _ := x.MethodID(m.Ref())
+			for _, e := range g.Callees(id) {
+				fmt.Fprintf(h, "out %s %d %s %t\n", ref(e.Caller), e.Site, ref(e.Callee), e.Implicit)
 			}
-			for _, e := range g.Callers(ref) {
-				fmt.Fprintf(h, "in %s %d %s %t\n", e.Caller, e.Site, e.Callee, e.Implicit)
+			for _, e := range g.Callers(id) {
+				fmt.Fprintf(h, "in %s %d %s %t\n", ref(e.Caller), e.Site, ref(e.Callee), e.Implicit)
 			}
 		}
 	}

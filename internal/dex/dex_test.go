@@ -162,6 +162,26 @@ func TestDecodeRejectsSuperclassCycle(t *testing.T) {
 	}
 }
 
+// Encode writes any program; Decode must refuse one whose class declares a
+// method name twice, since both bodies would share one ref.
+func TestDecodeRejectsDuplicateMethod(t *testing.T) {
+	p := sampleProgram()
+	c := p.AddClass(&ir.Class{Name: "com.example.app.Dup"})
+	for i := 0; i < 2; i++ {
+		b := ir.NewMethod(c, "onClick", false, nil, "void")
+		b.ReturnVoid()
+		b.Done()
+	}
+	data, err := Encode(p)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	_, err = Decode(data)
+	if err == nil || !strings.Contains(err.Error(), "class com.example.app.Dup: method onClick is declared more than once") {
+		t.Fatalf("Decode = %v, want a duplicate method error", err)
+	}
+}
+
 func TestReadWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "app.apkb")

@@ -15,6 +15,7 @@ package ir
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 )
@@ -547,13 +548,20 @@ func SplitRef(ref string) (cls, member string, ok bool) {
 }
 
 // Validate checks structural invariants: acyclic superclass chains,
-// branch targets in range, register operands within the declared register
-// count, entry points resolvable. It returns a descriptive error for the
-// first violation found.
+// unique method names within each class (a method ref carries no
+// signature, so two same-named bodies would share one ref), branch targets
+// in range, register operands within the declared register count, entry
+// points resolvable. It returns a descriptive error for the first
+// violation found, and allocates nothing on a valid program.
 func (p *Program) Validate() error {
-	for _, c := range p.Classes() {
+	var dup dupSet
+	for _, n := range p.order {
+		c := p.classes[n]
 		if p.superCycle(c) {
 			return fmt.Errorf("class %s: superclass chain is cyclic", c.Name)
+		}
+		if name, ok := dup.find(c); ok {
+			return fmt.Errorf("class %s: method %s is declared more than once", c.Name, name)
 		}
 		for _, m := range c.Methods {
 			if err := validateMethod(m); err != nil {
@@ -567,6 +575,53 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
+}
+
+// dupSet finds a method name a class declares twice in linear time. Its
+// open-addressing table of method positions lives inside the value, so a
+// Validate call keeps it on the stack; only a class with more methods than
+// half the table falls back to a map.
+type dupSet struct {
+	seed maphash.Seed
+	tab  [2048]uint16 // method index + 1; 0 marks an empty slot
+}
+
+func (d *dupSet) find(c *Class) (string, bool) {
+	n := len(c.Methods)
+	if n < 2 {
+		return "", false
+	}
+	if 2*n > len(d.tab) {
+		seen := make(map[string]bool, n)
+		for _, m := range c.Methods {
+			if seen[m.Name] {
+				return m.Name, true
+			}
+			seen[m.Name] = true
+		}
+		return "", false
+	}
+	if d.seed == (maphash.Seed{}) {
+		d.seed = maphash.MakeSeed()
+	}
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	tab := d.tab[:size]
+	clear(tab)
+	mask := uint64(size - 1)
+	for i, m := range c.Methods {
+		h := maphash.String(d.seed, m.Name) & mask
+		for tab[h] != 0 {
+			if c.Methods[tab[h]-1].Name == m.Name {
+				return m.Name, true
+			}
+			h = (h + 1) & mask
+		}
+		tab[h] = uint16(i + 1)
+	}
+	return "", false
 }
 
 // superCycle reports whether c's superclass chain revisits a class. An
@@ -605,7 +660,12 @@ func validateMethod(m *Method) error {
 				return fmt.Errorf("instr %d: branch target %d out of range", i, in.Target)
 			}
 		}
-		for _, r := range append([]int{in.Dst, in.A, in.B}, in.Args...) {
+		for _, r := range [...]int{in.Dst, in.A, in.B} {
+			if err := check(i, r); err != nil {
+				return err
+			}
+		}
+		for _, r := range in.Args {
 			if err := check(i, r); err != nil {
 				return err
 			}

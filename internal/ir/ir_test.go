@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -106,6 +107,27 @@ func TestValidateRejectsBadRegister(t *testing.T) {
 	}
 	if err := p.Validate(); err == nil {
 		t.Fatal("Validate accepted out-of-range register")
+	}
+}
+
+// A method ref carries no signature, so a class declaring one name twice
+// would give two bodies one ref. Validate must name the class and the
+// method, on the small-class table, the larger one and the map fallback.
+func TestValidateRejectsDuplicateMethod(t *testing.T) {
+	for _, n := range []int{2, 600, 1500} {
+		p := NewProgram("t")
+		c := p.AddClass(&Class{Name: "t.C"})
+		for i := 0; i < n-1; i++ {
+			NewMethod(c, fmt.Sprintf("m%d", i), true, nil, "void").Done()
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%d methods, all distinct: Validate = %v", n-1, err)
+		}
+		NewMethod(c, fmt.Sprintf("m%d", (n-1)/2), true, nil, "void").Done()
+		want := fmt.Sprintf("class t.C: method m%d is declared more than once", (n-1)/2)
+		if err := p.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("%d methods: Validate = %v, want %q", n, err, want)
+		}
 	}
 }
 

@@ -319,23 +319,15 @@ func verifyPairFlow(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 	if sums != nil {
 		eng.Summaries = sums
 	}
-	seeds := map[taint.StmtID]int{}
 	src := pr.DisjointRequest
 	if src.Empty() {
 		src = pr.Tx.Request.Stmts()
 	}
-	idx := pr.Tx.Request.Index()
-	idx.EachStmt(src, func(m *ir.Method, _ uint32, i int) bool {
-		if d := m.Instrs[i].Def(); d != ir.NoReg {
-			seeds[taint.StmtID{Method: m.Ref(), Index: i}] = d
-		}
-		return true
-	})
-	if len(seeds) == 0 {
+	flow, seeds := eng.ForwardDefs(src)
+	if seeds == 0 {
 		return nil
 	}
-	pr.FlowSeeds = len(seeds)
-	flow := eng.ForwardFacts(seeds)
+	pr.FlowSeeds = seeds
 	if flow.Truncated != nil {
 		d := budget.ExceededDiag(flow.Truncated)
 		d.Phase = budget.PhasePairing
@@ -343,26 +335,21 @@ func verifyPairFlow(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 		return &d
 	}
 	// Keep the smallest reached statement as the deterministic witness of
-	// the confirmation (ordered by (method, index), not by dense ID, so
+	// the confirmation (ordered by (method ref, index), not by dense ID, so
 	// provenance matches the pre-interning implementation byte for byte).
-	pr.Tx.Response.EachStmt(func(m *ir.Method, i int) bool {
-		if !flow.Contains(m.Ref(), i) {
+	idx := flow.Index()
+	var best taint.StmtID
+	bestRank := uint32(0)
+	idx.EachStmt(pr.Tx.Response.Stmts(), func(m *ir.Method, mid uint32, i int) bool {
+		if !flow.Stmts().Has(idx.StmtID(mid, i)) {
 			return true
 		}
-		s := taint.StmtID{Method: m.Ref(), Index: i}
-		if !pr.FlowConfirmed || stmtLess(s, pr.FlowWitness) {
-			pr.FlowWitness = s
+		if r := idx.RefRank(mid); !pr.FlowConfirmed || r < bestRank || (r == bestRank && i < best.Index) {
+			best, bestRank = taint.StmtID{Method: m.Ref(), Index: i}, r
 		}
 		pr.FlowConfirmed = true
 		return true
 	})
+	pr.FlowWitness = best
 	return nil
-}
-
-// stmtLess orders statements by (method, index).
-func stmtLess(a, b taint.StmtID) bool {
-	if a.Method != b.Method {
-		return a.Method < b.Method
-	}
-	return a.Index < b.Index
 }

@@ -136,20 +136,15 @@ func FindBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, opt
 		universe := cg.ReachableBits(ep.Method)
 		// Walk the universe in Ref order (EachSorted), reproducing the
 		// sorted-string enumeration the map universe used.
-		cg.Index().EachSorted(func(id uint32, m *ir.Method) bool {
+		x := cg.Index()
+		x.EachSorted(func(id uint32, m *ir.Method) bool {
 			if !universe.Has(id) {
 				return true
 			}
 			for i := range m.Instrs {
-				in := &m.Instrs[i]
-				if in.Op != ir.OpInvoke {
-					continue
+				if mm := cg.ModelAt(x.StmtID(id, i)); mm != nil && mm.DP {
+					jobs = append(jobs, sliceJob{ep: ep, universe: universe, m: m, site: i, in: &m.Instrs[i], mm: mm})
 				}
-				mm := model.Lookup(in.Sym)
-				if mm == nil || !mm.DP {
-					continue
-				}
-				jobs = append(jobs, sliceJob{ep: ep, universe: universe, m: m, site: i, in: in, mm: mm})
 			}
 			return true
 		})

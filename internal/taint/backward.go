@@ -25,54 +25,53 @@ func (e *Engine) Backward(dp StmtID, reg int) *Result {
 
 // scanBackward emits the backward transfer effects of (method, reg) — the
 // effects of processing one backward fact for that register — into b.
-func (e *Engine) scanBackward(b sumEmitter, method string, reg int) {
-	m := e.Prog.Method(method)
-	if m == nil {
-		return
-	}
-	for i := range m.Instrs {
+// Only instructions mentioning reg can define it, store into it or pass
+// it, so the scan visits Index.Mentions instead of the whole method.
+func (e *Engine) scanBackward(b sumEmitter, mid uint32, reg int) {
+	m := e.idx.MethodAt(mid)
+	for _, i := range e.idx.Mentions(mid, reg) {
 		in := &m.Instrs[i]
 		if in.Def() == reg {
-			e.sumBackwardDef(b, m, i, in)
+			e.sumBackwardDef(b, mid, m, int(i), in)
 		}
-		e.sumBackwardMutation(b, m, i, in, reg)
+		e.sumBackwardMutation(b, mid, int(i), in, reg)
 	}
 	// Parameter registers propagate to every caller's argument.
 	if reg < m.NumParamRegs() {
-		e.sumBackwardToCallers(b, m, reg)
+		e.sumBackwardToCallers(b, mid, reg)
 	}
 }
 
 // sumBackwardDef handles a statement that defines the tainted register: the
 // statement joins the slice and its operands become tainted.
-func (e *Engine) sumBackwardDef(b sumEmitter, m *ir.Method, idx int, in *ir.Instr) {
-	b.include(m, idx)
+func (e *Engine) sumBackwardDef(b sumEmitter, mid uint32, m *ir.Method, idx int, in *ir.Instr) {
+	b.include(mid, idx)
 	switch in.Op {
 	case ir.OpConstStr, ir.OpConstInt, ir.OpConstNull, ir.OpNew:
 		// Constant or allocation: taint is consumed here.
 	case ir.OpMove:
-		b.push(m.Ref(), in.A)
+		b.push(mid, in.A)
 	case ir.OpBinop:
-		b.push(m.Ref(), in.A)
-		b.push(m.Ref(), in.B)
+		b.push(mid, in.A)
+		b.push(mid, in.B)
 	case ir.OpFieldGet:
-		loc := e.heapLoc(m, in)
+		loc := e.heapLoc(mid, m, in)
 		b.heapRead(loc)
 		b.pushHeap(loc)
-		b.push(m.Ref(), in.A)
+		b.push(mid, in.A)
 	case ir.OpStaticGet:
 		loc := "s:" + in.Sym
 		b.heapRead(loc)
 		b.pushHeap(loc)
 	case ir.OpInvoke:
-		e.sumBackwardInvokeDef(b, m, idx, in)
+		e.sumBackwardInvokeDef(b, mid, m, idx, in)
 	}
 }
 
-func (e *Engine) sumBackwardInvokeDef(b sumEmitter, m *ir.Method, idx int, in *ir.Instr) {
+func (e *Engine) sumBackwardInvokeDef(b sumEmitter, mid uint32, m *ir.Method, idx int, in *ir.Instr) {
 	pushArg := func(pos int) {
 		if pos < len(in.Args) && in.Args[pos] != ir.NoReg {
-			b.push(m.Ref(), in.Args[pos])
+			b.push(mid, in.Args[pos])
 		}
 	}
 	pushAll := func(from int) {
@@ -80,7 +79,7 @@ func (e *Engine) sumBackwardInvokeDef(b sumEmitter, m *ir.Method, idx int, in *i
 			pushArg(p)
 		}
 	}
-	if mm := e.Model.Lookup(in.Sym); mm != nil {
+	if mm := e.modelAt(mid, idx); mm != nil {
 		switch mm.Kind {
 		case semmodel.KGsonToJSON:
 			// gson.toJson(obj): the serialized object, not the Gson
@@ -112,12 +111,12 @@ func (e *Engine) sumBackwardInvokeDef(b sumEmitter, m *ir.Method, idx int, in *i
 			pushAll(0)
 		case semmodel.KResGetString:
 			if len(in.Args) >= 2 {
-				if key, ok := e.constString(m, idx, in.Args[1]); ok {
+				if key, ok := e.constString(mid, m, idx, in.Args[1]); ok {
 					b.heapRead("res:" + key)
 				}
 			}
 		case semmodel.KDBQuery:
-			for _, loc := range e.dbLocs(m, idx, in) {
+			for _, loc := range e.dbLocs(mid, m, idx, in, mm) {
 				b.heapRead(loc)
 			}
 		case semmodel.KExecuteDP:
@@ -131,16 +130,13 @@ func (e *Engine) sumBackwardInvokeDef(b sumEmitter, m *ir.Method, idx int, in *i
 	}
 	// Application callee: taint its return registers. Each edge is gated on
 	// the callee being inside the transaction universe.
-	edges := e.appCallees(m, idx)
+	edges := e.CG.CalleesAt(mid, idx)
 	if len(edges) == 0 {
 		pushAll(0) // unknown method: conservative
 		return
 	}
 	for _, edge := range edges {
-		callee := e.Prog.Method(edge.Callee)
-		if callee == nil {
-			continue
-		}
+		callee := e.idx.MethodAt(edge.Callee)
 		b.begin(edge.Callee)
 		for j := range callee.Instrs {
 			ret := &callee.Instrs[j]
@@ -155,12 +151,12 @@ func (e *Engine) sumBackwardInvokeDef(b sumEmitter, m *ir.Method, idx int, in *i
 // sumBackwardMutation adds statements that mutate the tainted object: calls
 // with the object as receiver of a modeled mutator, field stores into it,
 // and app calls the object escapes into.
-func (e *Engine) sumBackwardMutation(b sumEmitter, m *ir.Method, idx int, in *ir.Instr, reg int) {
+func (e *Engine) sumBackwardMutation(b sumEmitter, mid uint32, idx int, in *ir.Instr, reg int) {
 	switch in.Op {
 	case ir.OpFieldPut:
 		if in.A == reg {
-			b.include(m, idx)
-			b.push(m.Ref(), in.B)
+			b.include(mid, idx)
+			b.push(mid, in.B)
 		}
 	case ir.OpInvoke:
 		argPos := -1
@@ -173,38 +169,34 @@ func (e *Engine) sumBackwardMutation(b sumEmitter, m *ir.Method, idx int, in *ir
 		if argPos < 0 {
 			return
 		}
-		if mm := e.Model.Lookup(in.Sym); mm != nil {
+		if mm := e.modelAt(mid, idx); mm != nil {
 			if argPos == 0 && isMutator(mm.Kind) {
-				b.include(m, idx)
+				b.include(mid, idx)
 				for p := 1; p < len(in.Args); p++ {
-					b.push(m.Ref(), in.Args[p])
+					b.push(mid, in.Args[p])
 				}
 			}
 			if argPos == 0 && mm.Kind == semmodel.KConnGetOutput && in.Dst != ir.NoReg {
 				// The output stream writes into the connection: track it.
-				b.include(m, idx)
-				b.push(m.Ref(), in.Dst)
+				b.include(mid, idx)
+				b.push(mid, in.Dst)
 			}
 			return
 		}
 		if in.Kind == ir.InvokeSpecial && argPos == 0 {
 			// Constructor of an app or unknown class: arguments flow in.
-			b.include(m, idx)
+			b.include(mid, idx)
 			for p := 1; p < len(in.Args); p++ {
-				b.push(m.Ref(), in.Args[p])
+				b.push(mid, in.Args[p])
 			}
 			return
 		}
 		// Object escapes into an app callee: follow its parameter there so
 		// mutations inside the callee join the slice (universe-gated).
-		for _, edge := range e.appCallees(m, idx) {
-			callee := e.Prog.Method(edge.Callee)
-			if callee == nil {
-				continue
-			}
-			if pr := paramReg(callee, argPos); pr != ir.NoReg {
+		for _, edge := range e.CG.CalleesAt(mid, idx) {
+			if pr := paramReg(e.idx.MethodAt(edge.Callee), argPos); pr != ir.NoReg {
 				b.begin(edge.Callee)
-				b.include(m, idx)
+				b.include(mid, idx)
 				b.push(edge.Callee, pr)
 				b.end()
 			}
@@ -233,12 +225,9 @@ func isMutator(k semmodel.Kind) bool {
 // never cross the transaction context — only heap facts may escape it (as
 // asynchronous hops) — so every caller-side effect is gated on the caller;
 // facts that already escaped (hops > 0) continue in their writer's context.
-func (e *Engine) sumBackwardToCallers(b sumEmitter, m *ir.Method, reg int) {
-	for _, edge := range e.CG.Callers(m.Ref()) {
-		caller := e.Prog.Method(edge.Caller)
-		if caller == nil {
-			continue
-		}
+func (e *Engine) sumBackwardToCallers(b sumEmitter, mid uint32, reg int) {
+	for _, edge := range e.CG.Callers(mid) {
+		caller := e.idx.MethodAt(edge.Caller)
 		if edge.Site < 0 {
 			// Synthetic chain edge (doInBackground -> onPostExecute):
 			// the callee's data parameter is the caller's return value.
@@ -247,7 +236,7 @@ func (e *Engine) sumBackwardToCallers(b sumEmitter, m *ir.Method, reg int) {
 				for j := range caller.Instrs {
 					ret := &caller.Instrs[j]
 					if ret.Op == ir.OpReturn && ret.A != ir.NoReg {
-						b.include(caller, j)
+						b.include(edge.Caller, j)
 						b.push(edge.Caller, ret.A)
 					}
 				}
@@ -257,13 +246,13 @@ func (e *Engine) sumBackwardToCallers(b sumEmitter, m *ir.Method, reg int) {
 		}
 		in := &caller.Instrs[edge.Site]
 		base := 0
-		if mm := e.Model.Lookup(in.Sym); mm != nil && mm.CallbackMethod != "" {
+		if mm := e.modelAt(edge.Caller, int(edge.Site)); mm != nil && mm.CallbackMethod != "" {
 			base = mm.CallbackArg
 		}
 		pos := base + reg
 		if pos < len(in.Args) && in.Args[pos] != ir.NoReg {
 			b.begin(edge.Caller)
-			b.include(caller, edge.Site)
+			b.include(edge.Caller, int(edge.Site))
 			b.push(edge.Caller, in.Args[pos])
 			b.end()
 		}

@@ -3,6 +3,7 @@ package taint
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -118,21 +119,25 @@ func (c *legacyCache) heapReaders(e *Engine, loc string) []heapSite {
 // from the same scan the dense path lowers to compiled form.
 func (e *Engine) buildBackward(method string, reg int) *methodSummary {
 	b := &sumBuilder{e: e}
-	e.scanBackward(b, method, reg)
+	if mid, ok := e.idx.MethodID(method); ok {
+		e.scanBackward(b, mid, reg)
+	}
 	return b.done()
 }
 
 // buildForward derives the string-form forward summary of (method, reg).
 func (e *Engine) buildForward(method string, reg int) *methodSummary {
 	b := &sumBuilder{e: e}
-	e.scanForward(b, method, reg)
+	if mid, ok := e.idx.MethodID(method); ok {
+		e.scanForward(b, mid, reg)
+	}
 	return b.done()
 }
 
-// sumBuilder accumulates string-form summary entries in emission order.
-// Consecutive unconditional effects coalesce into one entry; a gated group
-// flushes the pending unconditional entry first so replay order matches
-// build order.
+// sumBuilder accumulates string-form summary entries in emission order,
+// resolving the scans' method IDs back to refs. Consecutive unconditional
+// effects coalesce into one entry; a gated group flushes the pending
+// unconditional entry first so replay order matches build order.
 type sumBuilder struct {
 	e      *Engine
 	s      methodSummary
@@ -158,9 +163,19 @@ func (b *sumBuilder) entry() *sumEntry {
 	return &b.cur
 }
 
-func (b *sumBuilder) include(m *ir.Method, idx int) {
+// ref resolves a method ID of the engine's index back to its ref.
+func (b *sumBuilder) ref(method uint32) string { return b.e.idx.MethodAt(method).Ref() }
+
+func (b *sumBuilder) include(method uint32, idx int) {
+	m := b.e.idx.MethodAt(method)
 	inc := sumInclude{stmt: StmtID{m.Ref(), idx}}
-	inc.source, inc.sink = b.e.sumTags(m, idx)
+	// Tags come from the model by symbol, not from the call graph's
+	// per-statement table the dense builder reads.
+	if in := &m.Instrs[idx]; in.Op == ir.OpInvoke {
+		if mm := b.e.Model.Lookup(in.Sym); mm != nil {
+			inc.source, inc.sink = mm.Source, mm.Sink
+		}
+	}
 	en := b.entry()
 	en.includes = append(en.includes, inc)
 }
@@ -175,9 +190,9 @@ func (b *sumBuilder) heapWrite(loc string) {
 	en.heapWrites = append(en.heapWrites, loc)
 }
 
-func (b *sumBuilder) push(method string, reg int) {
+func (b *sumBuilder) push(method uint32, reg int) {
 	en := b.entry()
-	en.pushes = append(en.pushes, sumPush{method: method, reg: reg})
+	en.pushes = append(en.pushes, sumPush{method: b.ref(method), reg: reg})
 }
 
 func (b *sumBuilder) pushHeap(loc string) {
@@ -185,10 +200,10 @@ func (b *sumBuilder) pushHeap(loc string) {
 	en.pushes = append(en.pushes, sumPush{heap: true, loc: loc})
 }
 
-func (b *sumBuilder) begin(gate string) {
+func (b *sumBuilder) begin(gate uint32) {
 	b.flush()
 	b.inGate = true
-	b.gate = gate
+	b.gate = b.ref(gate)
 	b.gat = sumEntry{}
 }
 
@@ -325,6 +340,22 @@ func (e *legacyEngine) Forward(origin StmtID, reg int) *Result {
 	return e.convertLegacy(res)
 }
 
+// sortedSeeds returns the seed statements in (method, index) order, so
+// worklist seeding never depends on map iteration order.
+func sortedSeeds(seeds map[StmtID]int) []StmtID {
+	out := make([]StmtID, 0, len(seeds))
+	for s := range seeds {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Method != out[j].Method {
+			return out[i].Method < out[j].Method
+		}
+		return out[i].Index < out[j].Index
+	})
+	return out
+}
+
 // ForwardFacts is Engine.ForwardFacts on the legacy replay. Seeds are pushed
 // in sorted (method, index) order — the same order the dense path uses — so
 // worklist processing order never depends on map iteration.
@@ -441,16 +472,17 @@ func (e *legacyEngine) applySummary(s *methodSummary, f fact, res *legacyResult,
 // the universe cost one async hop, bounded by MaxAsyncHops.
 func (e *legacyEngine) applyHeapSites(sites []heapSite, f fact, res *legacyResult, w *worklist) {
 	for _, site := range sites {
+		method := e.idx.MethodAt(site.method).Ref()
 		hops := f.hops
-		if !e.inUniverse(site.method) {
+		if !e.inUniverse(method) {
 			hops = f.hops + 1
 			if hops > e.MaxAsyncHops {
 				continue
 			}
 		}
 		e.Stats.Add(obs.CtrTaintStmts, 1)
-		res.Stmts[StmtID{site.method, site.index}] = true
-		w.push(fact{kind: factLocal, method: site.method, reg: site.reg, hops: hops})
+		res.Stmts[StmtID{method, site.index}] = true
+		w.push(fact{kind: factLocal, method: method, reg: site.reg, hops: hops})
 	}
 }
 

@@ -30,31 +30,29 @@ import (
 // rules. Heap fact propagation is handled by a program-wide access index
 // (location -> writers / readers) built once on first use.
 //
-// The scan logic in backward.go and forward.go emits effects through the
-// sumEmitter interface. denseBuilder lowers them straight to compiled form —
-// statement and method names resolved through the program's ir.Index, heap
-// locations and tags interned through the cache's symbol table — so the hot
-// worklist loop replays pure integer effects. The interface is also the seam
-// the package tests use to replay the same scans through the pre-interning
-// string/map reference implementation. Because effects replay in recorded
-// order and recorded order equals the scan order of the direct
-// implementation, a summarized engine produces byte-identical slices to the
-// pre-summary engine, while every transaction after the first reuses the
-// summaries instead of re-traversing shared callees.
+// The scans in backward.go and forward.go work in ir.Index space: a scan
+// for (method, register) visits only the instructions that mention the
+// register (Index.Mentions), and reads call edges and semantic-model
+// entries from the call graph's ID-indexed tables. They emit effects
+// through the sumEmitter interface. denseBuilder lowers them straight to
+// compiled form — heap locations and tags interned through the cache's
+// symbol table — so the hot worklist loop replays pure integer effects. The
+// interface is also the seam the package tests use to replay the same
+// scans through the pre-interning string/map reference implementation.
+// Because effects replay in recorded order and recorded order equals the
+// scan order of the direct implementation, a summarized engine produces
+// byte-identical slices to the pre-summary engine, while every transaction
+// after the first reuses the summaries instead of re-traversing shared
+// callees.
 
 // heapSite is one statement accessing a heap location: a writer (field/
 // static put, reg = stored register) for backward propagation, or a reader
 // (field/static get, reg = destination register) for forward propagation.
 type heapSite struct {
-	method string
+	method uint32 // dense method ID
 	index  int
 	reg    int
 }
-
-// gateUnresolved marks a gate method the index cannot resolve (impossible
-// for summaries built over an indexed program, kept defensively): it fails
-// every non-nil universe.
-const gateUnresolved = intern.None - 1
 
 // cInclude is one statement joining the slice: a program-index statement ID
 // plus its modeled source/sink tags, resolved at build time so replay needs
@@ -73,21 +71,25 @@ type cPush struct {
 	loc    uint32 // heap pushes: interned location ID
 }
 
-// cEntry is one ordered group of effects. gate == intern.None applies
-// always; otherwise the group applies only when the gate method is in the
-// universe or the fact has hops > 0.
+// cEntry is one ordered group of effects: the summary's includes, heap
+// reads, heap writes and pushes from the previous entry's end offsets up
+// to this entry's. gate == intern.None applies always; otherwise the group
+// applies only when the gate method is in the universe or the fact has
+// hops > 0.
 type cEntry struct {
-	gate       uint32
-	includes   []cInclude
-	heapReads  []uint32
-	heapWrites []uint32
-	pushes     []cPush
+	gate                               uint32
+	incEnd, readEnd, writeEnd, pushEnd uint32
 }
 
 // cSummary is the full compiled transfer summary of one (method, register)
-// query in one direction.
+// query in one direction: its effects, kind by kind, partitioned into
+// entries by offset.
 type cSummary struct {
-	entries []cEntry
+	entries  []cEntry
+	includes []cInclude
+	reads    []uint32
+	writes   []uint32
+	pushes   []cPush
 }
 
 // cHeapSite is heapSite in dense form.
@@ -104,26 +106,37 @@ type cHeapSite struct {
 // core.Analyze shares one across all slice workers and the pairing flow
 // checks — and is safe for concurrent use. The zero value is not usable;
 // call NewSummaryCache.
+//
+// Summaries live in one table per direction, indexed by the dense register
+// slot of their (method, register) query and sized when the first engine
+// binds the cache to its program index. Reads are single atomic loads. An
+// engine builds a missing summary in its own scratch buffers, then
+// publishes it under mu into the cache-owned chunked slabs; a chunk that
+// runs out of room is replaced, never regrown, so published summaries are
+// never copied or moved.
 type SummaryCache struct {
-	mu  sync.RWMutex
 	tab *intern.SyncTable
 
-	// Compiled summaries keyed by methodID<<32|reg, and the heap access
-	// index keyed by interned location.
-	cbwd     map[uint64]*cSummary
-	cfwd     map[uint64]*cSummary
-	cwriters map[uint32][]cHeapSite
-	creaders map[uint32][]cHeapSite
+	bound atomic.Pointer[ir.Index] // the index the tables are sized for
+
+	mu   sync.Mutex // guards binding and the slabs
+	sums [2][]atomic.Pointer[cSummary]
+
+	incSlab  slab[cInclude]
+	u32Slab  slab[uint32] // heap reads and writes share one slab
+	pushSlab slab[cPush]
+	entSlab  slab[cEntry]
+	sumSlab  slab[cSummary]
+
+	// Heap access index per direction, keyed by interned location ID.
+	writers, readers atomic.Pointer[[][]cHeapSite]
 
 	hits, misses atomic.Int64
 }
 
 // NewSummaryCache returns an empty cache.
 func NewSummaryCache() *SummaryCache {
-	return &SummaryCache{
-		tab:  &intern.SyncTable{},
-		cbwd: map[uint64]*cSummary{}, cfwd: map[uint64]*cSummary{},
-	}
+	return &SummaryCache{tab: &intern.SyncTable{}}
 }
 
 // Table returns the cache's shared symbol table.
@@ -139,67 +152,94 @@ func (c *SummaryCache) DrainCounters(col *obs.Collector) {
 	col.Add(obs.CtrCacheSummaryMisses, c.misses.Swap(0))
 }
 
-// compiledBackward returns the compiled backward summary for (method, reg),
-// building it with e on first use.
-func (c *SummaryCache) compiledBackward(e *Engine, method uint32, reg int32) *cSummary {
-	return c.compiledLookup(c.cbwd, method, reg, e.scanBackward, e)
+// bind sizes the summary tables for idx on first use. A cache serves one
+// program: binding it to a second index is a caller bug, and silently
+// replaying one program's summaries on another would corrupt every slice.
+func (c *SummaryCache) bind(idx *ir.Index) {
+	if c.bound.Load() == idx {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch c.bound.Load() {
+	case idx:
+	case nil:
+		for d := range c.sums {
+			c.sums[d] = make([]atomic.Pointer[cSummary], idx.NumRegSlots())
+		}
+		c.bound.Store(idx)
+	default:
+		panic("taint: SummaryCache shared across programs")
+	}
 }
 
-// compiledForward returns the compiled forward summary for (method, reg).
-func (c *SummaryCache) compiledForward(e *Engine, method uint32, reg int32) *cSummary {
-	return c.compiledLookup(c.cfwd, method, reg, e.scanForward, e)
-}
-
-func (c *SummaryCache) compiledLookup(m map[uint64]*cSummary, method uint32, reg int32,
-	scan func(b sumEmitter, method string, reg int), e *Engine) *cSummary {
-	k := uint64(method)<<32 | uint64(uint32(reg))
-	c.mu.RLock()
-	s, ok := m[k]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
+// compiled returns the compiled summary of (method, reg) in direction dir,
+// building and publishing it with e on first use.
+func (e *Engine) compiled(dir direction, method uint32, reg int32) *cSummary {
+	if int(reg) >= e.idx.MethodAt(method).Registers {
+		// Only a caller's seed can name a register the method lacks; it has
+		// no effects, and its slot would belong to the next method.
+		return emptyCSummary
+	}
+	slot := &e.Summaries.sums[dir][e.idx.RegSlot(method, int(reg))]
+	if s := slot.Load(); s != nil {
+		e.nHits++
 		return s
 	}
+	c := e.Summaries
 	c.misses.Add(1)
-	b := newDenseBuilder(e)
-	scan(b, e.idx.MethodAt(method).Ref(), int(reg))
-	s = b.done()
-	c.mu.Lock()
-	if prev, ok := m[k]; ok {
-		s = prev
+	b := e.builder()
+	if dir == dirBackward {
+		e.scanBackward(b, method, int(reg))
 	} else {
-		m[k] = s
+		e.scanForward(b, method, int(reg))
 	}
-	c.mu.Unlock()
+	b.flush(intern.None)
+	if len(b.entries) == 0 {
+		slot.CompareAndSwap(nil, emptyCSummary)
+		return slot.Load()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s := slot.Load(); s != nil {
+		return s // another engine published first; keep one canonical summary
+	}
+	s := c.sumSlab.add(cSummary{
+		entries:  c.entSlab.take(b.entries),
+		includes: c.incSlab.take(b.includes),
+		reads:    c.u32Slab.take(b.reads),
+		writes:   c.u32Slab.take(b.writes),
+		pushes:   c.pushSlab.take(b.pushes),
+	})
+	slot.Store(s)
 	return s
 }
 
-// heapWritersDense returns the dense writer index entry for an interned
-// location, building the index on first use.
-func (c *SummaryCache) heapWritersDense(e *Engine, loc uint32) []cHeapSite {
-	c.mu.RLock()
-	idx := c.cwriters
-	c.mu.RUnlock()
-	if idx == nil {
-		idx = c.buildHeapIndexDense(e, true)
-	} else {
-		c.hits.Add(1)
-	}
-	return idx[loc]
-}
+// emptyCSummary is the shared no-effect summary: most (method, register)
+// pairs a fixpoint probes have none, so they all publish this one value.
+var emptyCSummary = &cSummary{}
 
-// heapReadersDense returns the dense reader index entry for an interned
-// location.
-func (c *SummaryCache) heapReadersDense(e *Engine, loc uint32) []cHeapSite {
-	c.mu.RLock()
-	idx := c.creaders
-	c.mu.RUnlock()
-	if idx == nil {
-		idx = c.buildHeapIndexDense(e, false)
-	} else {
-		c.hits.Add(1)
+// heapSites returns the dense writer (backward) or reader (forward) index
+// entry for an interned location, building the index on first use.
+func (e *Engine) heapSites(dir direction, loc uint32) []cHeapSite {
+	c := e.Summaries
+	p := &c.readers
+	if dir == dirBackward {
+		p = &c.writers
 	}
-	return idx[loc]
+	ix := p.Load()
+	if ix == nil {
+		c.misses.Add(1)
+		built := e.buildHeapIndex(dir == dirBackward)
+		p.CompareAndSwap(nil, &built) // keep the first index published
+		ix = p.Load()
+	} else {
+		e.nHits++
+	}
+	if int(loc) < len(*ix) {
+		return (*ix)[loc]
+	}
+	return nil
 }
 
 // scanHeapSites scans every app method once, indexing heap accesses by
@@ -207,282 +247,218 @@ func (c *SummaryCache) heapReadersDense(e *Engine, loc uint32) []cHeapSite {
 // instruction order — the order the direct implementation visited them).
 func (e *Engine) scanHeapSites(writes bool) map[string][]heapSite {
 	idx := map[string][]heapSite{}
-	for _, cl := range e.Prog.AppClasses() {
+	id := uint32(0)
+	for _, cl := range e.Prog.Classes() {
 		for _, m := range cl.Methods {
+			mid := id
+			id++
+			if cl.Library {
+				continue
+			}
 			for i := range m.Instrs {
 				in := &m.Instrs[i]
 				var loc string
 				var reg int
 				switch {
 				case writes && in.Op == ir.OpFieldPut:
-					loc, reg = e.heapLoc(m, in), in.B
+					loc, reg = e.heapLoc(mid, m, in), in.B
 				case writes && in.Op == ir.OpStaticPut:
 					loc, reg = "s:"+in.Sym, in.B
 				case !writes && in.Op == ir.OpFieldGet:
-					loc, reg = e.heapLoc(m, in), in.Dst
+					loc, reg = e.heapLoc(mid, m, in), in.Dst
 				case !writes && in.Op == ir.OpStaticGet:
 					loc, reg = "s:"+in.Sym, in.Dst
 				default:
 					continue
 				}
-				idx[loc] = append(idx[loc], heapSite{method: m.Ref(), index: i, reg: reg})
+				idx[loc] = append(idx[loc], heapSite{method: mid, index: i, reg: reg})
 			}
 		}
 	}
 	return idx
 }
 
-// buildHeapIndexDense builds and installs the dense heap access index:
-// locations interned in sorted order (so the symbol table's contents are
-// deterministic), sites resolved to dense method/statement IDs with their
-// per-location program order preserved.
-func (c *SummaryCache) buildHeapIndexDense(e *Engine, writes bool) map[uint32][]cHeapSite {
-	c.misses.Add(1)
+// buildHeapIndex builds the dense heap access index: locations interned in
+// sorted order (so the symbol table's contents are deterministic), sites
+// resolved to dense statement IDs with their per-location program order
+// preserved, the whole indexed by location ID.
+func (e *Engine) buildHeapIndex(writes bool) [][]cHeapSite {
 	scan := e.scanHeapSites(writes)
 	locs := make([]string, 0, len(scan))
 	for l := range scan {
 		locs = append(locs, l)
 	}
 	sort.Strings(locs)
-	idx := make(map[uint32][]cHeapSite, len(scan))
+	var ix [][]cHeapSite
 	for _, l := range locs {
 		sites := scan[l]
-		cs := make([]cHeapSite, 0, len(sites))
-		for _, s := range sites {
-			mid, ok := e.idx.MethodID(s.method)
-			if !ok {
-				continue
-			}
-			cs = append(cs, cHeapSite{method: mid, stmt: e.idx.StmtID(mid, s.index), reg: int32(s.reg)})
+		cs := make([]cHeapSite, len(sites))
+		for i, s := range sites {
+			cs[i] = cHeapSite{method: s.method, stmt: e.idx.StmtID(s.method, s.index), reg: int32(s.reg)}
 		}
-		idx[c.tab.Intern(l)] = cs
+		id := int(e.Summaries.tab.Intern(l))
+		if id >= len(ix) {
+			ix = append(ix, make([][]cHeapSite, id+1-len(ix))...)
+		}
+		ix[id] = cs
 	}
-	c.mu.Lock()
-	if writes {
-		if c.cwriters != nil {
-			idx = c.cwriters
-		} else {
-			c.cwriters = idx
-		}
-	} else {
-		if c.creaders != nil {
-			idx = c.creaders
-		} else {
-			c.creaders = idx
-		}
-	}
-	c.mu.Unlock()
-	return idx
+	return ix
 }
 
 // sumEmitter receives transfer-summary effects in emission order. The scan
 // logic in backward.go/forward.go is written against this interface;
 // denseBuilder below produces the compiled form the engine replays, and the
 // package tests implement it to build the string form the reference replay
-// consumes from the same scans.
+// consumes from the same scans. Methods are dense IDs in the engine's
+// program index.
 //
 // Gated groups are emitted as begin(gate) ... effects ... end(); an empty
 // group (no effects between begin and end) is dropped, which mirrors the
 // pre-interface builders' "only append non-empty gated entries" call sites.
 type sumEmitter interface {
-	// include adds statement idx of m to the slice, resolving modeled
+	// include adds statement idx of method to the slice, resolving modeled
 	// source/sink tags at build time so replay is instruction-free.
-	include(m *ir.Method, idx int)
+	include(method uint32, idx int)
 	// push emits a successor local fact (hops assigned at replay).
-	push(method string, reg int)
+	push(method uint32, reg int)
 	// pushHeap emits a successor heap fact.
 	pushHeap(loc string)
 	heapRead(loc string)
 	heapWrite(loc string)
 	// begin opens a universe-gated effect group; end closes it.
-	begin(gate string)
+	begin(gate uint32)
 	end()
 }
 
-// sumTags resolves the modeled source/sink tags of statement idx.
-func (e *Engine) sumTags(m *ir.Method, idx int) (source, sink string) {
-	in := &m.Instrs[idx]
-	if in.Op == ir.OpInvoke {
-		if mm := e.Model.Lookup(in.Sym); mm != nil {
-			return mm.Source, mm.Sink
-		}
-	}
-	return "", ""
-}
-
-// denseBuilder lowers effects straight to compiled form: statement and
-// method names resolved through the engine's program index, heap locations
-// and tags interned through the cache's symbol table. It resolves method
-// refs through a one-entry memo (consecutive effects overwhelmingly hit the
-// same method).
-//
-// The builder is allocation-frugal: effects accumulate in reusable buffers
-// (one active entry at a time — begin() flushes the pending unconditional
-// entry before a gated group opens, so the unconditional and gated entries
-// never accumulate concurrently) and each finished entry copies out at
-// exact size. One builder per engine is recycled across summaries.
+// denseBuilder lowers effects straight to compiled form: heap locations and
+// tags interned through the cache's symbol table, effects accumulated kind
+// by kind with each entry recording its end offsets. The buffers are
+// engine scratch, reused across summaries; publishing copies them into the
+// cache's slabs.
 type denseBuilder struct {
 	e   *Engine
 	tab *intern.SyncTable
 
-	entries []cEntry // finished entries of the summary under construction
-	gate    uint32   // gate of the open group; intern.None when unconditional
-	inGate  bool
-
-	// active entry accumulation buffers; capacity reused across entries
-	// and summaries.
-	includes   []cInclude
-	heapReads  []uint32
-	heapWrites []uint32
-	pushes     []cPush
-
-	// slabs back the finished summaries: finished entries copy into large
-	// shared arrays (capacity-trimmed subslices, see takeSlab), so building
-	// a summary costs amortized-zero allocations instead of one per field.
-	// Cached summaries keep the slabs alive; the builder never rewrites
-	// published regions.
-	incSlab  []cInclude
-	u32Slab  []uint32 // heap reads and writes share one slab
-	pushSlab []cPush
-	entSlab  []cEntry
-	sumSlab  []cSummary
-
-	lastRef string // last method ref resolved by mid()
-	lastID  uint32
-	lastOK  bool
+	entries  []cEntry
+	includes []cInclude
+	reads    []uint32
+	writes   []uint32
+	pushes   []cPush
+	gate     uint32 // gate of the open group; intern.None outside one
 }
 
-// takeSlab copies src onto the end of the slab and returns the stored
-// subslice, capacity-trimmed so later slab appends can never alias it.
-// Slab growth abandons the old backing array to the subslices already
-// pointing into it (they are immutable once published).
-func takeSlab[T any](slab *[]T, src []T) []T {
-	start := len(*slab)
-	*slab = append(*slab, src...)
-	return (*slab)[start:len(*slab):len(*slab)]
-}
-
-// newDenseBuilder returns the engine's recycled builder, reset for a new
-// summary. Engines run one fixpoint at a time, so the single scratch
-// instance is never aliased.
-func newDenseBuilder(e *Engine) *denseBuilder {
+// builder returns the engine's scratch builder, reset for a new summary.
+// Engines run one fixpoint at a time, so the single scratch instance is
+// never aliased.
+func (e *Engine) builder() *denseBuilder {
 	b := e.scratch
 	if b == nil {
-		b = &denseBuilder{}
+		b = &denseBuilder{e: e}
 		e.scratch = b
 	}
-	b.e = e
 	b.tab = e.Summaries.tab
 	b.entries = b.entries[:0]
-	b.gate = intern.None
-	b.inGate = false
 	b.includes = b.includes[:0]
-	b.heapReads = b.heapReads[:0]
-	b.heapWrites = b.heapWrites[:0]
+	b.reads = b.reads[:0]
+	b.writes = b.writes[:0]
 	b.pushes = b.pushes[:0]
-	b.lastRef = ""
+	b.gate = intern.None
 	return b
 }
 
-// mid resolves a method ref to its dense ID through a one-entry memo.
-func (b *denseBuilder) mid(ref string) (uint32, bool) {
-	if ref != b.lastRef {
-		b.lastRef = ref
-		b.lastID, b.lastOK = b.e.idx.MethodID(ref)
-	}
-	return b.lastID, b.lastOK
-}
-
-func (b *denseBuilder) include(m *ir.Method, idx int) {
-	id, ok := b.mid(m.Ref())
-	if !ok {
-		return // unindexable method: cannot occur for indexed programs
-	}
-	ci := cInclude{stmt: b.e.idx.StmtID(id, idx), source: intern.None, sink: intern.None}
-	if source, sink := b.e.sumTags(m, idx); source != "" || sink != "" {
-		if source != "" {
-			ci.source = b.tab.Intern(source)
+func (b *denseBuilder) include(method uint32, idx int) {
+	stmt := b.e.idx.StmtID(method, idx)
+	ci := cInclude{stmt: stmt, source: intern.None, sink: intern.None}
+	if mm := b.e.CG.ModelAt(stmt); mm != nil {
+		if mm.Source != "" {
+			ci.source = b.tab.Intern(mm.Source)
 		}
-		if sink != "" {
-			ci.sink = b.tab.Intern(sink)
+		if mm.Sink != "" {
+			ci.sink = b.tab.Intern(mm.Sink)
 		}
 	}
 	b.includes = append(b.includes, ci)
 }
 
 func (b *denseBuilder) heapRead(loc string) {
-	b.heapReads = append(b.heapReads, b.tab.Intern(loc))
+	b.reads = append(b.reads, b.tab.Intern(loc))
 }
 
 func (b *denseBuilder) heapWrite(loc string) {
-	b.heapWrites = append(b.heapWrites, b.tab.Intern(loc))
+	b.writes = append(b.writes, b.tab.Intern(loc))
 }
 
-func (b *denseBuilder) push(method string, reg int) {
-	id, ok := b.mid(method)
-	if !ok {
-		return
-	}
-	b.pushes = append(b.pushes, cPush{method: id, reg: int32(reg)})
+func (b *denseBuilder) push(method uint32, reg int) {
+	b.pushes = append(b.pushes, cPush{method: method, reg: int32(reg)})
 }
 
 func (b *denseBuilder) pushHeap(loc string) {
 	b.pushes = append(b.pushes, cPush{heap: true, loc: b.tab.Intern(loc)})
 }
 
-// flush copies the active buffers out into a finished entry under the given
-// gate (exact-size slices, so cached summaries carry no spare capacity) and
-// resets them. Empty entries — including empty gated groups — are dropped.
+// flush closes the effects emitted since the previous entry into an entry
+// under gate. Empty entries — including empty gated groups — are dropped.
 func (b *denseBuilder) flush(gate uint32) {
-	if len(b.includes) == 0 && len(b.heapReads) == 0 &&
-		len(b.heapWrites) == 0 && len(b.pushes) == 0 {
+	en := cEntry{gate: gate, incEnd: uint32(len(b.includes)), readEnd: uint32(len(b.reads)),
+		writeEnd: uint32(len(b.writes)), pushEnd: uint32(len(b.pushes))}
+	var prev cEntry
+	if n := len(b.entries); n > 0 {
+		prev = b.entries[n-1]
+	}
+	if en.incEnd == prev.incEnd && en.readEnd == prev.readEnd &&
+		en.writeEnd == prev.writeEnd && en.pushEnd == prev.pushEnd {
 		return
-	}
-	en := cEntry{gate: gate}
-	if len(b.includes) > 0 {
-		en.includes = takeSlab(&b.incSlab, b.includes)
-		b.includes = b.includes[:0]
-	}
-	if len(b.heapReads) > 0 {
-		en.heapReads = takeSlab(&b.u32Slab, b.heapReads)
-		b.heapReads = b.heapReads[:0]
-	}
-	if len(b.heapWrites) > 0 {
-		en.heapWrites = takeSlab(&b.u32Slab, b.heapWrites)
-		b.heapWrites = b.heapWrites[:0]
-	}
-	if len(b.pushes) > 0 {
-		en.pushes = takeSlab(&b.pushSlab, b.pushes)
-		b.pushes = b.pushes[:0]
 	}
 	b.entries = append(b.entries, en)
 }
 
-func (b *denseBuilder) begin(gate string) {
+func (b *denseBuilder) begin(gate uint32) {
 	b.flush(intern.None)
-	b.inGate = true
-	b.gate = gateUnresolved
-	if id, ok := b.e.idx.MethodID(gate); ok {
-		b.gate = id
-	}
+	b.gate = gate
 }
 
 func (b *denseBuilder) end() {
 	b.flush(b.gate)
-	b.inGate = false
 	b.gate = intern.None
 }
 
-// emptyCSummary is the shared no-effect summary: most (method, register)
-// pairs a fixpoint probes have none, so they all intern to one value.
-var emptyCSummary = &cSummary{}
+// slab is a cache-owned arena. Published regions are capacity-trimmed
+// subslices of the current chunk, so later appends can never alias them; a
+// chunk without room for the next region is abandoned to the regions
+// already pointing into it and replaced by a fresh one, twice as large up
+// to slabChunkMax, so no published element is ever copied.
+type slab[T any] struct {
+	chunk []T
+}
 
-func (b *denseBuilder) done() *cSummary {
-	b.flush(intern.None)
-	if len(b.entries) == 0 {
-		return emptyCSummary
+const (
+	slabChunkMin = 64
+	slabChunkMax = 8192
+)
+
+func (s *slab[T]) room(n int) {
+	if cap(s.chunk)-len(s.chunk) >= n {
+		return
 	}
-	b.sumSlab = append(b.sumSlab, cSummary{entries: takeSlab(&b.entSlab, b.entries)})
-	b.entries = b.entries[:0]
-	return &b.sumSlab[len(b.sumSlab)-1]
+	size := min(max(2*cap(s.chunk), slabChunkMin), slabChunkMax)
+	s.chunk = make([]T, 0, max(size, n))
+}
+
+// take copies src into the slab and returns the stored region (nil for an
+// empty src).
+func (s *slab[T]) take(src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	s.room(len(src))
+	start := len(s.chunk)
+	s.chunk = append(s.chunk, src...)
+	return s.chunk[start:len(s.chunk):len(s.chunk)]
+}
+
+// add stores v in the slab and returns its address.
+func (s *slab[T]) add(v T) *T {
+	s.room(1)
+	s.chunk = append(s.chunk, v)
+	return &s.chunk[len(s.chunk)-1]
 }

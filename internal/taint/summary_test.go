@@ -1,10 +1,14 @@
 package taint
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"extractocol/internal/callgraph"
+	"extractocol/internal/corpus"
+	"extractocol/internal/intern"
 	"extractocol/internal/ir"
 	"extractocol/internal/obs"
 	"extractocol/internal/semmodel"
@@ -158,35 +162,196 @@ func TestPrivateSummaryCacheRepeatedQueries(t *testing.T) {
 // be race-free and produce the same slices as serial execution. Run under
 // -race via ci.sh.
 func TestSharedSummaryCacheConcurrent(t *testing.T) {
+	t.Run("helper", func(t *testing.T) {
+		p := sharedHelperApp()
+		model := semmodel.Default()
+		cg := callgraph.Build(p, model)
+		m := p.Method("t.sum.A.buildAndFetch")
+		exec := findInvoke(m, execRef)
+		dp := StmtID{Method: "t.sum.A.buildAndFetch", Index: exec}
+		reg := m.Instrs[exec].Args[1]
+
+		want := runQueries(t, p, model, cg,
+			[]sliceQuery{{universe: "t.sum.A.onClickOne", dp: dp, reg: reg}}, nil)[0]
+
+		shared := NewSummaryCache()
+		var wg sync.WaitGroup
+		results := make([]*Result, 8)
+		for w := range results {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				eng := NewEngine(p, model, cg)
+				eng.MaxAsyncHops = 1
+				eng.Universe = cg.ReachableBits("t.sum.A.onClickOne")
+				eng.Summaries = shared
+				results[w] = eng.Backward(dp, reg)
+			}(w)
+		}
+		wg.Wait()
+		for w, got := range results {
+			if !sameResult(want, got) {
+				t.Errorf("worker %d slice differs from serial", w)
+			}
+		}
+	})
+	t.Run("Pinterest", func(t *testing.T) {
+		app, err := corpus.ByName("Pinterest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, model := app.Prog, semmodel.Default()
+		cg := callgraph.Build(p, model)
+		qs := dpQueries(p, model, cg)
+		if len(qs) < 50 {
+			t.Fatalf("only %d queries; the fixture lost its coverage", len(qs))
+		}
+		run := func(q dpQuery, sums *SummaryCache) *Result {
+			eng := NewEngine(p, model, cg)
+			eng.Universe = q.universe
+			eng.Summaries = sums
+			switch {
+			case q.seeds != nil:
+				return eng.ForwardFacts(q.seeds)
+			case q.forward:
+				return eng.Forward(q.dp, q.reg)
+			default:
+				return eng.Backward(q.dp, q.reg)
+			}
+		}
+		serial := NewSummaryCache()
+		want := make([]*Result, len(qs))
+		for i, q := range qs {
+			want[i] = run(q, serial)
+		}
+
+		// Eight goroutines share one cache, each running every query in its
+		// own order, so summaries are built, published and replayed
+		// concurrently in as many interleavings as the scheduler finds.
+		shared := NewSummaryCache()
+		got := make([][]*Result, 8)
+		var wg sync.WaitGroup
+		for w := range got {
+			got[w] = make([]*Result, len(qs))
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for _, i := range rand.New(rand.NewSource(int64(w))).Perm(len(qs)) {
+					got[w][i] = run(qs[i], shared)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w := range got {
+			for i, q := range qs {
+				if !sameResult(want[i], got[w][i]) || got[w][i].Truncated != nil {
+					t.Fatalf("worker %d, %s: result differs from a serial run on a fresh cache", w, q.label)
+				}
+			}
+		}
+	})
+}
+
+// dpQuery is one fixpoint the slicer or the pairing flow check runs: a
+// Backward from a demarcation point's request register, a Forward from its
+// result register, or a ForwardFacts from the request slice's definitions.
+type dpQuery struct {
+	label    string
+	universe *intern.Bits
+	dp       StmtID
+	reg      int
+	forward  bool
+	seeds    map[StmtID]int
+}
+
+// dpQueries lists, for every entry point of p and every demarcation-point
+// invoke in its universe, the three fixpoints of one transaction. The
+// ForwardFacts seeds come from a serial Backward on a private cache.
+func dpQueries(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph) []dpQuery {
+	var qs []dpQuery
+	for _, ep := range p.Manifest.EntryPoints {
+		universe := cg.ReachableBits(ep.Method)
+		cg.Index().EachSorted(func(id uint32, m *ir.Method) bool {
+			if !universe.Has(id) {
+				return true
+			}
+			for i := range m.Instrs {
+				in := &m.Instrs[i]
+				mm := model.Lookup(in.Sym)
+				if in.Op != ir.OpInvoke || mm == nil || !mm.DP || mm.ReqArg < 0 || mm.ReqArg >= len(in.Args) {
+					continue
+				}
+				dp := StmtID{Method: m.Ref(), Index: i}
+				label := fmt.Sprintf("%s -> %s@%d", ep.Method, dp.Method, dp.Index)
+				qs = append(qs, dpQuery{label: label + " backward", universe: universe, dp: dp, reg: in.Args[mm.ReqArg]})
+				if in.Dst != ir.NoReg {
+					qs = append(qs, dpQuery{label: label + " forward", universe: universe, dp: dp, reg: in.Dst, forward: true})
+				}
+				eng := NewEngine(p, model, cg)
+				eng.Universe = universe
+				seeds := map[StmtID]int{}
+				eng.Backward(dp, in.Args[mm.ReqArg]).EachStmt(func(m *ir.Method, i int) bool {
+					if d := m.Instrs[i].Def(); d != ir.NoReg {
+						seeds[StmtID{Method: m.Ref(), Index: i}] = d
+					}
+					return true
+				})
+				if len(seeds) > 0 {
+					qs = append(qs, dpQuery{label: label + " forward-facts", seeds: seeds})
+				}
+			}
+			return true
+		})
+	}
+	return qs
+}
+
+// Once every summary a Backward needs is cached, replaying it allocates
+// only the result (the Result and its statement words, plus the heap-read
+// set's words) and the worklist (the worklist, its two seen-sets and the
+// fact stack's growth): 9 allocations for this Pinterest query.
+func TestBackwardReplayAllocs(t *testing.T) {
+	app, err := corpus.ByName("Pinterest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, model := app.Prog, semmodel.Default()
+	cg := callgraph.Build(p, model)
+	var q dpQuery
+	for _, c := range dpQueries(p, model, cg) {
+		if !c.forward && c.seeds == nil {
+			q = c
+			break
+		}
+	}
+	eng := NewEngine(p, model, cg)
+	eng.Universe = q.universe
+	warm := eng.Backward(q.dp, q.reg)
+	if warm.Size() < 10 {
+		t.Fatalf("%s: slice of %d statements; pick a query with a real slice", q.label, warm.Size())
+	}
+	const want = 9
+	allocs := testing.AllocsPerRun(20, func() { eng.Backward(q.dp, q.reg) })
+	if allocs != want {
+		t.Fatalf("%s: cached Backward replay allocated %.1f times, want %d", q.label, allocs, want)
+	}
+}
+
+// A ForwardFacts seed may name a register its method does not declare.
+// Such a fact has no effects: it must not borrow the next method's summary
+// slot, nor index past the table when its method is the last one.
+func TestSeedBeyondMethodRegisters(t *testing.T) {
 	p := sharedHelperApp()
 	model := semmodel.Default()
 	cg := callgraph.Build(p, model)
-	m := p.Method("t.sum.A.buildAndFetch")
-	exec := findInvoke(m, execRef)
-	dp := StmtID{Method: "t.sum.A.buildAndFetch", Index: exec}
-	reg := m.Instrs[exec].Args[1]
-
-	want := runQueries(t, p, model, cg,
-		[]sliceQuery{{universe: "t.sum.A.onClickOne", dp: dp, reg: reg}}, nil)[0]
-
-	shared := NewSummaryCache()
-	var wg sync.WaitGroup
-	results := make([]*Result, 8)
-	for w := range results {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			eng := NewEngine(p, model, cg)
-			eng.MaxAsyncHops = 1
-			eng.Universe = cg.ReachableBits("t.sum.A.onClickOne")
-			eng.Summaries = shared
-			results[w] = eng.Backward(dp, reg)
-		}(w)
-	}
-	wg.Wait()
-	for w, got := range results {
-		if !sameResult(want, got) {
-			t.Errorf("worker %d slice differs from serial", w)
+	x := cg.Index()
+	last := x.MethodAt(uint32(x.NumMethods() - 1))
+	for _, m := range []*ir.Method{p.Method("t.sum.A.buildAndFetch"), last} {
+		seed := StmtID{Method: m.Ref(), Index: 0}
+		res := NewEngine(p, model, cg).ForwardFacts(map[StmtID]int{seed: m.Registers})
+		if res.Size() != 1 || !res.Contains(seed.Method, 0) {
+			t.Errorf("%s: seed r%d beyond its registers reached %d statements, want only the seed",
+				m.Ref(), m.Registers, res.Size())
 		}
 	}
 }

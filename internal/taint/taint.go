@@ -17,14 +17,17 @@
 // source to sink, this engine records *all* statements touching tainted
 // objects — omitting even one would corrupt the reconstructed signature.
 //
-// The hot path works entirely on dense IDs: statements and register slots
-// are addressed through the program's ir.Index, heap locations and
-// source/sink tags through an interned symbol table shared via the
-// SummaryCache, and every set (slice statements, worklist dedup, universe)
-// is an intern.Bits bitset. Strings only appear at the boundaries: summary
-// construction (cold, memoized) and the Result accessors consumed by the
-// report layer. The pre-interning string/map replay lives on in the package
-// tests as the reference implementation the dense path is checked against.
+// The hot path works entirely on dense IDs: methods, statements and
+// register slots are addressed through the program's ir.Index, call edges
+// and semantic-model entries through the call graph's ID-indexed tables,
+// heap locations and source/sink tags through an interned symbol table
+// shared via the SummaryCache, and every set (slice statements, worklist
+// dedup, universe) is an intern.Bits bitset. Strings only appear at the
+// boundaries: heap location names during summary construction (cold,
+// memoized), the StmtID seeds callers pass in, and the Result accessors
+// consumed by the report layer. The pre-interning string/map replay lives
+// on in the package tests as the reference implementation the dense path is
+// checked against.
 package taint
 
 import (
@@ -198,7 +201,10 @@ func (r *Result) Clone() *Result {
 type Engine struct {
 	Prog  *ir.Program
 	Model *semmodel.Model
-	CG    *callgraph.Graph
+	// CG is the program's call graph. Its edges, semantic-model table and
+	// register types drive summary construction, so it must be built over
+	// Prog with Model; a nil CG is built on first use.
+	CG *callgraph.Graph
 
 	// MaxAsyncHops bounds how many asynchronous event boundaries a heap
 	// fact may cross: 0 disables the §3.4 heuristic (the paper's setting
@@ -234,12 +240,17 @@ type Engine struct {
 	BudgetPhase string
 
 	// idx is the dense program index, resolved once per engine from the
-	// call graph (or built privately when the engine has no call graph).
+	// call graph.
 	idx *ir.Index
 
 	// scratch is the reusable summary lowering buffer (see denseBuilder).
 	// Engines are single-goroutine, so one scratch per engine suffices.
 	scratch *denseBuilder
+
+	// Workload tallies of the running fixpoint (facts processed, statements
+	// included, summary cache hits), added to Stats and the cache's
+	// counters once per run instead of once per step.
+	nFacts, nStmts, nHits int64
 }
 
 // NewEngine creates an engine with the given configuration. The summary
@@ -248,20 +259,18 @@ func NewEngine(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph) *Engin
 	return &Engine{Prog: p, Model: model, CG: cg, MaxAsyncHops: 1}
 }
 
-// ensure resolves the engine's dense index and summary cache before a
-// fixpoint runs. The index is shared through the call graph (built once in
-// callgraph.Build); engines without a call graph build a private one.
+// ensure resolves the engine's call graph, dense index and summary cache
+// before a fixpoint runs. The index is shared through the call graph (built
+// once in callgraph.Build).
 func (e *Engine) ensure() {
+	if e.CG == nil {
+		e.CG = callgraph.Build(e.Prog, e.Model)
+	}
 	if e.Summaries == nil {
 		e.Summaries = NewSummaryCache()
 	}
-	if e.idx == nil {
-		if e.CG != nil {
-			e.idx = e.CG.Index()
-		} else {
-			e.idx = ir.NewIndex(e.Prog)
-		}
-	}
+	e.idx = e.CG.Index()
+	e.Summaries.bind(e.idx)
 }
 
 // newResult allocates an empty result bound to this engine's index and the
@@ -269,15 +278,6 @@ func (e *Engine) ensure() {
 func (e *Engine) newResult() *Result {
 	e.ensure()
 	return NewResult(e.idx, e.Summaries.tab)
-}
-
-// types returns m's register types via the call graph's memoized inference
-// (shared across every engine over the program).
-func (e *Engine) types(m *ir.Method) []string {
-	if e.CG != nil {
-		return e.CG.Types(m)
-	}
-	return callgraph.InferTypes(e.Prog, m)
 }
 
 // universeHas is the dense universe check: a nil universe admits everything.
@@ -299,22 +299,6 @@ func (e *Engine) budgetPhase() string {
 		return e.BudgetPhase
 	}
 	return budget.PhaseTaint
-}
-
-// sortedSeeds returns the seed statements in (method, index) order, so
-// worklist seeding never depends on map iteration order.
-func sortedSeeds(seeds map[StmtID]int) []StmtID {
-	out := make([]StmtID, 0, len(seeds))
-	for s := range seeds {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Method != out[j].Method {
-			return out[i].Method < out[j].Method
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out
 }
 
 type factKind uint8
@@ -381,7 +365,7 @@ func (w *denseWorklist) pop() (cFact, bool) {
 // origin's method) for budget errors and fault probes. When a budget limit
 // trips mid-run the partial result is marked Truncated and returned as-is.
 func (e *Engine) run(w *denseWorklist, res *Result, dir direction, site string) {
-	sums := e.Summaries
+	defer e.flushTallies()
 	// One span per fixpoint run, nested inside the job span of whichever
 	// worker owns this engine's shard. Free when tracing is off.
 	cat := obs.CatTaintBackward
@@ -411,31 +395,34 @@ func (e *Engine) run(w *denseWorklist, res *Result, dir direction, site string) 
 		if !ok {
 			break
 		}
-		e.Stats.Add(obs.CtrTaintFacts, 1)
+		e.nFacts++
 		switch f.kind {
 		case factLocal:
-			var s *cSummary
-			if dir == dirBackward {
-				s = sums.compiledBackward(e, f.method, f.reg)
-			} else {
-				s = sums.compiledForward(e, f.method, f.reg)
-			}
-			e.applyCompiled(s, f, res, w)
+			e.applyCompiled(e.compiled(dir, f.method, f.reg), f, res, w)
 		case factHeap:
-			var sites []cHeapSite
-			if dir == dirBackward {
-				sites = sums.heapWritersDense(e, f.loc)
-			} else {
-				sites = sums.heapReadersDense(e, f.loc)
-			}
-			e.applyHeapSitesDense(sites, f, res, w)
+			e.applyHeapSitesDense(e.heapSites(dir, f.loc), f, res, w)
 		}
 	}
 }
 
+// flushTallies adds the finished fixpoint's tallies to Stats and the
+// summary cache's hit counter.
+func (e *Engine) flushTallies() {
+	// A counter nothing touched stays absent from the shard, as it did when
+	// every step added 1.
+	if e.nFacts > 0 {
+		e.Stats.Add(obs.CtrTaintFacts, e.nFacts)
+	}
+	if e.nStmts > 0 {
+		e.Stats.Add(obs.CtrTaintStmts, e.nStmts)
+	}
+	e.Summaries.hits.Add(e.nHits)
+	e.nFacts, e.nStmts, e.nHits = 0, 0, 0
+}
+
 // applyCompiledInclude replays one compiled include effect.
 func (e *Engine) applyCompiledInclude(inc cInclude, res *Result) {
-	e.Stats.Add(obs.CtrTaintStmts, 1)
+	e.nStmts++
 	res.stmts.Add(inc.stmt)
 	if inc.source != intern.None {
 		res.sources.Add(inc.source)
@@ -449,27 +436,27 @@ func (e *Engine) applyCompiledInclude(inc cInclude, res *Result) {
 // groups apply when the gate method is inside the universe or the fact
 // already escaped it; pushed facts inherit f's hop count.
 func (e *Engine) applyCompiled(s *cSummary, f cFact, res *Result, w *denseWorklist) {
-	for i := range s.entries {
-		en := &s.entries[i]
-		if en.gate != intern.None && f.hops == 0 && !e.universeHas(en.gate) {
-			continue
-		}
-		for _, inc := range en.includes {
-			e.applyCompiledInclude(inc, res)
-		}
-		for _, loc := range en.heapReads {
-			res.heapReads.Add(loc)
-		}
-		for _, loc := range en.heapWrites {
-			res.heapWrites.Add(loc)
-		}
-		for _, p := range en.pushes {
-			if p.heap {
-				w.pushHeap(p.loc, f.hops)
-			} else {
-				w.pushLocal(e.idx, p.method, p.reg, f.hops)
+	var inc, rd, wr, pu uint32 // the current entry's start offsets
+	for _, en := range s.entries {
+		if en.gate == intern.None || f.hops > 0 || e.universeHas(en.gate) {
+			for _, x := range s.includes[inc:en.incEnd] {
+				e.applyCompiledInclude(x, res)
+			}
+			for _, loc := range s.reads[rd:en.readEnd] {
+				res.heapReads.Add(loc)
+			}
+			for _, loc := range s.writes[wr:en.writeEnd] {
+				res.heapWrites.Add(loc)
+			}
+			for _, p := range s.pushes[pu:en.pushEnd] {
+				if p.heap {
+					w.pushHeap(p.loc, f.hops)
+				} else {
+					w.pushLocal(e.idx, p.method, p.reg, f.hops)
+				}
 			}
 		}
+		inc, rd, wr, pu = en.incEnd, en.readEnd, en.writeEnd, en.pushEnd
 	}
 }
 
@@ -484,16 +471,16 @@ func (e *Engine) applyHeapSitesDense(sites []cHeapSite, f cFact, res *Result, w 
 				continue
 			}
 		}
-		e.Stats.Add(obs.CtrTaintStmts, 1)
+		e.nStmts++
 		res.stmts.Add(site.stmt)
 		w.pushLocal(e.idx, site.method, site.reg, hops)
 	}
 }
 
-// heapLoc computes the heap location id for a field access: the inferred
-// class of the base object joined with the field name.
-func (e *Engine) heapLoc(m *ir.Method, in *ir.Instr) string {
-	types := e.types(m)
+// heapLoc computes the heap location id for a field access in method mid:
+// the inferred class of the base object joined with the field name.
+func (e *Engine) heapLoc(mid uint32, m *ir.Method, in *ir.Instr) string {
+	types := e.CG.TypesOf(mid)
 	base := m.Class.Name
 	if in.A >= 0 && in.A < len(types) && types[in.A] != "" {
 		base = types[in.A]
@@ -501,11 +488,17 @@ func (e *Engine) heapLoc(m *ir.Method, in *ir.Instr) string {
 	return "f:" + base + "." + in.Sym
 }
 
+// modelAt returns the semantic-model entry of the invoke at instruction idx
+// of method mid (nil when it is not a modeled invoke).
+func (e *Engine) modelAt(mid uint32, idx int) *semmodel.Method {
+	return e.CG.ModelAt(e.idx.StmtID(mid, idx))
+}
+
 // constString resolves the constant string feeding register reg at
-// instruction site, by scanning backward for its most recent definition.
-// It follows one move and resolves APK resources. ok is false when the
-// value is not a compile-time constant.
-func (e *Engine) constString(m *ir.Method, site, reg int) (string, bool) {
+// instruction site of method mid, by scanning backward for its most recent
+// definition. It follows one move and resolves APK resources. ok is false
+// when the value is not a compile-time constant.
+func (e *Engine) constString(mid uint32, m *ir.Method, site, reg int) (string, bool) {
 	for i := site - 1; i >= 0; i-- {
 		in := &m.Instrs[i]
 		if in.Def() != reg {
@@ -515,10 +508,10 @@ func (e *Engine) constString(m *ir.Method, site, reg int) (string, bool) {
 		case ir.OpConstStr:
 			return in.Str, true
 		case ir.OpMove:
-			return e.constString(m, i, in.A)
+			return e.constString(mid, m, i, in.A)
 		case ir.OpInvoke:
-			if mm := e.Model.Lookup(in.Sym); mm != nil && mm.Kind == semmodel.KResGetString && len(in.Args) >= 2 {
-				if key, ok := e.constString(m, i, in.Args[1]); ok {
+			if mm := e.modelAt(mid, i); mm != nil && mm.Kind == semmodel.KResGetString && len(in.Args) >= 2 {
+				if key, ok := e.constString(mid, m, i, in.Args[1]); ok {
 					if v, present := e.Prog.Resources[key]; present {
 						return v, true
 					}
@@ -533,22 +526,22 @@ func (e *Engine) constString(m *ir.Method, site, reg int) (string, bool) {
 	return "", false
 }
 
-// dbLocs derives SQLite heap locations for a DB call: one per constant
-// column name put into the ContentValues argument (writes) or per constant
-// column argument (reads).
-func (e *Engine) dbLocs(m *ir.Method, site int, in *ir.Instr) []string {
-	mm := e.Model.Lookup(in.Sym)
-	if mm == nil || len(in.Args) < 2 {
+// dbLocs derives SQLite heap locations for the DB call in at instruction
+// site of method mid, whose model entry is mm: one per constant column name
+// put into the ContentValues argument (writes) or per constant column
+// argument (reads).
+func (e *Engine) dbLocs(mid uint32, m *ir.Method, site int, in *ir.Instr, mm *semmodel.Method) []string {
+	if len(in.Args) < 2 {
 		return nil
 	}
-	table, ok := e.constString(m, site, in.Args[1])
+	table, ok := e.constString(mid, m, site, in.Args[1])
 	if !ok {
 		table = "*"
 	}
 	switch mm.Kind {
 	case semmodel.KDBQuery:
 		if len(in.Args) >= 3 {
-			if col, ok := e.constString(m, site, in.Args[2]); ok {
+			if col, ok := e.constString(mid, m, site, in.Args[2]); ok {
 				return []string{"db:" + table + "." + col}
 			}
 		}
@@ -564,11 +557,11 @@ func (e *Engine) dbLocs(m *ir.Method, site int, in *ir.Instr) []string {
 			if put.Op != ir.OpInvoke || len(put.Args) < 3 || put.Args[0] != valuesReg {
 				continue
 			}
-			pm := e.Model.Lookup(put.Sym)
+			pm := e.modelAt(mid, i)
 			if pm == nil || pm.Kind != semmodel.KCVPut {
 				continue
 			}
-			if col, ok := e.constString(m, i, put.Args[1]); ok {
+			if col, ok := e.constString(mid, m, i, put.Args[1]); ok {
 				locs = append(locs, "db:"+table+"."+col)
 			}
 		}
@@ -587,9 +580,4 @@ func paramReg(m *ir.Method, pos int) int {
 		return ir.NoReg
 	}
 	return pos
-}
-
-// appCallees returns the app methods the call at (m, site) may invoke.
-func (e *Engine) appCallees(m *ir.Method, site int) []callgraph.Edge {
-	return e.CG.CalleesAt(m.Ref(), site)
 }
