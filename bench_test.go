@@ -362,7 +362,7 @@ func BenchmarkGenCorpusAnalyze(b *testing.B) {
 	}
 }
 
-// ---- §3.1 slicing: worker pool and shared analysis caches ---------------------
+// ---- §3.1 slicing: extraction jobs and shared analysis caches ----------------
 
 // firstDP locates the first demarcation-point invoke of an app in program
 // order, mirroring slice.Find's job enumeration.
@@ -387,9 +387,9 @@ func firstDP(b *testing.B, p *ir.Program, model *semmodel.Model) (taint.StmtID, 
 	return taint.StmtID{}, 0
 }
 
-// BenchmarkSliceFind measures full transaction extraction — the pool, the
-// shared caches, and backward/forward slicing — on the paper's running
-// example.
+// BenchmarkSliceFind measures full transaction extraction — job
+// enumeration, the shared caches, and backward/forward slicing — on the
+// paper's running example.
 func BenchmarkSliceFind(b *testing.B) {
 	app := corpus.RadioReddit()
 	model := semmodel.Default()
@@ -423,7 +423,9 @@ func BenchmarkTaintBackward(b *testing.B) {
 
 // BenchmarkAugment measures the incremental-worklist slice augmentation.
 // Augment mutates its Result, so each iteration gets a fresh copy of the
-// seed slice (the copy happens with the timer stopped).
+// seed slice. The copies are made with the timer stopped, a batch at a
+// time: every StopTimer/StartTimer pair reads the runtime's memory stats,
+// which stops the world and costs far more than one Augment.
 func BenchmarkAugment(b *testing.B) {
 	app := corpus.RadioReddit()
 	model := semmodel.Default()
@@ -434,15 +436,22 @@ func BenchmarkAugment(b *testing.B) {
 	if seed.Size() == 0 {
 		b.Fatal("empty seed slice")
 	}
+	const batch = 1024
+	clones := make([]*taint.Result, 0, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N; i += batch {
 		b.StopTimer()
-		res := seed.Clone()
+		clones = clones[:0]
+		for k := 0; k < batch && i+k < b.N; k++ {
+			clones = append(clones, seed.Clone())
+		}
 		b.StartTimer()
-		slice.Augment(app.Prog, model, res)
-		if res.Size() < seed.Size() {
-			b.Fatal("augment shrank the slice")
+		for _, res := range clones {
+			slice.Augment(app.Prog, model, res)
+			if res.Size() < seed.Size() {
+				b.Fatal("augment shrank the slice")
+			}
 		}
 	}
 }

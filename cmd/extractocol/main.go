@@ -15,9 +15,9 @@
 //	-async-hops n           asynchronous-event hops (0 disables the §3.4
 //	                        heuristic; default 1)
 //	-profile                append the per-phase observability breakdown
-//	                        (phase durations, workload counters, worker
-//	                        utilization, latency histograms with
-//	                        p50/p90/p99 quantiles) as indented JSON
+//	                        (phase durations, workload counters, latency
+//	                        histograms with p50/p90/p99 quantiles) as
+//	                        indented JSON
 //	-deadline d             bound analysis wall time (e.g. 30s); what
 //	                        exceeds it is dropped and reported in the
 //	                        diagnostics section instead of hanging
@@ -26,7 +26,7 @@
 //	-trace file             write a Chrome trace-event JSON timeline of the
 //	                        run (load in Perfetto / chrome://tracing): one
 //	                        span per phase, per-transaction job, and taint
-//	                        fixpoint, on per-worker tracks
+//	                        fixpoint, on one track per phase
 //	-explain                append the provenance chain of every
 //	                        transaction (entry point, slice sizes, pairing
 //	                        witness, signature cost, dependency origins)
@@ -46,7 +46,7 @@
 //	                        monotonic sequence numbers) to this file
 //	-flight                 arm the crash flight recorder: on a recovered
 //	                        panic or tripped deadline the diagnostic
-//	                        carries the most recent spans of every worker
+//	                        carries the most recent spans of its phase
 package main
 
 import (

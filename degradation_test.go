@@ -1,6 +1,6 @@
 // Graceful-degradation monotonicity: shrinking the slice-step budget must
-// shrink the output predictably. Budgeted slicing runs serially and drains
-// one cumulative step pool in job order, so the completed transactions of
+// shrink the output predictably. Slicing runs its jobs in order and drains
+// one cumulative step pool as it goes, so the completed transactions of
 // any budgeted run are a prefix of the unbudgeted run's, and everything
 // dropped is named in the diagnostics.
 package extractocol
@@ -19,9 +19,7 @@ func TestDegradationMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseOpts := core.NewOptions()
-	baseOpts.Workers = 1
-	base, err := core.Analyze(app.Prog, baseOpts)
+	base, err := core.Analyze(app.Prog, core.NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +32,6 @@ func TestDegradationMonotonic(t *testing.T) {
 	sawShorter := false
 	for _, steps := range []int64{1 << 20, 2000, 500, 100, 10} {
 		opts := core.NewOptions()
-		opts.Workers = 1
 		opts.MaxSliceSteps = steps
 		rep, err := core.Analyze(app.Prog, opts)
 		if err != nil {

@@ -114,13 +114,6 @@ func (b *Budget) WithFaults(inj *FaultInjector) *Budget {
 	return b
 }
 
-// HasStepLimits reports whether deterministic step budgets are configured.
-// Step pools are consumed in job order, so callers with worker pools must
-// fall back to serial execution to keep degradation deterministic.
-func (b *Budget) HasStepLimits() bool {
-	return b != nil && (b.limits.SliceSteps > 0 || b.limits.FixpointIters > 0)
-}
-
 // Over reports deadline or cancellation exhaustion at a coarse checkpoint
 // (job boundaries, phase starts). Nil when within budget.
 func (b *Budget) Over(phase, site string) *Exceeded {
@@ -267,7 +260,7 @@ type Diagnostic struct {
 	// Flight is the recording goroutine's recent span history (oldest
 	// first) at the moment a panic was recovered or a deadline fired —
 	// populated only when the flight recorder was armed (core.Options.
-	// Flight). Ring contents depend on worker scheduling, so the field is
+	// Flight). Ring records carry wall-clock offsets, so the field is
 	// excluded from String() and from diagnostic sort order, and degraded
 	// reports are never cached, keeping default outputs deterministic.
 	Flight []string `json:"flight,omitempty"`

@@ -12,9 +12,6 @@ func TestNilSafety(t *testing.T) {
 	if b.Over(PhaseSlice, "x") != nil || b.SliceExhausted("x") != nil {
 		t.Fatal("nil budget reported exhaustion")
 	}
-	if b.HasStepLimits() {
-		t.Fatal("nil budget has step limits")
-	}
 	if b.Hang(PhaseTaint, "x") {
 		t.Fatal("nil budget hangs")
 	}

@@ -60,8 +60,10 @@ func (p *InjectedPanic) String() string {
 // FaultInjector evaluates fault rules at pipeline probe points. Probes are
 // cheap rule scans under a mutex (probes fire per job or per fixpoint, not
 // per loop iteration), and firing is deterministic given a deterministic
-// probe order — which budgeted runs guarantee by forcing serial execution.
-// A nil *FaultInjector never fires.
+// probe order. core.Analyze runs every phase's jobs one after another in
+// job order, so counted rules (After, Once) fire on the same job in every
+// run of the same binary and options; concurrent Analyze calls must not
+// share one injector. A nil *FaultInjector never fires.
 type FaultInjector struct {
 	mu    sync.Mutex
 	rules []*faultRule

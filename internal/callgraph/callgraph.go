@@ -35,8 +35,7 @@ type Edge struct {
 // reads: the semantic-model entry of each invoke, each app method's
 // inferred register types and the memoized per-root reachable sets. Build
 // fills all of them but the reachable sets, which fill on first query;
-// every query is safe for concurrent readers (the slice worker pool asks
-// from many goroutines at once).
+// every query is safe for concurrent readers.
 type Graph struct {
 	prog *ir.Program
 	idx  *ir.Index

@@ -9,10 +9,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"extractocol/internal/budget"
@@ -45,10 +43,6 @@ type Options struct {
 	ModelIntents bool
 	// Model overrides the semantic model; nil uses semmodel.Default().
 	Model *semmodel.Model
-	// Workers bounds the intra-app worker pools (slice extraction and
-	// signature building): 0 means GOMAXPROCS, 1 forces serial execution.
-	// Output is deterministic regardless.
-	Workers int
 
 	// Deadline bounds the wall-clock time of one Analyze call; 0 means
 	// unlimited. On exhaustion in-flight loops stop at their next budget
@@ -59,8 +53,8 @@ type Options struct {
 	// (same graceful degradation as an exhausted deadline).
 	Cancel <-chan struct{}
 	// MaxSliceSteps caps cumulative taint-propagation steps across the
-	// whole slice phase (a pool drained in job order; forces serial slicing
-	// so the surviving transactions form a deterministic prefix). 0 = off.
+	// whole slice phase (a pool drained in job order, so the surviving
+	// transactions form a deterministic prefix). 0 = off.
 	MaxSliceSteps int64
 	// MaxFixpointIters caps the steps of any single fixpoint — one taint
 	// worklist run or one signature interpretation. 0 = off.
@@ -70,8 +64,8 @@ type Options struct {
 	Faults *budget.FaultInjector
 
 	// Tracer, when non-nil, records hierarchical spans (run → phase →
-	// per-transaction job → taint fixpoint) on the same per-worker shards
-	// that carry counters; export with Tracer.Export after Analyze returns.
+	// per-transaction job → taint fixpoint) on the same shards that carry
+	// counters; export with Tracer.Export after Analyze returns.
 	// Nil costs nothing on the hot path.
 	Tracer *obs.Tracer
 	// Explain attaches an Evidence provenance record to every reported
@@ -88,12 +82,11 @@ type Options struct {
 	// phase and job boundaries, cache hits and stores, diagnostics — as
 	// JSONL through the shared log. Never affects the report.
 	Events *obs.EventLog
-	// Flight arms the per-worker flight recorder: the newest spans of every
-	// worker survive in a bounded ring, and a recovered panic or tripped
-	// deadline dumps the recording goroutine's ring into the resulting
-	// Diagnostic.Flight. Off by default — ring contents depend on worker
-	// scheduling, so dumps are opt-in to keep default reports
-	// byte-deterministic.
+	// Flight arms the flight recorder: the newest spans of every shard
+	// survive in a bounded ring, and a recovered panic or tripped deadline
+	// dumps the shard's ring into the resulting Diagnostic.Flight. Off by
+	// default — ring records carry wall-clock offsets, so dumps are opt-in
+	// to keep default reports byte-deterministic.
 	Flight bool
 
 	// Cache, when non-nil together with a non-empty CacheKey, serves and
@@ -247,7 +240,7 @@ type Report struct {
 
 	// Diagnostics records every degradation event of the run — skipped
 	// jobs, truncated slices, recovered panics, exceeded phases — sorted
-	// by (phase, site, detail) so parallel runs report identically.
+	// by (phase, site, detail).
 	// Empty for healthy unbudgeted runs.
 	Diagnostics []budget.Diagnostic
 }
@@ -297,14 +290,15 @@ type Evidence struct {
 	SigPrePass int `json:"sigPrePass,omitempty"`
 }
 
-// Analyze runs the full pipeline over a decoded application binary. Every
-// stage is bracketed by a phase timer, and workload counters flow into the
-// returned Report.Profile via per-goroutine shards (see internal/obs).
+// Analyze runs the full pipeline over a decoded application binary on the
+// calling goroutine. Every stage is bracketed by a phase timer, and
+// workload counters flow into the returned Report.Profile via counter
+// shards (see internal/obs).
 //
 // Under a budget (Options.Deadline / step limits / Cancel) the pipeline
 // degrades instead of failing: exhausted or panicking work is dropped
 // per-transaction, recorded in Report.Diagnostics, and everything that
-// completed still ships. A panic outside the recovered worker scopes is
+// completed still ships. A panic outside the recovered per-job scopes is
 // converted into an error rather than killing the process.
 func Analyze(p *ir.Program, opts Options) (rep *Report, err error) {
 	start := time.Now()
@@ -401,15 +395,14 @@ func Analyze(p *ir.Program, opts Options) (rep *Report, err error) {
 	endCallgraph()
 
 	// The per-program analysis cache: taint transfer summaries shared by
-	// the slice worker pool and the pairing flow checks (reachability and
-	// type memoization live on the call graph itself).
+	// the slice jobs and the pairing flow checks (reachability and type
+	// memoization live on the call graph itself).
 	sums := taint.NewSummaryCache()
 
 	endSlice := col.Phase(obs.PhaseSlice)
 	txs, sliceDiags := slice.FindBudgeted(p, model, cg, slice.Options{
 		MaxAsyncHops:   opts.MaxAsyncHops,
 		IncludeIntents: opts.ModelIntents,
-		Workers:        opts.Workers,
 		Col:            col,
 		Summaries:      sums,
 		Budget:         bud,
@@ -455,7 +448,7 @@ func Analyze(p *ir.Program, opts Options) (rep *Report, err error) {
 	endDedup()
 
 	// Inter-transaction dependencies on the deduplicated set. The phase is
-	// skipped on an exhausted budget and panic-isolated like the workers:
+	// skipped on an exhausted budget and panic-isolated like the jobs:
 	// a report without dependency edges beats no report.
 	endTxdep := col.Phase(obs.PhaseTxdep)
 	var deps []txdep.Dep
@@ -531,9 +524,8 @@ func Analyze(p *ir.Program, opts Options) (rep *Report, err error) {
 		}
 	}
 
-	// Workers complete in scheduling order, so diags arrive nondeterministically
-	// under parallel runs; sort by (phase, site, detail) so the report is
-	// byte-identical regardless of worker count.
+	// The report lists diagnostics by (phase, site, detail), not in the
+	// order the phases noted them.
 	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Phase != b.Phase {
@@ -559,121 +551,64 @@ type built struct {
 	resp *sigbuild.ResponseSig
 	info sigbuild.BuildInfo
 	err  error
-	// flight is the worker shard's span history captured at the moment err
-	// was produced by a recovered panic or tripped budget; nil unless the
-	// flight recorder was armed.
+	// flight is the sigbuild shard's span history captured at the moment
+	// err was produced by a recovered panic or tripped budget; nil unless
+	// the flight recorder was armed.
 	flight []string
 }
 
-// buildSignatures runs signature extraction for every transaction.
-// Extraction is independent per transaction: fan out across a bounded
-// worker pool, assembling results in transaction order so output stays
-// deterministic. Each worker owns a private counter shard (merged after
-// the pool drains) and accumulates its busy time, from which the pool
-// utilization gauge is derived.
+// buildSignatures runs signature extraction for every transaction, in
+// transaction order, on one counter shard drained at the end of the phase.
 func buildSignatures(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 	txs []*slice.Transaction, opts Options, col *obs.Collector, bud *budget.Budget) []built {
 
 	endSigbuild := col.Phase(obs.PhaseSigbuild)
 	defer endSigbuild()
-	fanStart := time.Now()
-
+	stats := col.NewShard()
 	results := make([]built, len(txs))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(txs) {
-		workers = len(txs)
-	}
-	if bud.HasStepLimits() && workers > 1 {
-		workers = 1
-	}
-	scoped := func(tx *slice.Transaction) bool {
-		return opts.ScopePrefix != "" && !strings.HasPrefix(tx.DP.Method, opts.ScopePrefix)
-	}
-	runJob := func(i int, stats *obs.Shard) {
-		site := fmt.Sprintf("%s@%d", txs[i].DP.Method, txs[i].DP.Index)
-		defer func() {
-			if r := recover(); r != nil {
-				// A panicking interpretation costs one transaction, not
-				// the run; Analyze converts the error into a diagnostic,
-				// carrying this worker's flight history when armed.
-				results[i] = built{err: &budget.Recovered{
-					Phase: budget.PhaseSigbuild, Site: site, Value: r},
-					flight: stats.FlightDump()}
-				stats.Add(obs.CtrSigbuildErrors, 1)
-			}
-		}()
-		if ex := bud.Over(budget.PhaseSigbuild, site); ex != nil {
-			results[i] = built{err: ex, flight: stats.FlightDump()}
-			stats.Add(obs.CtrSigbuildErrors, 1)
-			return
+	for i, tx := range txs {
+		if opts.ScopePrefix != "" && !strings.HasPrefix(tx.DP.Method, opts.ScopePrefix) {
+			results[i] = built{err: errScoped}
+			stats.Add(obs.CtrSigbuildScoped, 1)
+			continue
 		}
-		sp := stats.Span(obs.CatSigbuildJob, site)
-		defer sp.End()
-		t0 := time.Now()
-		r, rs, info, err := sigbuild.BuildTraced(p, model, cg, txs[i], stats, bud)
-		ns := time.Since(t0).Nanoseconds()
-		results[i] = built{req: r, resp: rs, info: info, err: err}
-		stats.Add(obs.CtrSigbuildJobs, 1)
-		stats.Add(obs.CtrSigbuildBusyNS, ns)
-		stats.Observe(obs.HistSigbuildJob, ns)
-		if err != nil {
-			stats.Add(obs.CtrSigbuildErrors, 1)
-		}
+		results[i] = buildOne(p, model, cg, tx, stats, bud)
 	}
-
-	mainStats := col.NewShard()
-	if workers > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		shards := make([]*obs.Shard, workers)
-		for w := 0; w < workers; w++ {
-			shard := col.NewShard()
-			shards[w] = shard
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runJob(i, shard)
-				}
-			}()
-		}
-		for i, tx := range txs {
-			if scoped(tx) {
-				results[i] = built{err: errScoped}
-				mainStats.Add(obs.CtrSigbuildScoped, 1)
-				continue
-			}
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		for _, shard := range shards {
-			col.Drain(shard)
-		}
-	} else {
-		for i, tx := range txs {
-			if scoped(tx) {
-				results[i] = built{err: errScoped}
-				mainStats.Add(obs.CtrSigbuildScoped, 1)
-				continue
-			}
-			runJob(i, mainStats)
-		}
-	}
-	col.Drain(mainStats)
-
-	if workers > 0 {
-		col.Gauge(obs.GaugeSigbuildWorkers, float64(workers))
-		totalBusy := col.Snapshot().Counter(obs.CtrSigbuildBusyNS)
-		if wall := time.Since(fanStart).Nanoseconds(); wall > 0 {
-			col.Gauge(obs.GaugeSigbuildUtilization,
-				float64(totalBusy)/float64(int64(workers)*wall))
-		}
-	}
+	col.Drain(stats)
 	return results
+}
+
+// buildOne builds one transaction's signatures. A panicking interpretation
+// costs one transaction, not the run: Analyze converts the error into a
+// diagnostic, carrying the shard's flight history when armed.
+func buildOne(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
+	tx *slice.Transaction, stats *obs.Shard, bud *budget.Budget) (b built) {
+
+	site := fmt.Sprintf("%s@%d", tx.DP.Method, tx.DP.Index)
+	defer func() {
+		if r := recover(); r != nil {
+			b = built{err: &budget.Recovered{
+				Phase: budget.PhaseSigbuild, Site: site, Value: r},
+				flight: stats.FlightDump()}
+			stats.Add(obs.CtrSigbuildErrors, 1)
+		}
+	}()
+	if ex := bud.Over(budget.PhaseSigbuild, site); ex != nil {
+		stats.Add(obs.CtrSigbuildErrors, 1)
+		return built{err: ex, flight: stats.FlightDump()}
+	}
+	sp := stats.Span(obs.CatSigbuildJob, site)
+	defer sp.End()
+	t0 := time.Now()
+	r, rs, info, err := sigbuild.BuildTraced(p, model, cg, tx, stats, bud)
+	ns := time.Since(t0).Nanoseconds()
+	stats.Add(obs.CtrSigbuildJobs, 1)
+	stats.Add(obs.CtrSigbuildBusyNS, ns)
+	stats.Observe(obs.HistSigbuildJob, ns)
+	if err != nil {
+		stats.Add(obs.CtrSigbuildErrors, 1)
+	}
+	return built{req: r, resp: rs, info: info, err: err}
 }
 
 // foldTransactions converts sigbuild results into deduplicated report

@@ -74,13 +74,6 @@ func TestAnalyzeProfileInvariants(t *testing.T) {
 	if jobs, errs := prof.Counter(obs.CtrSigbuildJobs), prof.Counter(obs.CtrSigbuildErrors); errs > jobs {
 		t.Errorf("sigbuild errors %d exceed jobs %d", errs, jobs)
 	}
-
-	if w := prof.Gauges[obs.GaugeSigbuildWorkers]; w < 1 {
-		t.Errorf("%s = %v, want >= 1", obs.GaugeSigbuildWorkers, w)
-	}
-	if u := prof.Gauges[obs.GaugeSigbuildUtilization]; u < 0 || u > 1.05 {
-		t.Errorf("%s = %v, want within [0, 1]", obs.GaugeSigbuildUtilization, u)
-	}
 }
 
 // TestAnalyzeProfileScopedCounters checks the scope filter is visible in the

@@ -75,7 +75,7 @@ type RunConfig struct {
 	// Events streams run/phase/job lifecycle events for every app to one
 	// shared JSONL log.
 	Events *obs.EventLog
-	// Flight arms the per-worker flight recorder for every app (see
+	// Flight arms the flight recorder for every app (see
 	// core.Options.Flight).
 	Flight bool
 }

@@ -1,11 +1,11 @@
 // Flight recorder: a bounded ring of the most recent span records per
-// worker, kept even when full tracing is off, so that when the budget
+// shard, kept even when full tracing is off, so that when the budget
 // layer recovers a panic or a deadline fires, the diagnostic can say what
-// the worker was doing in its last moments. Like the counter shards the
+// the phase was doing in its last moments. Like the counter shards the
 // ring is unsynchronized and owned by one goroutine — recording is an
 // index increment and an array store, no locks and no allocation — and it
-// is only read from that same goroutine (the worker's own recover handler)
-// or after the pool has quiesced.
+// is only read from that same goroutine (a job's recover handler) or after
+// the shard has quiesced.
 package obs
 
 import (
@@ -78,7 +78,7 @@ func (r *flightRing) dump() []string {
 
 // FlightDump returns the shard's recent span history, oldest first, or nil
 // when the flight recorder is not armed. Call only from the shard's owning
-// goroutine (e.g. inside a worker's recover handler) or after it has
+// goroutine (e.g. inside a job's recover handler) or after it has
 // quiesced.
 func (s *Shard) FlightDump() []string {
 	if s == nil {
@@ -89,9 +89,9 @@ func (s *Shard) FlightDump() []string {
 
 // EnableFlight arms the flight recorder: the collector's coordinator track
 // and every shard created afterwards keep a flightDepth-deep ring of
-// recent spans (phases on the coordinator, jobs and fixpoints on workers).
-// Off by default — dump contents depend on worker scheduling, so recorded
-// history must never leak into deterministic outputs unless asked for.
+// recent spans (phases on the coordinator, jobs and fixpoints on shards).
+// Off by default — records carry wall-clock offsets, so recorded history
+// must never leak into deterministic outputs unless asked for.
 func (c *Collector) EnableFlight() {
 	if c == nil {
 		return

@@ -29,7 +29,7 @@ const (
 	HistPhasePrefix = "phase_"
 	// HistAnalyze is the whole-run Analyze wall time.
 	HistAnalyze = "analyze"
-	// HistSliceJob / HistSigbuildJob are per-job worker latencies.
+	// HistSliceJob / HistSigbuildJob are per-job latencies.
 	HistSliceJob    = "slice_job"
 	HistSigbuildJob = "sigbuild_job"
 	// HistClassifyEntry is the per-entry traffic-classification latency

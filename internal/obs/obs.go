@@ -6,11 +6,12 @@
 // caching) has a measurement substrate to build on.
 //
 // Concurrency model: a Collector owns the merged view and takes a mutex on
-// every mutation; hot paths (taint worklists, sigbuild workers) never touch
-// it directly. Instead each goroutine owns an unsynchronized Shard and the
-// coordinator drains shards into the collector at phase end — no locks or
-// atomics on the hot path, and no per-increment allocation (map assignment
-// of an existing key does not allocate).
+// every mutation; hot paths (taint worklists, sigbuild jobs) never touch it
+// directly. Instead each phase records into an unsynchronized Shard owned
+// by one goroutine, and the coordinator drains the shard into the
+// collector at phase end — no locks or atomics on the hot path, and no
+// per-increment allocation (map assignment of an existing key does not
+// allocate).
 package obs
 
 import (
@@ -46,9 +47,8 @@ const (
 	// CtrTaintStmts counts statements added to slices.
 	CtrTaintFacts = "taint_facts"
 	CtrTaintStmts = "taint_stmts"
-	// CtrSliceJobs counts (entry point, DP site) extraction jobs run by the
-	// slice worker pool; CtrSliceBusyNS accumulates worker busy time (the
-	// numerator of pool utilization).
+	// CtrSliceJobs counts (entry point, DP site) extraction jobs run;
+	// CtrSliceBusyNS accumulates the time spent inside them.
 	CtrSliceJobs   = "slice_jobs"
 	CtrSliceBusyNS = "slice_busy_ns"
 	// Analysis-cache hit/miss counters: memoized per-entry-point
@@ -77,10 +77,10 @@ const (
 	CtrCacheInstallRetries = "cache_install_retries"
 	// CtrPairFlowChecks counts information-flow pairing verifications run.
 	CtrPairFlowChecks = "pairing_flow_checks"
-	// CtrSigbuildJobs counts signature-extraction jobs executed by the
-	// worker pool; CtrSigbuildBusyNS accumulates the time workers spent on
-	// jobs (the numerator of pool utilization). CtrSigbuildMethods counts
-	// methods abstractly interpreted. Scoped/errored jobs are broken out.
+	// CtrSigbuildJobs counts signature-extraction jobs executed;
+	// CtrSigbuildBusyNS accumulates the time spent inside them.
+	// CtrSigbuildMethods counts methods abstractly interpreted.
+	// Scoped/errored jobs are broken out.
 	CtrSigbuildJobs    = "sigbuild_jobs"
 	CtrSigbuildBusyNS  = "sigbuild_busy_ns"
 	CtrSigbuildMethods = "sigbuild_methods_evaluated"
@@ -102,19 +102,6 @@ const (
 	CtrPanicsRecovered = "panics_recovered"
 	CtrBudgetExceeded  = "budget_exceeded"
 	CtrBudgetSkipped   = "budget_jobs_skipped"
-)
-
-// Gauge names.
-const (
-	// GaugeSigbuildWorkers is the size of the sigbuild worker pool.
-	GaugeSigbuildWorkers = "sigbuild_workers"
-	// GaugeSigbuildUtilization is total worker busy time divided by
-	// (workers × fan-out wall time), in [0, 1].
-	GaugeSigbuildUtilization = "sigbuild_worker_utilization"
-	// GaugeSliceWorkers / GaugeSliceUtilization are the analogous pool
-	// metrics for the slice-extraction fan-out.
-	GaugeSliceWorkers     = "slice_workers"
-	GaugeSliceUtilization = "slice_worker_utilization"
 )
 
 // Collector accumulates phases, counters and gauges for one analysis run.
@@ -444,33 +431,6 @@ func (s *Shard) Observe(name string, ns int64) {
 		s.hists[name] = h
 	}
 	h.Observe(ns)
-}
-
-// Merge adds o's counts into s and resets o. Both shards must be quiescent
-// (their owning goroutines done writing); used to fold worker shards into a
-// caller-owned shard when no Collector is threaded through. Spans recorded
-// on o flush straight to its own tracer track.
-func (s *Shard) Merge(o *Shard) {
-	if s == nil || o == nil {
-		return
-	}
-	for k, v := range o.counts {
-		s.counts[k] += v
-	}
-	for k, oh := range o.hists {
-		h := s.hists[k]
-		if h == nil {
-			if s.hists == nil {
-				s.hists = map[string]*Hist{}
-			}
-			h = &Hist{}
-			s.hists[k] = h
-		}
-		h.merge(oh)
-	}
-	o.counts = map[string]int64{}
-	o.hists = nil
-	o.flushSpans()
 }
 
 // PhaseProfile is one timed pipeline stage.

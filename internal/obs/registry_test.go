@@ -65,7 +65,7 @@ func TestPrometheusExposition(t *testing.T) {
 	done := c.Phase(PhaseSlice)
 	done()
 	c.Add(CtrCacheReportHits, 2)
-	c.Gauge(GaugeSliceWorkers, 4)
+	c.Gauge("slice_workers", 4)
 	sh := c.NewShard()
 	sh.Observe(HistSliceJob, 5_000)
 	c.Drain(sh)

@@ -1,11 +1,11 @@
 // Span tracing: the second side of the observability layer. Where the
 // Collector aggregates per-phase totals, the Tracer keeps every individual
 // unit of work as a hierarchical span — run → phase → slice job / sigbuild
-// worker → taint fixpoint — and exports the result as Chrome trace-event
+// job → taint fixpoint — and exports the result as Chrome trace-event
 // JSON, loadable in Perfetto or chrome://tracing.
 //
 // Concurrency model mirrors the counter shards: hot paths record spans on
-// the unsynchronized per-worker Shard they already own (no locks, no
+// the unsynchronized Shard they already own (no locks, no
 // atomics, no allocation beyond the span buffer append), and the
 // coordinator flushes them into the Tracer when it drains the shard at
 // phase end. Coordinator-side spans (the run and the phases) go through

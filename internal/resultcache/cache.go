@@ -193,10 +193,9 @@ func HashBytes(data []byte) string {
 
 // Fingerprint canonically renders every report-affecting core.Options
 // field. Fields that cannot change the report's content are deliberately
-// excluded: Workers (output is deterministic regardless), Tracer and the
-// profile machinery (recomputed per run), and Deadline/Cancel/Faults
-// (time- and fault-dependent degradation is never cached — see core's
-// clean-runs-only store policy). The deterministic step budgets DO
+// excluded: Tracer and the profile machinery (recomputed per run), and
+// Deadline/Cancel/Faults (time- and fault-dependent degradation is never
+// cached — see core's clean-runs-only store policy). The deterministic step budgets DO
 // participate, because a truncating budget changes which transactions
 // survive. A custom semantic model makes the options non-cacheable (second
 // return false): two distinct models would collide on one fingerprint.

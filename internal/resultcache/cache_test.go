@@ -447,7 +447,6 @@ func TestKeySensitivity(t *testing.T) {
 	// must not fork the cache.
 	neutral := map[string]func(*core.Options){
 		"deadline": func(o *core.Options) { o.Deadline = 1 },
-		"workers":  func(o *core.Options) { o.Workers = 7 },
 		"tracer":   func(o *core.Options) { o.Tracer = obs.NewTracer() },
 		"obs":      func(o *core.Options) { o.Obs = obs.NewRegistry() },
 		"events":   func(o *core.Options) { o.Events = obs.NewEventLog(io.Discard) },

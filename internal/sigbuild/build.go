@@ -77,7 +77,7 @@ func Build(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 
 // BuildObs is Build with workload counters: methods abstractly interpreted
 // are recorded in stats when non-nil. The shard is unsynchronized and must
-// be owned by the calling goroutine (one shard per sigbuild worker).
+// be owned by the calling goroutine.
 func BuildObs(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 	tx *slice.Transaction, stats *obs.Shard) (*RequestSig, *ResponseSig, error) {
 	return BuildBudgeted(p, model, cg, tx, stats, nil)

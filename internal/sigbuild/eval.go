@@ -41,7 +41,7 @@ type evaluator struct {
 
 	nextAlloc int // allocation-site counter for object identity
 
-	// stats counts methods abstractly interpreted; owned by the worker
+	// stats counts methods abstractly interpreted; owned by the
 	// goroutine running this evaluator. Nil disables counting. methods is
 	// the same count kept per-evaluator for the BuildInfo provenance.
 	stats   *obs.Shard

@@ -14,7 +14,6 @@ package slice
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -75,24 +74,18 @@ type Options struct {
 	// extension it proposes ("intents can be handled by modeling the
 	// implicit control flow"), off by default.
 	IncludeIntents bool
-	// Workers bounds the extraction worker pool: 0 means GOMAXPROCS, 1
-	// forces serial extraction. Output is deterministic regardless.
-	Workers int
-	// Stats receives workload counters (slices computed, taint facts
-	// propagated) when Col is nil. Workers count into private shards that
-	// are merged in after the pool drains, so a nil shard is fine.
-	Stats *obs.Shard
-	// Col, when non-nil, receives the worker shards and the pool gauges
-	// (slice_workers, slice_worker_utilization) instead of Stats.
+	// Col, when non-nil, receives the extraction counters, the per-job
+	// latency histogram and, with a tracer or flight recorder armed, one
+	// span per job.
 	Col *obs.Collector
 	// Summaries, when non-nil, is a shared taint transfer-summary cache
 	// (see taint.SummaryCache); nil uses a cache private to this call.
 	Summaries *taint.SummaryCache
 	// Budget, when non-nil, bounds extraction: jobs check it at their
 	// boundaries, taint fixpoints at their loop heads, and exhausted or
-	// panicking jobs degrade into diagnostics instead of crashing. Step
-	// budgets force serial extraction so the completed-transaction set is
-	// a deterministic prefix of the unbudgeted run.
+	// panicking jobs degrade into diagnostics instead of crashing. Jobs run
+	// in order, so a step budget completes a deterministic prefix of the
+	// unbudgeted run's transactions.
 	Budget *budget.Budget
 }
 
@@ -113,11 +106,9 @@ func (j sliceJob) id() string {
 }
 
 // Find enumerates all transactions of the program. Jobs — one per (entry
-// point, DP site) pair — are enumerated sequentially in deterministic order,
-// extracted across a bounded worker pool, and assembled positionally, so the
-// output is identical to serial extraction. Workers share the per-program
-// analysis caches (callgraph reachability/types, taint summaries), which are
-// safe for concurrent readers.
+// point, DP site) pair — are enumerated in deterministic order and
+// extracted one after another; transaction IDs follow job order, skipping
+// jobs that produced no transaction.
 func Find(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, opts Options) []*Transaction {
 	txs, _ := FindBudgeted(p, model, cg, opts)
 	return txs
@@ -155,42 +146,26 @@ func FindBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, opt
 		sums = taint.NewSummaryCache()
 	}
 	bud := opts.Budget
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	// Step pools drain in job order: force serial extraction so exhaustion
-	// always cuts the job list at the same deterministic prefix.
-	if bud.HasStepLimits() && workers > 1 {
-		workers = 1
-	}
-
-	fanStart := time.Now()
-	results := make([]*Transaction, len(jobs))
-	diags := make([]*budget.Diagnostic, len(jobs))
-	runJob := func(i int, stats *obs.Shard) {
-		j := jobs[i]
+	stats := opts.Col.NewShard()
+	var out []*Transaction
+	var diags []budget.Diagnostic
+	runJob := func(j sliceJob) {
 		id := j.id()
 		defer func() {
 			if r := recover(); r != nil {
-				results[i] = nil
 				d := budget.PanicDiag(budget.PhaseSlice, id, r)
 				d.Flight = stats.FlightDump()
-				diags[i] = &d
+				diags = append(diags, d)
 			}
 		}()
 		if ex := bud.SliceExhausted(id); ex != nil {
-			d := budget.SkippedDiag(budget.PhaseSlice, id, ex.Limit)
-			diags[i] = &d
+			diags = append(diags, budget.SkippedDiag(budget.PhaseSlice, id, ex.Limit))
 			return
 		}
 		if ex := bud.Over(budget.PhaseSlice, id); ex != nil {
 			d := budget.SkippedDiag(budget.PhaseSlice, id, ex.Limit)
 			d.Flight = stats.FlightDump()
-			diags[i] = &d
+			diags = append(diags, d)
 			return
 		}
 		// The span starts before the fault probe so a panicking job is
@@ -201,93 +176,28 @@ func FindBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, opt
 		t0 := time.Now()
 		tx := buildTransaction(p, model, cg, opts, j, stats, sums)
 		ns := time.Since(t0).Nanoseconds()
+		stats.Add(obs.CtrSliceJobs, 1)
+		stats.Add(obs.CtrSliceBusyNS, ns)
+		stats.Observe(obs.HistSliceJob, ns)
 		if ex := truncatedBy(tx); ex != nil {
 			// A partial slice would produce a wrong signature: drop the
 			// transaction and say exactly what was lost.
 			d := budget.ExceededDiag(ex)
 			d.Site = id
 			d.Flight = stats.FlightDump()
-			diags[i] = &d
-			tx = nil
+			diags = append(diags, d)
+			return
 		}
-		results[i] = tx
-		stats.Add(obs.CtrSliceJobs, 1)
-		stats.Add(obs.CtrSliceBusyNS, ns)
-		stats.Observe(obs.HistSliceJob, ns)
-	}
-	// Shards come from the collector when one is threaded through, so each
-	// worker lands on its own tracer track; standalone shards stay untraced.
-	newShard := func() *obs.Shard {
-		if opts.Col != nil {
-			return opts.Col.NewShard()
-		}
-		return obs.NewShard()
-	}
-	drain := func(s *obs.Shard) {
-		if opts.Col != nil {
-			opts.Col.Drain(s)
-		} else {
-			opts.Stats.Merge(s)
+		if tx != nil {
+			tx.ID = len(out) + 1
+			out = append(out, tx)
 		}
 	}
-
-	if workers > 1 {
-		var wg sync.WaitGroup
-		ch := make(chan int)
-		shards := make([]*obs.Shard, workers)
-		for w := 0; w < workers; w++ {
-			shard := newShard()
-			shards[w] = shard
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range ch {
-					runJob(i, shard)
-				}
-			}()
-		}
-		for i := range jobs {
-			ch <- i
-		}
-		close(ch)
-		wg.Wait()
-		for _, shard := range shards {
-			drain(shard)
-		}
-	} else {
-		shard := newShard()
-		for i := range jobs {
-			runJob(i, shard)
-		}
-		drain(shard)
+	for _, j := range jobs {
+		runJob(j)
 	}
-
-	if opts.Col != nil && workers > 0 {
-		opts.Col.Gauge(obs.GaugeSliceWorkers, float64(workers))
-		totalBusy := opts.Col.Snapshot().Counter(obs.CtrSliceBusyNS)
-		if wall := time.Since(fanStart).Nanoseconds(); wall > 0 {
-			opts.Col.Gauge(obs.GaugeSliceUtilization,
-				float64(totalBusy)/float64(int64(workers)*wall))
-		}
-	}
-
-	// Positional assembly: IDs follow job enumeration order, skipping jobs
-	// that produced no transaction — identical to the serial numbering.
-	var out []*Transaction
-	for _, tx := range results {
-		if tx == nil {
-			continue
-		}
-		tx.ID = len(out) + 1
-		out = append(out, tx)
-	}
-	var degraded []budget.Diagnostic
-	for _, d := range diags {
-		if d != nil {
-			degraded = append(degraded, *d)
-		}
-	}
-	return out, degraded
+	opts.Col.Drain(stats)
+	return out, diags
 }
 
 // truncatedBy returns the budget error that cut one of tx's slices short,
@@ -459,7 +369,7 @@ func Augment(p *ir.Program, model *semmodel.Model, res *taint.Result) {
 }
 
 // augPool recycles augmentation scratch state across transactions and
-// worker goroutines: the bucket and worklist capacity a warm scratch
+// goroutines: the bucket and worklist capacity a warm scratch
 // carries makes repeat augmentation allocation-free.
 var augPool sync.Pool
 

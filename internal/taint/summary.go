@@ -103,7 +103,7 @@ type cHeapSite struct {
 // program-wide heap access index, and owns the symbol table heap locations
 // and source/sink tags are interned through. One cache may be shared by any
 // number of engines analyzing the same (program, model, call graph) triple —
-// core.Analyze shares one across all slice workers and the pairing flow
+// core.Analyze shares one across all slice jobs and the pairing flow
 // checks — and is safe for concurrent use. The zero value is not usable;
 // call NewSummaryCache.
 //

@@ -158,9 +158,8 @@ func TestPrivateSummaryCacheRepeatedQueries(t *testing.T) {
 	}
 }
 
-// Concurrent engines sharing one cache (the slice worker pool shape) must
-// be race-free and produce the same slices as serial execution. Run under
-// -race via ci.sh.
+// Concurrent engines sharing one cache must be race-free and produce the
+// same slices as serial execution. Run under -race via ci.sh.
 func TestSharedSummaryCacheConcurrent(t *testing.T) {
 	t.Run("helper", func(t *testing.T) {
 		p := sharedHelperApp()

@@ -366,8 +366,8 @@ func (w *denseWorklist) pop() (cFact, bool) {
 // trips mid-run the partial result is marked Truncated and returned as-is.
 func (e *Engine) run(w *denseWorklist, res *Result, dir direction, site string) {
 	defer e.flushTallies()
-	// One span per fixpoint run, nested inside the job span of whichever
-	// worker owns this engine's shard. Free when tracing is off.
+	// One span per fixpoint run, nested inside the job span on this
+	// engine's shard. Free when tracing is off.
 	cat := obs.CatTaintBackward
 	if dir == dirForward {
 		cat = obs.CatTaintForward
