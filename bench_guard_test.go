@@ -132,22 +132,27 @@ func TestBenchRegressionGuard(t *testing.T) {
 // ---- Disabled-tracer zero-allocation guard ------------------------------------
 
 // TestTracerDisabledZeroAlloc pins the tentpole's zero-cost contract
-// absolutely (no slack factors): the span-instrumented hot path must not
-// allocate at all when tracing is off. Any alloc here multiplies by every
-// taint fact of every slice of every app.
+// absolutely (no slack factors) on BenchmarkTracerDisabled's loop body:
+// the span-instrumented hot path must not allocate at all when tracing is
+// off. Any alloc here multiplies by every taint fact of every slice of
+// every app. The same body on a shard with only the flight recorder armed
+// (the -flight hot path, recording into a fixed ring) must not allocate
+// either.
 func TestTracerDisabledZeroAlloc(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on instrumented paths")
 	}
-	res := testing.Benchmark(BenchmarkTracerDisabled)
-	if res.N == 0 {
-		t.Fatal("benchmark failed to run")
-	}
-	if a := res.AllocsPerOp(); a != 0 {
-		t.Errorf("disabled-tracer hot path makes %d allocs/op, want 0", a)
+	flight := obs.NewCollector()
+	flight.EnableFlight()
+	for name, s := range map[string]*obs.Shard{"disabled-tracer": obs.NewShard(), "flight-only": flight.NewShard()} {
+		s.Add(obs.CtrTaintFacts, 1)
+		if a := testing.AllocsPerRun(1000, func() {
+			sp := s.Span(obs.CatTaintBackward, "bench")
+			s.Add(obs.CtrTaintFacts, 1)
+			sp.End()
+		}); a != 0 {
+			t.Errorf("%s hot path makes %v allocs/op, want 0", name, a)
+		}
 	}
 }
 

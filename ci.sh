@@ -122,4 +122,23 @@ grep -q 'ground-truth labels reproduced: 500/500' "$smoke/classify.txt"
 echo "== bench smoke"
 go test -run=NONE -bench=. -benchtime=1x .
 
+echo "== perfbench correctness smoke"
+# The benchmark harness's own checks on two short runs: every operation's
+# report digest, truth counts and cache verdicts must hold ("correct":true,
+# "failed":0). The traced run also cross-checks core.Analyze's profile
+# counters against the standalone layer chain.
+for args in "--workload corpus-cold --seconds 3 --trace 1" \
+    "--workload gen-cold --seconds 3 --trace 0"; do
+    # shellcheck disable=SC2086 # args is a word list on purpose
+    bash perfbench/run.sh $args > "$smoke/perfbench.txt"
+    grep '^{"attempted"' "$smoke/perfbench.txt" > "$smoke/perfbench.res" || true
+    if [ ! -s "$smoke/perfbench.res" ] \
+        || grep -v '"correct":true' "$smoke/perfbench.res" | grep -q . \
+        || grep -Ev '"failed":0[,}]' "$smoke/perfbench.res" | grep -q .; then
+        echo "perfbench $args: incorrect or failed operations"
+        cat "$smoke/perfbench.txt"
+        exit 1
+    fi
+done
+
 echo "CI OK"

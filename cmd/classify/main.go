@@ -32,7 +32,7 @@
 //	             127.0.0.1:0): /metrics in Prometheus text format,
 //	             /healthz, and /debug/pprof/*; the bound address is
 //	             printed to stderr
-//	-events file append a structured JSONL event stream to this file
+//	-events file write a structured JSONL event stream to this file
 //	-list        list corpus applications and exit
 package main
 
@@ -68,7 +68,7 @@ func main() {
 	flag.IntVar(&cfg.repeat, "repeat", 1, "stream the traffic this many times")
 	flag.BoolVar(&cfg.profile, "profile", false, "append the classification profile as JSON")
 	flag.StringVar(&cfg.opsAddr, "ops", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
-	flag.StringVar(&cfg.eventsFile, "events", "", "append the structured JSONL event stream to this file (empty = off)")
+	flag.StringVar(&cfg.eventsFile, "events", "", "write the structured JSONL event stream to this file (empty = off)")
 	list := flag.Bool("list", false, "list corpus applications and exit")
 	flag.Parse()
 
@@ -100,61 +100,17 @@ type config struct {
 	eventsFile string
 }
 
-// telemetry is the live ops plane behind -ops/-events: a registry for
-// exposition, the HTTP listener, and the structured event log. The zero
-// value (no flags) is fully off and costs nothing on the matching path.
-type telemetry struct {
-	reg *obs.Registry
-	srv *ops.Server
-	ev  *obs.EventLog
-}
-
-// openTelemetry starts whatever the -ops/-events flags ask for. The bound
-// ops address is announced on stderr (stdout carries the report) so
-// scripts can discover a :0 listener.
-func openTelemetry(opsAddr, eventsFile string) (*telemetry, error) {
-	t := &telemetry{}
-	if opsAddr != "" {
-		t.reg = obs.NewRegistry()
-		srv, err := ops.Serve(opsAddr, t.reg)
-		if err != nil {
-			return nil, fmt.Errorf("ops: %w", err)
-		}
-		t.srv = srv
-		fmt.Fprintf(os.Stderr, "ops: serving on %s\n", srv.URL())
-	}
-	if eventsFile != "" {
-		f, err := os.Create(eventsFile)
-		if err != nil {
-			t.srv.Close()
-			return nil, fmt.Errorf("events: %w", err)
-		}
-		t.ev = obs.NewEventLog(f)
-	}
-	return t, nil
-}
-
-// close shuts the listener down and flushes the event log; the first
-// error wins.
-func (t *telemetry) close() error {
-	err := t.srv.Close()
-	if e := t.ev.Close(); err == nil {
-		err = e
-	}
-	return err
-}
-
 func run(cfg config) (err error) {
-	tel, err := openTelemetry(cfg.opsAddr, cfg.eventsFile)
+	tel, err := ops.Open(cfg.opsAddr, cfg.eventsFile)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := tel.close(); err == nil {
+		if e := tel.Close(); err == nil {
 			err = e
 		}
 	}()
-	rep, app, err := loadReport(cfg, tel)
+	rep, app, err := loadReport(cfg, tel.Reg)
 	if err != nil {
 		return err
 	}
@@ -181,11 +137,10 @@ func run(cfg config) (err error) {
 	// (obs.HistClassifyEntry); it feeds both -profile and a live -ops
 	// scrape, and is nil — zero clock reads — when neither is on.
 	var col *obs.Collector
-	if cfg.profile || tel.reg != nil {
+	if cfg.profile || cfg.opsAddr != "" {
 		col = obs.NewCollector()
-		col.SetEvents(tel.ev, rep.Package)
-		tel.reg.Attach(col)
-		defer tel.reg.Detach(col)
+		tel.Reg.Attach(col, rep.Package)
+		defer tel.Reg.Detach(col)
 	}
 
 	bundle := sigvm.Compile(rep)
@@ -254,7 +209,7 @@ func printProfile(rep *core.Report, col *obs.Collector) error {
 // loadReport resolves the analysis target: a corpus app by name, or an
 // .apkb container by path. The signature-derivation analysis carries the
 // run's telemetry hooks, so its phases land on a live -ops endpoint too.
-func loadReport(cfg config, tel *telemetry) (*core.Report, *corpus.App, error) {
+func loadReport(cfg config, reg *obs.Registry) (*core.Report, *corpus.App, error) {
 	switch {
 	case cfg.appName != "" && cfg.apkbPath != "":
 		return nil, nil, fmt.Errorf("give either -app or an .apkb path, not both")
@@ -267,8 +222,7 @@ func loadReport(cfg config, tel *telemetry) (*core.Report, *corpus.App, error) {
 		if app.Spec.OpenSource {
 			opts.MaxAsyncHops = 0
 		}
-		opts.Obs = tel.reg
-		opts.Events = tel.ev
+		opts.Obs = reg
 		rep, err := core.Analyze(app.Prog, opts)
 		return rep, app, err
 	case cfg.apkbPath != "":
@@ -281,8 +235,7 @@ func loadReport(cfg config, tel *telemetry) (*core.Report, *corpus.App, error) {
 			return nil, nil, err
 		}
 		opts := core.NewOptions()
-		opts.Obs = tel.reg
-		opts.Events = tel.ev
+		opts.Obs = reg
 		rep, err := core.Analyze(prog, opts)
 		return rep, nil, err
 	default:

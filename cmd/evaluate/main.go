@@ -36,7 +36,8 @@
 //	                             serial/parallel, cold/warm cache,
 //	                             budgeted/unbudgeted, interpretive/compiled
 //	                             signature matcher); exits nonzero on any
-//	                             mismatch
+//	                             mismatch. Combines only with -ops, -events
+//	                             and -deadline (the budgeted axis' limit)
 //	evaluate -ops addr           serve the live ops plane on addr (e.g.
 //	                             :9090 or 127.0.0.1:0): /metrics in
 //	                             Prometheus text format, /healthz, and
@@ -44,12 +45,12 @@
 //	                             printed to stderr; composes with every
 //	                             mode including -gen, so a long
 //	                             differential run can be watched live
-//	evaluate -events file        append a structured JSONL event stream
+//	evaluate -events file        write a structured JSONL event stream
 //	                             (run, phase, cache and diagnostic events
 //	                             with monotonic sequence numbers) to file
 //	evaluate -flight             arm the crash flight recorder: panic and
-//	                             deadline diagnostics carry each worker's
-//	                             most recent spans
+//	                             deadline diagnostics carry the most recent
+//	                             spans of the failed job's track
 package main
 
 import (
@@ -74,9 +75,9 @@ func main() {
 	flag.DurationVar(&cfg.deadline, "deadline", 0, "per-app analysis deadline (0 = unlimited)")
 	flag.StringVar(&cfg.traceFile, "trace", "", "write a corpus-wide Chrome trace-event JSON timeline to this file")
 	flag.StringVar(&cfg.cacheDir, "cache", "", "persistent report cache directory (empty = off)")
-	flag.StringVar(&cfg.gen, "gen", "", "run the differential harness over a generated corpus, as seed:N (e.g. 1729:500)")
+	flag.StringVar(&cfg.gen, "gen", "", "run the differential harness over a generated corpus, as seed:N (e.g. 1729:500); combines only with -deadline, -ops and -events")
 	flag.StringVar(&cfg.opsAddr, "ops", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
-	flag.StringVar(&cfg.eventsFile, "events", "", "append the structured JSONL event stream to this file (empty = off)")
+	flag.StringVar(&cfg.eventsFile, "events", "", "write the structured JSONL event stream to this file (empty = off)")
 	flag.BoolVar(&cfg.flight, "flight", false, "arm the crash flight recorder (recent-span dumps in diagnostics)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
@@ -99,69 +100,42 @@ type config struct {
 	flight     bool
 }
 
-// telemetry is the live ops plane behind -ops/-events: a registry for
-// exposition, the HTTP listener, and the structured event log. The zero
-// value (no flags) is fully off and costs nothing on the analysis path.
-type telemetry struct {
-	reg *obs.Registry
-	srv *ops.Server
-	ev  *obs.EventLog
-}
-
-// openTelemetry starts whatever the -ops/-events flags ask for. The bound
-// ops address is announced on stderr (stdout carries the artifacts) so
-// scripts can discover a :0 listener.
-func openTelemetry(opsAddr, eventsFile string) (*telemetry, error) {
-	t := &telemetry{}
-	if opsAddr != "" {
-		t.reg = obs.NewRegistry()
-		srv, err := ops.Serve(opsAddr, t.reg)
-		if err != nil {
-			return nil, fmt.Errorf("ops: %w", err)
-		}
-		t.srv = srv
-		fmt.Fprintf(os.Stderr, "ops: serving on %s\n", srv.URL())
-	}
-	if eventsFile != "" {
-		f, err := os.Create(eventsFile)
-		if err != nil {
-			t.srv.Close()
-			return nil, fmt.Errorf("events: %w", err)
-		}
-		t.ev = obs.NewEventLog(f)
-	}
-	return t, nil
-}
-
-// close shuts the listener down and flushes the event log; the first
-// error wins.
-func (t *telemetry) close() error {
-	err := t.srv.Close()
-	if e := t.ev.Close(); err == nil {
-		err = e
-	}
-	return err
-}
-
 func run(cfg config) (err error) {
-	tel, err := openTelemetry(cfg.opsAddr, cfg.eventsFile)
+	if cfg.gen != "" {
+		// The differential harness honours only -deadline, -ops and
+		// -events: refuse the artifact flags before any work instead of
+		// silently ignoring them.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-trace", cfg.traceFile != ""}, {"-flight", cfg.flight},
+			{"-profile", cfg.profile}, {"-cache", cfg.cacheDir != ""},
+			{"-serial", cfg.serial}, {"-only", cfg.only != ""},
+		} {
+			if f.set {
+				return fmt.Errorf("%s cannot be combined with -gen", f.name)
+			}
+		}
+	}
+	tel, err := ops.Open(cfg.opsAddr, cfg.eventsFile)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := tel.close(); err == nil {
+		if e := tel.Close(); err == nil {
 			err = e
 		}
 	}()
 	if cfg.gen != "" {
-		return runDifferential(cfg, tel)
+		return runDifferential(cfg, tel.Reg)
 	}
-	return runArtifacts(cfg, tel)
+	return runArtifacts(cfg, tel.Reg)
 }
 
 // runDifferential parses "seed:N" and runs the differential-testing
 // harness; any cross-axis mismatch is an error (nonzero exit).
-func runDifferential(cfg config, tel *telemetry) error {
+func runDifferential(cfg config, reg *obs.Registry) error {
 	seedStr, nStr, ok := strings.Cut(cfg.gen, ":")
 	if !ok {
 		return fmt.Errorf("-gen wants seed:N, got %q", cfg.gen)
@@ -175,8 +149,7 @@ func runDifferential(cfg config, tel *telemetry) error {
 		return fmt.Errorf("-gen wants a positive app count, got %q", nStr)
 	}
 	res, err := evaluate.RunDifferential(evaluate.DiffConfig{
-		Seed: seed, N: n, BudgetDeadline: cfg.deadline,
-		Obs: tel.reg, Events: tel.ev,
+		Seed: seed, N: n, BudgetDeadline: cfg.deadline, Obs: reg,
 	})
 	if err != nil {
 		return err
@@ -188,7 +161,7 @@ func runDifferential(cfg config, tel *telemetry) error {
 	return nil
 }
 
-func runArtifacts(cfg config, tel *telemetry) error {
+func runArtifacts(cfg config, reg *obs.Registry) error {
 	only := cfg.only
 	want := func(name string) bool { return only == "" || only == name }
 
@@ -199,7 +172,7 @@ func runArtifacts(cfg config, tel *telemetry) error {
 	if needCorpus || cfg.profile || cfg.traceFile != "" {
 		rcfg := evaluate.RunConfig{
 			Deadline: cfg.deadline, Trace: cfg.traceFile != "", CacheDir: cfg.cacheDir,
-			Obs: tel.reg, Events: tel.ev, Flight: cfg.flight,
+			Obs: reg, Flight: cfg.flight,
 		}
 		if cfg.serial {
 			rcfg.Workers = 1

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestRunSingleArtifacts(t *testing.T) {
 	// The cheap artifacts that do not require the full corpus sweep.
@@ -28,5 +33,36 @@ func TestRunProfile(t *testing.T) {
 	// observability rendering must succeed end to end.
 	if err := run(config{only: "timing", profile: true}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunGenRejectsIgnoredFlags: the -gen harness honours only -deadline,
+// -ops and -events, so every other artifact flag is an error that names
+// the flag, returned before any work (no trace file, no cache directory).
+func TestRunGenRejectsIgnoredFlags(t *testing.T) {
+	dir := t.TempDir()
+	traceFile := filepath.Join(dir, "x.json")
+	cacheDir := filepath.Join(dir, "cache")
+	for _, tc := range []struct {
+		flag string
+		cfg  config
+	}{
+		{"-trace", config{traceFile: traceFile}},
+		{"-flight", config{flight: true}},
+		{"-profile", config{profile: true}},
+		{"-cache", config{cacheDir: cacheDir}},
+		{"-serial", config{serial: true}},
+		{"-only", config{only: "table1"}},
+	} {
+		tc.cfg.gen = "1729:3"
+		err := run(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("-gen with %s: err = %v, want an error naming %s", tc.flag, err, tc.flag)
+		}
+	}
+	for _, path := range []string{traceFile, cacheDir} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s exists after rejected -gen runs (stat err %v)", path, err)
+		}
 	}
 }

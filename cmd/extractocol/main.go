@@ -41,12 +41,13 @@
 //	                        127.0.0.1:0): /metrics in Prometheus text
 //	                        format, /healthz, and /debug/pprof/*; the bound
 //	                        address is printed to stderr
-//	-events file            append a structured JSONL event stream (run,
+//	-events file            write a structured JSONL event stream (run,
 //	                        phase, cache and diagnostic events with
 //	                        monotonic sequence numbers) to this file
 //	-flight                 arm the crash flight recorder: on a recovered
 //	                        panic or tripped deadline the diagnostic
-//	                        carries the most recent spans of its phase
+//	                        carries the most recent spans of its track,
+//	                        ending with the job that died
 package main
 
 import (
@@ -77,7 +78,7 @@ func main() {
 	flag.StringVar(&cfg.cacheDir, "cache", "", "persistent report cache directory (empty = off)")
 	flag.BoolVar(&cfg.security, "security", false, "annotate transactions with the security lens")
 	flag.StringVar(&cfg.opsAddr, "ops", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
-	flag.StringVar(&cfg.eventsFile, "events", "", "append the structured JSONL event stream to this file (empty = off)")
+	flag.StringVar(&cfg.eventsFile, "events", "", "write the structured JSONL event stream to this file (empty = off)")
 	flag.BoolVar(&cfg.flight, "flight", false, "arm the crash flight recorder (recent-span dumps in diagnostics)")
 	flag.Parse()
 
@@ -112,50 +113,6 @@ type config struct {
 	flight     bool
 }
 
-// telemetry is the live ops plane behind -ops/-events: a registry for
-// exposition, the HTTP listener, and the structured event log. The zero
-// value (no flags) is fully off and costs nothing on the analysis path.
-type telemetry struct {
-	reg *obs.Registry
-	srv *ops.Server
-	ev  *obs.EventLog
-}
-
-// openTelemetry starts whatever the -ops/-events flags ask for. The bound
-// ops address is announced on stderr (stdout carries the report) so
-// scripts can discover a :0 listener.
-func openTelemetry(opsAddr, eventsFile string) (*telemetry, error) {
-	t := &telemetry{}
-	if opsAddr != "" {
-		t.reg = obs.NewRegistry()
-		srv, err := ops.Serve(opsAddr, t.reg)
-		if err != nil {
-			return nil, fmt.Errorf("ops: %w", err)
-		}
-		t.srv = srv
-		fmt.Fprintf(os.Stderr, "ops: serving on %s\n", srv.URL())
-	}
-	if eventsFile != "" {
-		f, err := os.Create(eventsFile)
-		if err != nil {
-			t.srv.Close()
-			return nil, fmt.Errorf("events: %w", err)
-		}
-		t.ev = obs.NewEventLog(f)
-	}
-	return t, nil
-}
-
-// close shuts the listener down and flushes the event log; the first
-// error wins.
-func (t *telemetry) close() error {
-	err := t.srv.Close()
-	if e := t.ev.Close(); err == nil {
-		err = e
-	}
-	return err
-}
-
 func run(cfg config) (err error) {
 	data, err := os.ReadFile(cfg.path)
 	if err != nil {
@@ -165,12 +122,12 @@ func run(cfg config) (err error) {
 	if err != nil {
 		return err
 	}
-	tel, err := openTelemetry(cfg.opsAddr, cfg.eventsFile)
+	tel, err := ops.Open(cfg.opsAddr, cfg.eventsFile)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := tel.close(); err == nil {
+		if e := tel.Close(); err == nil {
 			err = e
 		}
 	}()
@@ -181,8 +138,7 @@ func run(cfg config) (err error) {
 	opts.MaxSliceSteps = cfg.sliceSteps
 	opts.MaxFixpointIters = cfg.fixIters
 	opts.Explain = cfg.explain
-	opts.Obs = tel.reg
-	opts.Events = tel.ev
+	opts.Obs = tel.Reg
 	opts.Flight = cfg.flight
 	if cfg.traceFile != "" {
 		opts.Tracer = obs.NewTracer()

@@ -75,18 +75,15 @@ type Options struct {
 
 	// Obs, when non-nil, attaches this run's collector to a process-wide
 	// registry for the duration of the Analyze call, so a live ops endpoint
-	// (internal/ops) can scrape in-flight phase latencies and counters.
-	// Never affects the report.
+	// (internal/ops) can scrape in-flight phase latencies and counters,
+	// and streams run, phase, cache and diagnostic events through the
+	// registry's event log, if it has one. Never affects the report.
 	Obs *obs.Registry
-	// Events, when non-nil, streams structured lifecycle events — run,
-	// phase and job boundaries, cache hits and stores, diagnostics — as
-	// JSONL through the shared log. Never affects the report.
-	Events *obs.EventLog
-	// Flight arms the flight recorder: the newest spans of every shard
-	// survive in a bounded ring, and a recovered panic or tripped deadline
-	// dumps the shard's ring into the resulting Diagnostic.Flight. Off by
-	// default — ring records carry wall-clock offsets, so dumps are opt-in
-	// to keep default reports byte-deterministic.
+	// Flight arms the flight recorder: the newest spans of every track
+	// survive, and a recovered panic or tripped deadline dumps the track's
+	// history, the failed job still open, into Diagnostic.Flight. Off by
+	// default — records carry wall-clock offsets, so dumps are opt-in to
+	// keep default reports byte-deterministic.
 	Flight bool
 
 	// Cache, when non-nil together with a non-empty CacheKey, serves and
@@ -310,25 +307,23 @@ func Analyze(p *ir.Program, opts Options) (rep *Report, err error) {
 	}()
 	col := obs.NewCollector()
 	col.SetTracer(opts.Tracer)
-	col.SetEvents(opts.Events, p.Manifest.Package)
 	if opts.Flight {
 		col.EnableFlight()
 	}
-	// Live exposition: the collector joins the process registry for the
-	// duration of the run, so a concurrent /metrics scrape sees this app's
-	// in-flight phases; Detach folds the final snapshot into the
-	// completed-runs aggregate (it runs before this function's own deferred
-	// recover, after all observations).
-	opts.Obs.Attach(col)
+	// Live exposition: the collector joins the process registry (and its
+	// event log) for the duration of the run, so a concurrent /metrics
+	// scrape sees this app's in-flight phases; Detach folds the final
+	// snapshot into the completed-runs aggregate (it runs before this
+	// function's own deferred recover, after all observations).
+	opts.Obs.Attach(col, p.Manifest.Package)
 	defer opts.Obs.Detach(col)
 	col.Event(obs.Event{Type: obs.EvRunStart})
 	defer func() {
 		col.Event(obs.Event{Type: obs.EvRunEnd, DurNS: time.Since(start).Nanoseconds()})
 	}()
 	// The run span brackets the whole pipeline on the coordinator track;
-	// nil-safe and free when tracing is off.
-	endRun := opts.Tracer.Span(obs.CatRun, p.Manifest.Package)
-	defer endRun()
+	// free when neither tracing nor the flight recorder is on.
+	defer col.Span(obs.CatRun, p.Manifest.Package).End()
 	model := opts.Model
 	if model == nil {
 		model = semmodel.Default()
@@ -585,6 +580,9 @@ func buildOne(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 	tx *slice.Transaction, stats *obs.Shard, bud *budget.Budget) (b built) {
 
 	site := fmt.Sprintf("%s@%d", tx.DP.Method, tx.DP.Index)
+	// The job span opens before BuildTraced's fault probe and ends after
+	// the dump, so a dying job is the open last line of its flight dump.
+	var sp obs.ActiveSpan
 	defer func() {
 		if r := recover(); r != nil {
 			b = built{err: &budget.Recovered{
@@ -592,13 +590,13 @@ func buildOne(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 				flight: stats.FlightDump()}
 			stats.Add(obs.CtrSigbuildErrors, 1)
 		}
+		sp.End()
 	}()
 	if ex := bud.Over(budget.PhaseSigbuild, site); ex != nil {
 		stats.Add(obs.CtrSigbuildErrors, 1)
 		return built{err: ex, flight: stats.FlightDump()}
 	}
-	sp := stats.Span(obs.CatSigbuildJob, site)
-	defer sp.End()
+	sp = stats.Span(obs.CatSigbuildJob, site)
 	t0 := time.Now()
 	r, rs, info, err := sigbuild.BuildTraced(p, model, cg, tx, stats, bud)
 	ns := time.Since(t0).Nanoseconds()

@@ -44,12 +44,12 @@ type DiffConfig struct {
 	// changes nothing, so a tripped budget is a mismatch, not noise.
 	// 0 means one minute.
 	BudgetDeadline time.Duration
-	// Obs and Events attach live telemetry (registry exposition, event
-	// stream) to every analysis the harness runs. Neither can affect the
-	// compared bytes: CanonicalReport strips Duration and Profile, and the
-	// harness itself is the regression gate proving that.
-	Obs    *obs.Registry
-	Events *obs.EventLog
+	// Obs attaches live telemetry (registry exposition, and the event
+	// stream when the registry carries a log) to every analysis the
+	// harness runs. It cannot affect the compared bytes: CanonicalReport
+	// strips Duration and Profile, and the harness itself is the
+	// regression gate proving that.
+	Obs *obs.Registry
 }
 
 // DiffMismatch is one app whose report diverged from the baseline.
@@ -212,12 +212,11 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 	apps := corpus.Rand(cfg.Seed, cfg.N)
 
 	// tel wraps an axis' option mutator so every analysis also carries the
-	// run's telemetry hooks (no-ops when cfg.Obs/cfg.Events are nil). A live
-	// -ops endpoint therefore sees the harness' collectors come and go.
+	// run's telemetry registry (a no-op when cfg.Obs is nil). A live -ops
+	// endpoint therefore sees the harness' collectors come and go.
 	tel := func(mutate func(*corpus.App, *core.Options) error) func(*corpus.App, *core.Options) error {
 		return func(app *corpus.App, opts *core.Options) error {
 			opts.Obs = cfg.Obs
-			opts.Events = cfg.Events
 			if mutate == nil {
 				return nil
 			}
@@ -341,7 +340,6 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 		for i, app := range apps {
 			aopts := optionsFor(app)
 			aopts.Obs = cfg.Obs
-			aopts.Events = cfg.Events
 			rep, err := core.Analyze(app.Prog, aopts)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", app.Spec.Name, err)

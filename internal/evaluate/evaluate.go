@@ -70,11 +70,10 @@ type RunConfig struct {
 	// from disk instead of re-analyzing it.
 	CacheDir string
 	// Obs attaches every app's collector to a process-wide registry for
-	// live /metrics exposition while the corpus runs (see internal/ops).
+	// live /metrics exposition while the corpus runs (see internal/ops);
+	// a registry with an event log also streams every app's run, phase,
+	// cache and diagnostic events to it.
 	Obs *obs.Registry
-	// Events streams run/phase/job lifecycle events for every app to one
-	// shared JSONL log.
-	Events *obs.EventLog
 	// Flight arms the flight recorder for every app (see
 	// core.Options.Flight).
 	Flight bool
@@ -93,7 +92,6 @@ func RunAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
 	opts.MaxFixpointIters = cfg.MaxFixpointIters
 	opts.Faults = cfg.Faults
 	opts.Obs = cfg.Obs
-	opts.Events = cfg.Events
 	opts.Flight = cfg.Flight
 	if cfg.Trace {
 		opts.Tracer = obs.NewTracer()

@@ -24,7 +24,6 @@ const (
 	EvCacheHit   = "cache_hit"
 	EvCacheStore = "cache_store"
 	EvDiagnostic = "diagnostic"
-	EvFlightDump = "flight_dump"
 )
 
 // Event is one JSONL record. Field order is fixed by the struct, so the
@@ -43,8 +42,9 @@ type Event struct {
 }
 
 // EventLog writes events as JSON lines. All methods are safe for
-// concurrent use and a nil *EventLog is a no-op, so the pipeline threads
-// one through unconditionally.
+// concurrent use and a nil *EventLog is a no-op. A Registry carries at
+// most one (Registry.LogEvents), and every collector attached to that
+// registry emits through it.
 type EventLog struct {
 	epoch time.Time
 
@@ -90,16 +90,6 @@ func (l *EventLog) Emit(e Event) {
 	if err := l.w.WriteByte('\n'); err != nil {
 		l.err = err
 	}
-}
-
-// Seq returns the last sequence number issued.
-func (l *EventLog) Seq() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
 }
 
 // Close flushes the stream, closes the underlying writer when it is a

@@ -16,6 +16,7 @@ package obs
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -110,22 +111,26 @@ const (
 type Collector struct {
 	start time.Time
 
-	// tr, when non-nil, turns the collector's phases into spans and binds
-	// every shard it hands out to a tracer track (see trace.go). Set once
-	// before the pipeline starts; nil keeps tracing strictly zero-cost.
+	// tr, when non-nil, registers the coordinator track and every shard
+	// handed out afterwards with a tracer (see trace.go), and samples the
+	// heap at each phase end. Set once before the pipeline starts; nil
+	// keeps tracing strictly zero-cost.
 	tr *Tracer
 
-	// ev/app, when set, stream lifecycle events (phase start/end here, job
-	// and run events at the instrumentation sites) to a structured event
-	// log tagged with the app under analysis (see events.go).
+	// ev/app, set by Registry.Attach when the registry carries an event
+	// log, stream lifecycle events (phase start/end here, run, cache and
+	// diagnostic events from core) tagged with the app under analysis (see
+	// events.go).
 	ev  *EventLog
 	app string
 
-	mu       sync.Mutex
-	flight   bool
-	ring     *flightRing
+	mu sync.Mutex
+	// spans is the coordinator track (see trace.go); nil when neither a
+	// tracer nor the flight recorder is attached.
+	spans *spanStore
+	// order lists phase names in first-start order; each phase's duration
+	// is the sum of its HistPhasePrefix histogram.
 	order    []string
-	phaseNS  map[string]int64
 	counters map[string]int64
 	gauges   map[string]float64
 	hists    map[string]*Hist
@@ -135,33 +140,42 @@ type Collector struct {
 func NewCollector() *Collector {
 	return &Collector{
 		start:    time.Now(),
-		phaseNS:  map[string]int64{},
 		counters: map[string]int64{},
 		gauges:   map[string]float64{},
 		hists:    map[string]*Hist{},
 	}
 }
 
-// SetTracer attaches a span tracer: phases become coordinator spans with a
-// ReadMemStats heap gauge sampled at each phase end, and shards created
-// afterwards record worker spans. A nil tracer (the default) is free.
+// SetTracer attaches a span tracer: the coordinator track and shards
+// created afterwards record into tracer tracks, and each phase end samples
+// a ReadMemStats heap gauge. A nil tracer (the default) is free.
 func (c *Collector) SetTracer(tr *Tracer) {
-	if c == nil {
+	if c == nil || tr == nil {
 		return
 	}
+	c.mu.Lock()
 	c.tr = tr
+	c.spans = c.newStore(true)
+	c.mu.Unlock()
 }
 
-// SetEvents attaches a structured event log: phases emit start/end events
-// tagged with the given app name, and shards created afterwards carry the
-// log so job-level instrumentation sites can emit through them. A nil log
-// (the default) is free.
-func (c *Collector) SetEvents(l *EventLog, app string) {
-	if c == nil {
-		return
+// newStore returns a span store for the coordinator track or a new shard:
+// unbounded and registered with the tracer when one is attached, a flight
+// ring when only the recorder is armed (EnableFlight marks the coordinator
+// store), nil otherwise. Callers hold c.mu.
+func (c *Collector) newStore(coordinator bool) *spanStore {
+	flight := c.spans != nil && c.spans.flight
+	var st *spanStore
+	switch {
+	case c.tr != nil:
+		st = c.tr.track(coordinator)
+	case flight:
+		st = newRing(c.start)
+	default:
+		return nil
 	}
-	c.ev = l
-	c.app = app
+	st.flight = flight
+	return st
 }
 
 // Event emits one event through the collector's log (no-op when none is
@@ -176,44 +190,56 @@ func (c *Collector) Event(e Event) {
 	c.ev.Emit(e)
 }
 
+// Span starts a span on the coordinator track: the run span, and each
+// phase through Phase. Worker spans go through Shard.Span instead. With
+// no coordinator store (or a nil collector) it returns the zero
+// ActiveSpan.
+func (c *Collector) Span(cat, name string) ActiveSpan {
+	if c == nil {
+		return ActiveSpan{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.span(cat, name)
+}
+
+// span is Span with c.mu held.
+func (c *Collector) span(cat, name string) ActiveSpan {
+	if c.spans == nil {
+		return ActiveSpan{}
+	}
+	return ActiveSpan{st: c.spans, tok: c.spans.start(cat, name), mu: &c.mu}
+}
+
 // Phase starts timing the named phase and returns the function that stops
-// it. Re-entering a phase name accumulates into the same entry. With a
-// tracer attached the phase is also recorded as a coordinator span, and
-// the post-phase heap size lands in the GaugeHeapAllocAfter gauges.
+// it. The duration is one observation of the phase's HistPhasePrefix
+// histogram, so re-entering a phase name accumulates into the same
+// Profile entry. The phase is also a coordinator span when a tracer or the
+// flight recorder is attached, and with a tracer the post-phase heap size
+// lands in the GaugeHeapAllocAfter gauges.
 func (c *Collector) Phase(name string) func() {
 	if c == nil {
 		return func() {}
 	}
 	t0 := time.Now()
-	endSpan := c.tr.Span(CatPhase, name)
-	tok := c.flightPush(CatPhase, name)
+	c.mu.Lock()
+	if !slices.Contains(c.order, name) {
+		c.order = append(c.order, name)
+	}
+	sp := c.span(CatPhase, name)
+	c.mu.Unlock()
 	c.Event(Event{Type: EvPhaseStart, Phase: name})
 	return func() {
 		ns := time.Since(t0).Nanoseconds()
-		c.AddPhaseNS(name, ns)
 		c.Observe(HistPhasePrefix+name, ns)
-		c.flightEnd(tok)
+		sp.End()
 		c.Event(Event{Type: EvPhaseEnd, Phase: name, DurNS: ns})
 		if c.tr != nil {
-			endSpan()
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			c.Gauge(GaugeHeapAllocAfter+name, float64(ms.HeapAlloc))
 		}
 	}
-}
-
-// AddPhaseNS adds ns nanoseconds to the named phase.
-func (c *Collector) AddPhaseNS(name string, ns int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.phaseNS[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.phaseNS[name] += ns
 }
 
 // Add increments the named counter by delta.
@@ -254,56 +280,23 @@ func (c *Collector) Observe(name string, ns int64) {
 
 // NewShard returns an unsynchronized counter shard. The shard must be
 // owned by exactly one goroutine until it is passed to Drain. When a
-// tracer is attached, the shard is bound to a fresh tracer track so the
-// owning worker's spans render on their own row.
+// tracer is attached the shard records on a fresh tracer track, so the
+// owning worker's spans render on their own row; with only the flight
+// recorder armed it keeps a flight ring.
 func (c *Collector) NewShard() *Shard {
 	s := &Shard{counts: map[string]int64{}}
 	if c == nil {
 		return s
 	}
-	if c.tr != nil {
-		s.tr = c.tr
-		s.tid = c.tr.allocTID()
-	}
-	s.ev, s.app = c.ev, c.app
 	c.mu.Lock()
-	if c.flight {
-		start := c.start
-		s.ring = newFlightRing(func() int64 { return time.Since(start).Nanoseconds() })
-	}
+	s.spans = c.newStore(false)
 	c.mu.Unlock()
 	return s
 }
 
-// flightPush records a coordinator-level span start into the collector's
-// flight ring; returns 0 when the recorder is unarmed.
-func (c *Collector) flightPush(cat, name string) uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ring == nil {
-		return 0
-	}
-	return c.ring.push(cat, name)
-}
-
-// flightEnd closes a coordinator-level flight record.
-func (c *Collector) flightEnd(tok uint64) {
-	if c == nil || tok == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ring != nil {
-		c.ring.end(tok)
-	}
-}
-
-// Drain merges a shard's counts into the collector, flushes its span
-// buffer into the tracer, and resets the shard. The shard's owner must
-// have stopped writing (e.g. after wg.Wait).
+// Drain merges a shard's counts and histograms into the collector and
+// resets them. The shard's owner must have stopped writing (e.g. after
+// wg.Wait). Its spans stay on its track.
 func (c *Collector) Drain(s *Shard) {
 	if c == nil || s == nil {
 		return
@@ -323,7 +316,6 @@ func (c *Collector) Drain(s *Shard) {
 	c.mu.Unlock()
 	s.counts = map[string]int64{}
 	s.hists = nil
-	s.flushSpans()
 }
 
 // Shard is a single-goroutine counter and span buffer: no locks, no
@@ -337,61 +329,20 @@ type Shard struct {
 	// Hist.Observe, with no allocation.
 	hists map[string]*Hist
 
-	// tr/tid bind the shard to a tracer track; nil tr (the default for
-	// standalone shards and untraced collectors) makes Span a no-op.
-	tr    *Tracer
-	tid   int64
-	spans []spanRec
-
-	// ring, when armed via Collector.EnableFlight, keeps the newest
-	// flightDepth spans for post-mortem dumps (see flight.go).
-	ring *flightRing
-
-	// ev/app let job-level instrumentation emit structured events without
-	// reaching back to the collector.
-	ev  *EventLog
-	app string
+	// spans is the shard's track (see trace.go); nil (the default for
+	// standalone shards and collectors with neither a tracer nor the
+	// flight recorder) makes Span a no-op.
+	spans *spanStore
 }
 
-// Event emits one event through the shard's log (no-op when none is
-// attached), tagged with the shard's app.
-func (s *Shard) Event(e Event) {
-	if s == nil || s.ev == nil {
-		return
-	}
-	if e.App == "" {
-		e.App = s.app
-	}
-	s.ev.Emit(e)
-}
-
-// Span starts a worker span on this shard's tracer track and, when the
-// flight recorder is armed, in the shard's flight ring. With neither bound
-// (or a nil shard) it returns the zero ActiveSpan and performs no
-// allocation, so hot loops may call it unconditionally.
+// Span starts a worker span on this shard's track. With no track (or a
+// nil shard) it returns the zero ActiveSpan and performs no allocation, so
+// hot loops may call it unconditionally.
 func (s *Shard) Span(cat, name string) ActiveSpan {
-	if s == nil || (s.tr == nil && s.ring == nil) {
+	if s == nil || s.spans == nil {
 		return ActiveSpan{}
 	}
-	a := ActiveSpan{s: s, idx: -1}
-	if s.tr != nil {
-		s.spans = append(s.spans, spanRec{cat: cat, name: name, start: s.tr.since()})
-		a.idx = len(s.spans) - 1
-	}
-	if s.ring != nil {
-		a.rseq = s.ring.push(cat, name)
-	}
-	return a
-}
-
-// flushSpans moves the shard's span buffer into its tracer (no-op when
-// untraced). The shard must be quiescent.
-func (s *Shard) flushSpans() {
-	if s == nil || s.tr == nil || len(s.spans) == 0 {
-		return
-	}
-	s.tr.flush(s.tid, s.spans)
-	s.spans = nil
+	return ActiveSpan{st: s.spans, tok: s.spans.start(cat, name)}
 }
 
 // NewShard returns a standalone shard not yet bound to a collector.
@@ -460,7 +411,9 @@ func (c *Collector) Snapshot() *Profile {
 	defer c.mu.Unlock()
 	p := &Profile{TotalNS: time.Since(c.start).Nanoseconds()}
 	for _, name := range c.order {
-		p.Phases = append(p.Phases, PhaseProfile{Name: name, DurationNS: c.phaseNS[name]})
+		if h := c.hists[HistPhasePrefix+name]; h != nil {
+			p.Phases = append(p.Phases, PhaseProfile{Name: name, DurationNS: h.sum})
+		}
 	}
 	if len(c.counters) > 0 {
 		p.Counters = make(map[string]int64, len(c.counters))

@@ -17,12 +17,14 @@ import (
 // Registry aggregates collectors across their lifetimes. Attach a
 // collector when its run starts and Detach it when the run ends; Gather
 // merges the final profiles of completed runs with live snapshots of
-// in-flight ones, so a scrape mid-corpus sees both. A nil *Registry is a
-// no-op everywhere, keeping telemetry strictly opt-in.
+// in-flight ones, so a scrape mid-corpus sees both. A registry with an
+// event log streams the lifecycle events of every attached collector. A
+// nil *Registry is a no-op everywhere, keeping telemetry strictly opt-in.
 type Registry struct {
 	start time.Time
 
 	mu        sync.Mutex
+	log       *EventLog
 	live      map[*Collector]bool
 	done      *Profile
 	started   int64
@@ -34,13 +36,26 @@ func NewRegistry() *Registry {
 	return &Registry{start: time.Now(), live: map[*Collector]bool{}, done: &Profile{}}
 }
 
-// Attach registers a live collector. The collector's snapshots become part
-// of Gather output until Detach.
-func (r *Registry) Attach(c *Collector) {
+// LogEvents streams the lifecycle events of every collector attached
+// afterwards through l (nil stops streaming).
+func (r *Registry) LogEvents(l *EventLog) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.log = l
+	r.mu.Unlock()
+}
+
+// Attach registers a live collector for the named app. The collector's
+// snapshots become part of Gather output until Detach, and its events go
+// to the registry's log tagged with app.
+func (r *Registry) Attach(c *Collector, app string) {
 	if r == nil || c == nil {
 		return
 	}
 	r.mu.Lock()
+	c.ev, c.app = r.log, app
 	r.live[c] = true
 	r.started++
 	r.mu.Unlock()

@@ -10,8 +10,8 @@ import (
 func TestRegistryGather(t *testing.T) {
 	r := NewRegistry()
 	a, b := NewCollector(), NewCollector()
-	r.Attach(a)
-	r.Attach(b)
+	r.Attach(a, "a")
+	r.Attach(b, "b")
 	a.Add(CtrTransactions, 3)
 	b.Add(CtrTransactions, 4)
 	a.Observe(HistAnalyze, 1_000)
@@ -44,7 +44,7 @@ func TestRegistryGather(t *testing.T) {
 
 func TestRegistryNilSafety(t *testing.T) {
 	var r *Registry
-	r.Attach(NewCollector())
+	r.Attach(NewCollector(), "app")
 	r.Detach(nil)
 	if r.Live() != 0 {
 		t.Fatal("nil registry Live should be 0")
@@ -61,7 +61,7 @@ func TestRegistryNilSafety(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	c := NewCollector()
-	r.Attach(c)
+	r.Attach(c, "app")
 	done := c.Phase(PhaseSlice)
 	done()
 	c.Add(CtrCacheReportHits, 2)
@@ -126,13 +126,17 @@ func TestPromFloat(t *testing.T) {
 func TestEventLogStream(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewEventLog(&buf)
+	r := NewRegistry()
+	r.LogEvents(l)
+	silent := NewCollector()
+	silent.Event(Event{Type: EvRunStart}) // not attached: no log
 	c := NewCollector()
-	c.SetEvents(l, "app1")
+	r.Attach(c, "app1")
 	done := c.Phase(PhaseValidate)
 	done()
 	c.Event(Event{Type: EvCacheHit, Site: "resultcache"})
-	sh := c.NewShard()
-	sh.Event(Event{Type: EvDiagnostic, Site: "slice:job3", Detail: "boom"})
+	c.Event(Event{Type: EvDiagnostic, Site: "slice:job3", Detail: "boom"})
+	r.Detach(c)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,25 +176,21 @@ func TestEventLogStream(t *testing.T) {
 
 	var nilLog *EventLog
 	nilLog.Emit(Event{Type: EvRunStart})
-	if nilLog.Seq() != 0 || nilLog.Close() != nil {
+	if nilLog.Close() != nil {
 		t.Fatal("nil event log should be a no-op")
 	}
 }
 
 func TestFlightRing(t *testing.T) {
 	c := NewCollector()
-	if c.FlightEnabled() {
-		t.Fatal("flight recorder should be off by default")
-	}
-	// Shards made before arming have no ring.
+	// Off by default, and shards made before arming have no ring.
+	c.Phase(PhaseValidate)()
 	cold := c.NewShard()
-	if cold.FlightDump() != nil {
-		t.Fatal("unarmed shard should have no flight history")
+	cold.Span(CatSliceJob, "cold").End()
+	if c.FlightDump() != nil || cold.FlightDump() != nil {
+		t.Fatal("unarmed collector and shard should have no flight history")
 	}
 	c.EnableFlight()
-	if !c.FlightEnabled() {
-		t.Fatal("EnableFlight did not arm")
-	}
 
 	s := c.NewShard()
 	sp := s.Span(CatSliceJob, "job-0")
@@ -241,7 +241,55 @@ func TestFlightRing(t *testing.T) {
 	}
 	var nilCol *Collector
 	nilCol.EnableFlight()
-	if nilCol.FlightDump() != nil || nilCol.FlightEnabled() {
+	if nilCol.FlightDump() != nil {
 		t.Fatal("nil collector flight should be inert")
+	}
+}
+
+// TestTracedFlightSharesStore arms a tracer and the flight recorder
+// together: each track keeps one unbounded store, the dump shows its
+// newest flightDepth records (an open span marked "…"), and the export
+// holds every span. With a tracer alone, nothing is dumped.
+func TestTracedFlightSharesStore(t *testing.T) {
+	tr := NewTracer()
+	c := NewCollector()
+	c.SetTracer(tr)
+	c.EnableFlight()
+	endRun := c.Span(CatRun, "app")
+	c.Phase(PhaseSlice)()
+	s := c.NewShard()
+	for i := 0; i < flightDepth+3; i++ {
+		s.Span(CatTaintBackward, "fix").End()
+	}
+	s.Span(CatSliceJob, "open")
+	dump := s.FlightDump()
+	if len(dump) != flightDepth || !strings.HasPrefix(dump[flightDepth-1], "slice open ") ||
+		!strings.HasSuffix(dump[flightDepth-1], "…") {
+		t.Fatalf("traced shard dump = %d lines, last %q", len(dump), dump[len(dump)-1])
+	}
+	cdump := c.FlightDump()
+	if len(cdump) != 2 || !strings.HasPrefix(cdump[0], "run app ") || !strings.HasSuffix(cdump[0], "…") ||
+		!strings.HasPrefix(cdump[1], "phase slice ") {
+		t.Fatalf("coordinator dump = %q", cdump)
+	}
+	endRun.End()
+	// process_name, two thread_names, then every span.
+	evs := tr.Export(1, "app").Events
+	spans := evs[3:]
+	if len(spans) != 2+flightDepth+4 {
+		t.Fatalf("export holds %d spans, want %d", len(spans), 2+flightDepth+4)
+	}
+	if spans[0].Cat != CatRun || spans[0].TID != 0 || spans[len(spans)-1].Name != "open" ||
+		spans[len(spans)-1].TID != 1 || spans[len(spans)-1].Dur != 0 {
+		t.Fatalf("spans out of order: first %+v, last %+v", spans[0], spans[len(spans)-1])
+	}
+
+	traceOnly := NewCollector()
+	traceOnly.SetTracer(NewTracer())
+	us := traceOnly.NewShard()
+	us.Span(CatSliceJob, "job").End()
+	traceOnly.Phase(PhaseSlice)()
+	if us.FlightDump() != nil || traceOnly.FlightDump() != nil {
+		t.Fatal("tracer without the flight recorder must not dump")
 	}
 }

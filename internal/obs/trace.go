@@ -1,24 +1,26 @@
 // Span tracing: the second side of the observability layer. Where the
-// Collector aggregates per-phase totals, the Tracer keeps every individual
-// unit of work as a hierarchical span — run → phase → slice job / sigbuild
-// job → taint fixpoint — and exports the result as Chrome trace-event
-// JSON, loadable in Perfetto or chrome://tracing.
+// Collector aggregates per-phase totals, spans keep every individual unit
+// of work — run → phase → slice job / sigbuild job → taint fixpoint — and
+// the Tracer exports them as Chrome trace-event JSON, loadable in Perfetto
+// or chrome://tracing.
 //
-// Concurrency model mirrors the counter shards: hot paths record spans on
-// the unsynchronized Shard they already own (no locks, no
-// atomics, no allocation beyond the span buffer append), and the
-// coordinator flushes them into the Tracer when it drains the shard at
-// phase end. Coordinator-side spans (the run and the phases) go through
-// the Tracer's mutex directly — they fire a handful of times per analysis.
+// Every track records into one span store: the coordinator's (track 0,
+// the run and the phases, behind the collector's mutex) and one per shard
+// (jobs and fixpoints, unsynchronized like the shard's counters). The
+// store is unbounded and registered with the Tracer when one is attached,
+// a flightDepth-deep ring when only the flight recorder is armed (see
+// flight.go), and absent otherwise. Export and the flight dumps both read
+// it, so a span is written once whichever of them asked for it.
 //
-// Everything is nil-safe: with no Tracer attached, Shard.Span is a pointer
-// test returning a zero ActiveSpan, so instrumented hot loops cost nothing
-// when tracing is off (benchmark-guarded by BenchmarkTracerDisabled).
+// Everything is nil-safe: with no store, Shard.Span is a pointer test
+// returning a zero ActiveSpan, so instrumented hot loops cost nothing when
+// telemetry is off (pinned by TestTracerDisabledZeroAlloc).
 package obs
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -48,127 +50,112 @@ const (
 // phase ends, lands in Profile.Gauges under "<prefix><phase>".
 const GaugeHeapAllocAfter = "heap_alloc_after_"
 
-// Span is one finished unit of traced work, timed relative to the tracer's
-// epoch. TID is the logical track: 0 for the coordinator, one per worker
-// shard otherwise.
-type Span struct {
-	TID   int64
-	Cat   string
-	Name  string
-	Start int64 // ns since the tracer's epoch
-	Dur   int64 // ns
-}
-
-// spanRec is the in-shard representation of a span: end is filled by
-// ActiveSpan.End, and zero (never ended, e.g. a panicking job) clamps to a
-// zero-duration span at flush.
+// spanRec is one recorded span: end stays -1 while the span is open, so a
+// flight dump can tell in-flight work (the usual suspect) from completed
+// work. Times are relative to the store's epoch: the tracer's when traced
+// (the epoch Export's timestamps share), the collector's start otherwise.
 type spanRec struct {
 	cat, name  string
-	start, end int64
+	start, end int64 // ns since the store's epoch
 }
 
-// ActiveSpan is a started span on a shard. It is a small value — never
-// heap-allocated — so starting and ending spans is allocation-free. The
-// zero ActiveSpan (tracing and flight recording both disabled) is a no-op.
-// idx indexes the shard's span buffer (-1 when untraced); rseq is the
-// flight-ring token (0 when the recorder is unarmed).
-type ActiveSpan struct {
-	s    *Shard
-	idx  int
-	rseq uint64
+// spanStore is the span history of one track. Pushes are numbered from 1
+// (the token ActiveSpan.End hands back); n counts pushes ever. A ring store
+// keeps only the newest flightDepth records in place, so recording never
+// allocates; an unbounded store appends.
+type spanStore struct {
+	epoch  time.Time
+	tid    int64
+	ring   bool
+	flight bool // FlightDump renders this store
+	n      uint64
+	recs   []spanRec
 }
 
-// End closes the span at the current tracer clock (and in the flight ring
-// when armed).
-func (a ActiveSpan) End() {
-	if a.s == nil {
+// newRing returns a flight-recorder store that keeps the newest
+// flightDepth spans.
+func newRing(epoch time.Time) *spanStore {
+	return &spanStore{epoch: epoch, ring: true, recs: make([]spanRec, flightDepth)}
+}
+
+// slot returns the record of push i (0-based).
+func (st *spanStore) slot(i uint64) *spanRec {
+	if st.ring {
+		i %= flightDepth
+	}
+	return &st.recs[i]
+}
+
+// start records an open span and returns its token.
+func (st *spanStore) start(cat, name string) uint64 {
+	rec := spanRec{cat: cat, name: name, start: time.Since(st.epoch).Nanoseconds(), end: -1}
+	if st.ring {
+		st.recs[st.n%flightDepth] = rec
+	} else {
+		st.recs = append(st.recs, rec)
+	}
+	st.n++
+	return st.n
+}
+
+// end closes the span with the given token, unless a ring has already
+// wrapped past its slot.
+func (st *spanStore) end(tok uint64) {
+	if st.ring && st.n >= tok+flightDepth {
 		return
 	}
-	if a.idx >= 0 {
-		a.s.spans[a.idx].end = a.s.tr.since()
+	st.slot(tok - 1).end = time.Since(st.epoch).Nanoseconds()
+}
+
+// ActiveSpan is a started span. It is a small value — never
+// heap-allocated — so starting and ending spans is allocation-free. The
+// zero ActiveSpan (no span store on the track) is a no-op. mu is the
+// collector's mutex for coordinator spans, nil for a shard's.
+type ActiveSpan struct {
+	st  *spanStore
+	tok uint64
+	mu  *sync.Mutex
+}
+
+// End closes the span at the current store clock.
+func (a ActiveSpan) End() {
+	if a.mu != nil {
+		a.mu.Lock()
+		defer a.mu.Unlock()
 	}
-	if a.rseq != 0 {
-		a.s.ring.end(a.rseq)
+	if a.st != nil {
+		a.st.end(a.tok)
 	}
 }
 
-// Tracer owns the merged span timeline of one analysis run. All methods
-// are safe for concurrent use and nil-safe, so callers thread one through
-// optionally exactly like the Collector.
+// Tracer owns the span tracks of one analysis run: the coordinator track
+// and one worker track per shard. All methods are safe for concurrent use
+// and nil-safe, so callers thread one through optionally exactly like the
+// Collector. The tracks themselves are written without locks by their
+// owners, so Export them only after the traced runs return.
 type Tracer struct {
 	epoch time.Time
 
-	mu    sync.Mutex
-	next  int64 // next worker track id (0 is the coordinator)
-	spans []Span
+	mu      sync.Mutex
+	workers int64 // worker tracks allocated (0 is the coordinator's id)
+	tracks  []*spanStore
 }
 
 // NewTracer returns an empty tracer; its clock epoch starts now.
-func NewTracer() *Tracer { return &Tracer{epoch: time.Now(), next: 1} }
+func NewTracer() *Tracer { return &Tracer{epoch: time.Now()} }
 
-// since returns the tracer-relative clock in nanoseconds.
-func (t *Tracer) since() int64 { return time.Since(t.epoch).Nanoseconds() }
-
-// allocTID reserves a fresh worker track.
-func (t *Tracer) allocTID() int64 {
+// track registers an unbounded span store: the coordinator track (0) or a
+// fresh worker track.
+func (t *Tracer) track(coordinator bool) *spanStore {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := t.next
-	t.next++
-	return id
-}
-
-// Span starts a coordinator-side span (track 0) and returns the function
-// that ends it. Used for the run and phase levels of the hierarchy; worker
-// spans go through Shard.Span instead.
-func (t *Tracer) Span(cat, name string) func() {
-	if t == nil {
-		return func() {}
+	st := &spanStore{epoch: t.epoch}
+	if !coordinator {
+		t.workers++
+		st.tid = t.workers
 	}
-	start := t.since()
-	return func() {
-		end := t.since()
-		t.mu.Lock()
-		t.spans = append(t.spans, Span{Cat: cat, Name: name, Start: start, Dur: end - start})
-		t.mu.Unlock()
-	}
-}
-
-// flush merges a quiescent shard's span buffer into the tracer.
-func (t *Tracer) flush(tid int64, recs []spanRec) {
-	if t == nil || len(recs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, r := range recs {
-		end := r.end
-		if end < r.start {
-			end = r.start
-		}
-		t.spans = append(t.spans, Span{TID: tid, Cat: r.cat, Name: r.name, Start: r.start, Dur: end - r.start})
-	}
-}
-
-// Spans returns a copy of the recorded spans, sorted by (start, track,
-// name) so output is stable for a fixed set of measurements.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := append([]Span(nil), t.spans...)
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		if out[i].TID != out[j].TID {
-			return out[i].TID < out[j].TID
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
+	t.tracks = append(t.tracks, st)
+	return st
 }
 
 // TraceEvent is one Chrome trace-event record. Only the subset of the
@@ -210,24 +197,34 @@ func (t *Trace) JSON() ([]byte, error) { return json.MarshalIndent(t, "", "  ") 
 
 // Export freezes the tracer into a Chrome trace-event document under the
 // given process id and name. Track 0 renders as "coordinator"; worker
-// shards keep their allocation-order track numbers.
+// shards keep their allocation-order track numbers. Spans are sorted by
+// (start, track, name), so output is stable for a fixed set of
+// measurements; a span never ended exports with zero duration.
 func (t *Tracer) Export(pid int64, process string) *Trace {
-	spans := t.Spans()
-	out := &Trace{DisplayTimeUnit: "ms"}
-	out.Events = append(out.Events, TraceEvent{
+	out := &Trace{DisplayTimeUnit: "ms", Events: []TraceEvent{{
 		Name: "process_name", Ph: "M", PID: pid,
 		Args: map[string]any{"name": process},
-	})
-	tids := map[int64]bool{}
-	for _, sp := range spans {
-		tids[sp.TID] = true
+	}}}
+	var spans []TraceEvent
+	var tids []int64
+	if t != nil {
+		t.mu.Lock()
+		for _, st := range t.tracks {
+			if len(st.recs) > 0 && !slices.Contains(tids, st.tid) {
+				tids = append(tids, st.tid)
+			}
+			for _, r := range st.recs {
+				spans = append(spans, TraceEvent{
+					Name: r.name, Cat: r.cat, Ph: "X",
+					TS: float64(r.start) / 1e3, Dur: float64(max(r.end-r.start, 0)) / 1e3,
+					PID: pid, TID: st.tid,
+				})
+			}
+		}
+		t.mu.Unlock()
 	}
-	order := make([]int64, 0, len(tids))
-	for tid := range tids {
-		order = append(order, tid)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, tid := range order {
+	slices.Sort(tids)
+	for _, tid := range tids {
 		name := "coordinator"
 		if tid != 0 {
 			name = fmt.Sprintf("worker-%d", tid)
@@ -237,12 +234,16 @@ func (t *Tracer) Export(pid int64, process string) *Trace {
 			Args: map[string]any{"name": name},
 		})
 	}
-	for _, sp := range spans {
-		out.Events = append(out.Events, TraceEvent{
-			Name: sp.Name, Cat: sp.Cat, Ph: "X",
-			TS: float64(sp.Start) / 1e3, Dur: float64(sp.Dur) / 1e3,
-			PID: pid, TID: sp.TID,
-		})
-	}
+	sort.Slice(spans, func(i, j int) bool {
+		a, b := spans[i], spans[j]
+		if a.TS != b.TS {
+			return a.TS < b.TS
+		}
+		if a.TID != b.TID {
+			return a.TID < b.TID
+		}
+		return a.Name < b.Name
+	})
+	out.Events = append(out.Events, spans...)
 	return out
 }

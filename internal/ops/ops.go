@@ -1,9 +1,10 @@
 // Package ops is the operational HTTP endpoint of the telemetry plane: a
-// small listener mounted by the CLI commands (and, per ROADMAP, the future
-// extractocold daemon) that exposes the process's obs.Registry as
-// Prometheus text on /metrics, a liveness probe on /healthz, and the
-// standard net/http/pprof profiling handlers — everything a fleet
-// operator needs to watch a long corpus run from the outside.
+// small listener mounted by the CLI commands that exposes the process's
+// obs.Registry as Prometheus text on /metrics, a liveness probe on
+// /healthz, and the standard net/http/pprof profiling handlers —
+// everything a fleet operator needs to watch a long corpus run from the
+// outside. Open builds the whole plane behind the commands' -ops and
+// -events flags.
 //
 // The server idiom mirrors internal/httpsim: bind an explicit listener
 // (so ":0" reports the kernel-chosen port), serve on a goroutine, and shut
@@ -17,10 +18,61 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"time"
 
 	"extractocol/internal/obs"
 )
+
+// Plane is the live telemetry plane behind the -ops and -events flags:
+// one registry, the listener serving it and the event log it carries. Reg
+// is nil when neither flag is set, which keeps telemetry off and free on
+// the analysis path.
+type Plane struct {
+	Reg *obs.Registry
+	srv *Server
+	log *obs.EventLog
+}
+
+// Open starts whatever the flags ask for: a registry served on addr, an
+// event log written to a fresh eventsFile, or both on one registry. The
+// bound address is announced on stderr (stdout carries the command's
+// output) so scripts can discover a :0 listener.
+func Open(addr, eventsFile string) (*Plane, error) {
+	p := &Plane{}
+	if addr == "" && eventsFile == "" {
+		return p, nil
+	}
+	p.Reg = obs.NewRegistry()
+	if addr != "" {
+		srv, err := Serve(addr, p.Reg)
+		if err != nil {
+			return nil, fmt.Errorf("ops: %w", err)
+		}
+		p.srv = srv
+		fmt.Fprintf(os.Stderr, "ops: serving on %s\n", srv.URL())
+	}
+	if eventsFile != "" {
+		f, err := os.Create(eventsFile)
+		if err != nil {
+			p.srv.Close()
+			return nil, fmt.Errorf("events: %w", err)
+		}
+		p.log = obs.NewEventLog(f)
+		p.Reg.LogEvents(p.log)
+	}
+	return p, nil
+}
+
+// Close shuts the listener down and flushes the event log; the first
+// error wins.
+func (p *Plane) Close() error {
+	err := p.srv.Close()
+	if e := p.log.Close(); err == nil {
+		err = e
+	}
+	return err
+}
 
 // Server is a running ops endpoint.
 type Server struct {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -29,7 +31,7 @@ func get(t *testing.T, url string) (int, string) {
 func TestServeEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := obs.NewCollector()
-	reg.Attach(c)
+	reg.Attach(c, "app")
 	done := c.Phase(obs.PhaseSlice)
 	done()
 	c.Add(obs.CtrCacheReportHits, 1)
@@ -116,5 +118,43 @@ func TestServeNilSafety(t *testing.T) {
 	}
 	if _, err := Serve("256.256.256.256:1", obs.NewRegistry()); err == nil {
 		t.Fatal("bad address should error")
+	}
+}
+
+// TestOpenPlane: with neither flag the plane is off (nil registry); with
+// only -events it is a registry, not served, whose log receives the
+// events of attached collectors; a bad path fails with an events error.
+func TestOpenPlane(t *testing.T) {
+	off, err := Open("", "")
+	if err != nil || off.Reg != nil || off.Close() != nil {
+		t.Fatalf("Open with no flags = %+v, %v; want an inert plane", off, err)
+	}
+
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	p, err := Open("", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Reg == nil || p.srv != nil {
+		t.Fatalf("events-only plane = %+v, want a registry and no listener", p)
+	}
+	c := obs.NewCollector()
+	p.Reg.Attach(c, "app")
+	c.Phase(obs.PhaseValidate)()
+	p.Reg.Detach(c)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n"); lines != 2 || !strings.Contains(string(data), `"app":"app"`) {
+		t.Fatalf("event log = %q, want the phase's start and end tagged with the app", data)
+	}
+
+	if _, err := Open("", filepath.Join(t.TempDir(), "missing", "x.jsonl")); err == nil ||
+		!strings.HasPrefix(err.Error(), "events: ") {
+		t.Fatalf("unwritable events file: err = %v", err)
 	}
 }

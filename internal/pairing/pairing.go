@@ -300,15 +300,18 @@ func verifyPairFlow(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 	pr *Pair, site string, stats *obs.Shard, sums *taint.SummaryCache,
 	bud *budget.Budget) (diag *budget.Diagnostic) {
 
+	// The check's span opens before the fault probe and ends after the
+	// recover handler's dump: a dump's last line is the check that died.
+	sp := stats.Span(obs.CatPairFlow, site)
 	defer func() {
 		if r := recover(); r != nil {
 			d := budget.PanicDiag(budget.PhasePairing, site, r)
+			d.Flight = stats.FlightDump()
 			diag = &d
 		}
+		sp.End()
 	}()
 	bud.MaybePanic(budget.PhasePairing, site)
-	sp := stats.Span(obs.CatPairFlow, site)
-	defer sp.End()
 
 	stats.Add(obs.CtrPairFlowChecks, 1)
 	eng := taint.NewEngine(p, model, cg)
@@ -332,6 +335,7 @@ func verifyPairFlow(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 		d := budget.ExceededDiag(flow.Truncated)
 		d.Phase = budget.PhasePairing
 		d.Site = site
+		d.Flight = stats.FlightDump()
 		return &d
 	}
 	// Keep the smallest reached statement as the deterministic witness of

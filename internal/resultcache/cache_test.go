@@ -1,7 +1,6 @@
 package resultcache
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -449,7 +448,6 @@ func TestKeySensitivity(t *testing.T) {
 		"deadline": func(o *core.Options) { o.Deadline = 1 },
 		"tracer":   func(o *core.Options) { o.Tracer = obs.NewTracer() },
 		"obs":      func(o *core.Options) { o.Obs = obs.NewRegistry() },
-		"events":   func(o *core.Options) { o.Events = obs.NewEventLog(io.Discard) },
 		"flight":   func(o *core.Options) { o.Flight = true },
 	}
 	for name, mutate := range neutral {

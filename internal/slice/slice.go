@@ -151,12 +151,16 @@ func FindBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, opt
 	var diags []budget.Diagnostic
 	runJob := func(j sliceJob) {
 		id := j.id()
+		// The job span opens before the fault probe and ends after the
+		// recover handler's dump: a dump's last line is the job that died.
+		var sp obs.ActiveSpan
 		defer func() {
 			if r := recover(); r != nil {
 				d := budget.PanicDiag(budget.PhaseSlice, id, r)
 				d.Flight = stats.FlightDump()
 				diags = append(diags, d)
 			}
+			sp.End()
 		}()
 		if ex := bud.SliceExhausted(id); ex != nil {
 			diags = append(diags, budget.SkippedDiag(budget.PhaseSlice, id, ex.Limit))
@@ -168,10 +172,7 @@ func FindBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, opt
 			diags = append(diags, d)
 			return
 		}
-		// The span starts before the fault probe so a panicking job is
-		// in-flight in the ring: its flight dump names the job that died.
-		sp := stats.Span(obs.CatSliceJob, id)
-		defer sp.End()
+		sp = stats.Span(obs.CatSliceJob, id)
 		bud.MaybePanic(budget.PhaseSlice, id)
 		t0 := time.Now()
 		tx := buildTransaction(p, model, cg, opts, j, stats, sums)

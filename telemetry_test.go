@@ -24,9 +24,10 @@ import (
 	"extractocol/internal/ops"
 )
 
-// TestAnalyzeEventStream wires an event log into one analysis and checks
-// the JSONL stream: monotonic sequence numbers from 1, a run_start/run_end
-// bracket, and one phase_start/phase_end pair per profiled phase.
+// TestAnalyzeEventStream wires an event log into one analysis through its
+// registry and checks the JSONL stream: monotonic sequence numbers from 1,
+// a run_start/run_end bracket, and one phase_start/phase_end pair per
+// profiled phase.
 func TestAnalyzeEventStream(t *testing.T) {
 	app, err := corpus.ByName("radio reddit")
 	if err != nil {
@@ -34,8 +35,10 @@ func TestAnalyzeEventStream(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	ev := obs.NewEventLog(&buf)
+	reg := obs.NewRegistry()
+	reg.LogEvents(ev)
 	opts := core.NewOptions()
-	opts.Events = ev
+	opts.Obs = reg
 	rep, err := core.Analyze(app.Prog, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -186,49 +189,70 @@ func TestOpsEndpointLiveScrape(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderInPanicDiagnostic injects a panic into the slice phase
-// with the flight recorder armed: the resulting diagnostic must carry the
-// worker's recent spans, and the report must stay well-formed. Unarmed,
-// the same fault must produce no flight payload — the recorder is strictly
-// opt-in so degraded reports stay deterministic.
+// TestFlightRecorderInPanicDiagnostic injects a panic into each phase that
+// dumps flight history, with the flight recorder armed: the resulting
+// diagnostic must carry the recent spans of its track, ending with the
+// span that died, still open ("…"). Unarmed, the same fault must produce
+// no flight payload — the recorder is strictly opt-in so degraded reports
+// stay deterministic.
 func TestFlightRecorderInPanicDiagnostic(t *testing.T) {
 	app, err := corpus.ByName("radio reddit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyze := func(flight bool) *core.Report {
+	analyze := func(phase string, flight bool) *core.Report {
 		opts := core.NewOptions()
 		opts.Flight = flight
 		opts.Faults = budget.NewFaultInjector(budget.Fault{
-			Phase: budget.PhaseSlice, Kind: budget.FaultPanic, Once: true,
+			Phase: phase, Kind: budget.FaultPanic, Once: true,
 		})
 		rep, err := core.Analyze(app.Prog, opts)
 		if err != nil {
-			t.Fatalf("analysis aborted instead of degrading: %v", err)
+			t.Fatalf("%s: analysis aborted instead of degrading: %v", phase, err)
 		}
 		return rep
 	}
 
-	armed := analyze(true)
-	dumps := 0
-	for _, d := range armed.Diagnostics {
-		if d.Kind == budget.DiagPanic && len(d.Flight) > 0 {
+	for _, tc := range []struct {
+		phase string
+		// last returns the expected prefix of the dump's last line: the
+		// job span named after the diagnostic's site, or the phase span
+		// for a coordinator-level fault.
+		last func(d budget.Diagnostic) string
+	}{
+		{budget.PhaseSlice, func(d budget.Diagnostic) string { return obs.CatSliceJob + " " + d.Site + " " }},
+		{budget.PhasePairing, func(d budget.Diagnostic) string { return obs.CatPairFlow + " " + d.Site + " " }},
+		{budget.PhaseSigbuild, func(d budget.Diagnostic) string { return obs.CatSigbuildJob + " " + d.Site + " " }},
+		{budget.PhaseTxdep, func(budget.Diagnostic) string { return obs.CatPhase + " " + obs.PhaseTxdep + " " }},
+	} {
+		dumps := 0
+		for _, d := range analyze(tc.phase, true).Diagnostics {
+			if d.Kind != budget.DiagPanic || d.Phase != tc.phase {
+				continue
+			}
+			if len(d.Flight) == 0 {
+				t.Errorf("%s panic at %q carries no flight dump", tc.phase, d.Site)
+				continue
+			}
 			dumps++
 			for _, line := range d.Flight {
 				if !strings.Contains(line, "ns") {
-					t.Errorf("flight line %q has no timing", line)
+					t.Errorf("%s: flight line %q has no timing", tc.phase, line)
 				}
 			}
+			last := d.Flight[len(d.Flight)-1]
+			if !strings.HasPrefix(last, tc.last(d)) || !strings.HasSuffix(last, "ns+…") {
+				t.Errorf("%s: last flight line %q, want the open span %q…", tc.phase, last, tc.last(d))
+			}
 		}
-	}
-	if dumps == 0 {
-		t.Fatalf("no panic diagnostic carries a flight dump: %+v", armed.Diagnostics)
-	}
+		if dumps == 0 {
+			t.Errorf("%s: no panic diagnostic with a flight dump", tc.phase)
+		}
 
-	unarmed := analyze(false)
-	for _, d := range unarmed.Diagnostics {
-		if len(d.Flight) > 0 {
-			t.Fatalf("flight recorder off, but diagnostic %q carries a dump", d.Site)
+		for _, d := range analyze(tc.phase, false).Diagnostics {
+			if len(d.Flight) > 0 {
+				t.Errorf("%s: flight recorder off, but diagnostic %q carries a dump", tc.phase, d.Site)
+			}
 		}
 	}
 }
@@ -265,25 +289,22 @@ func BenchmarkHistogramDisabled(b *testing.B) {
 }
 
 // TestHistogramRecordZeroAlloc pins both contracts absolutely (no slack
-// factors): recording into a live histogram must not allocate, and the
-// disabled path must not allocate.
+// factors) on the benchmarks' loop bodies: recording into a live histogram
+// must not allocate, and the disabled path must not allocate.
 func TestHistogramRecordZeroAlloc(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on instrumented paths")
 	}
-	for name, fn := range map[string]func(*testing.B){
-		"record":   BenchmarkHistogramRecord,
-		"disabled": BenchmarkHistogramDisabled,
-	} {
-		res := testing.Benchmark(fn)
-		if res.N == 0 {
-			t.Fatalf("%s benchmark failed to run", name)
-		}
-		if a := res.AllocsPerOp(); a != 0 {
-			t.Errorf("histogram %s path makes %d allocs/op, want 0", name, a)
+	live := obs.NewShard()
+	live.Observe(obs.HistSliceJob, 1)
+	var disabled *obs.Shard
+	var i int64
+	for name, s := range map[string]*obs.Shard{"record": live, "disabled": disabled} {
+		if a := testing.AllocsPerRun(1000, func() {
+			i++
+			s.Observe(obs.HistSliceJob, i&0xffff)
+		}); a != 0 {
+			t.Errorf("histogram %s path makes %v allocs/op, want 0", name, a)
 		}
 	}
 }
@@ -307,13 +328,12 @@ func BenchmarkAnalyzeTelemetryOn(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	ev := obs.NewEventLog(io.Discard)
+	reg.LogEvents(obs.NewEventLog(io.Discard))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := core.NewOptions()
 		opts.Obs = reg
-		opts.Events = ev
 		opts.Flight = true
 		if _, err := core.Analyze(app.Prog, opts); err != nil {
 			b.Fatal(err)
