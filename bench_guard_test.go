@@ -503,26 +503,21 @@ func TestInternBenchGuard(t *testing.T) {
 
 // ---- Classifier-throughput guard -----------------------------------------------
 //
-// TestClassifyBenchGuard pins the signature-matcher backends
-// (BenchmarkClassifyThroughput's vm, vm_parallel and interp variants)
-// against BENCH_classify.json with the usual slack factors and
-// EXTRACTOCOL_BENCH_BASELINE=write regeneration convention — plus one
-// absolute floor that never moves with the baseline: the compiled VM must
-// classify at least 5x faster than the interpretive oracle, the speedup
-// the bytecode compiler exists to deliver.
+// TestClassifyBenchGuard pins the signature matcher
+// (BenchmarkClassifyThroughput's vm and vm_parallel variants) against
+// BENCH_classify.json with the usual slack factors and
+// EXTRACTOCOL_BENCH_BASELINE=write regeneration convention. The absolute
+// floor of the compiled matcher over the interpretive oracle lives next
+// to the oracle (internal/sigvm, TestCompiledClassifySpeedupFloor).
 
 const classifyBaselinePath = "BENCH_classify.json"
-
-// vmSpeedupFloor is the minimum classify_interp/classify_vm ns ratio.
-const vmSpeedupFloor = 5
 
 func measureClassifyOps(t *testing.T) sliceBenchBaseline {
 	t.Helper()
 	bl := sliceBenchBaseline{App: guardApp, Ops: map[string]sliceOpBaseline{}}
 	for name, opt := range map[string]trace.ClassifyOptions{
-		"classify_vm":          {VM: true},
-		"classify_vm_parallel": {VM: true, Workers: -1},
-		"classify_interp":      {},
+		"classify_vm":          {},
+		"classify_vm_parallel": {Workers: -1},
 	} {
 		opt := opt
 		res := testing.Benchmark(func(b *testing.B) { benchClassify(b, opt) })
@@ -543,15 +538,6 @@ func TestClassifyBenchGuard(t *testing.T) {
 	}
 
 	cur := measureClassifyOps(t)
-
-	// The speedup floor holds on the current measurement regardless of the
-	// committed baseline, so it cannot be laundered through a regeneration.
-	vm := cur.Ops["classify_vm"].NsPerOp
-	interp := cur.Ops["classify_interp"].NsPerOp
-	if vm*vmSpeedupFloor > interp {
-		t.Errorf("compiled VM classifies at %d ns/op vs interpretive %d ns/op (%.1fx): floor is %dx",
-			vm, interp, float64(interp)/float64(vm), vmSpeedupFloor)
-	}
 
 	data, err := os.ReadFile(classifyBaselinePath)
 	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_BENCH_BASELINE") == "write" {

@@ -664,9 +664,7 @@ func classifyInput(b *testing.B) (*core.Report, []trace.Entry, *sigvm.Bundle) {
 
 func benchClassify(b *testing.B, opt trace.ClassifyOptions) {
 	rep, entries, bundle := classifyInput(b)
-	if opt.VM {
-		opt.Bundle = bundle
-	}
+	opt.Bundle = bundle
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -678,18 +676,15 @@ func benchClassify(b *testing.B, opt trace.ClassifyOptions) {
 	b.ReportMetric(float64(len(entries))*float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
 }
 
-// BenchmarkClassifyThroughput compares classifier throughput across
-// backends over the same labeled trace: the compiled VM serially, the VM
-// under worker fan-out, and the interpretive oracle (which re-derives its
-// regexps per run, as MatchReport always has).
+// BenchmarkClassifyThroughput measures classifier throughput over one
+// labeled trace with a precompiled bundle: serially, and under worker
+// fan-out. TestCompiledClassifySpeedupFloor (internal/sigvm) times the
+// interpretive oracle over the same trace.
 func BenchmarkClassifyThroughput(b *testing.B) {
 	b.Run("vm", func(b *testing.B) {
-		benchClassify(b, trace.ClassifyOptions{VM: true})
+		benchClassify(b, trace.ClassifyOptions{})
 	})
 	b.Run("vm_parallel", func(b *testing.B) {
-		benchClassify(b, trace.ClassifyOptions{VM: true, Workers: -1})
-	})
-	b.Run("interp", func(b *testing.B) {
-		benchClassify(b, trace.ClassifyOptions{})
+		benchClassify(b, trace.ClassifyOptions{Workers: -1})
 	})
 }

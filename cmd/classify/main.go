@@ -1,8 +1,8 @@
 // Command classify streams HTTP traffic through an application's message
-// signatures — compiled to sigvm bytecode by default — and reports each
-// signature's hit tally plus matcher throughput. It is the traffic-side
-// counterpart of extractocol: where that command derives the signatures,
-// this one exercises them as a classifier.
+// signatures — compiled to sigvm bytecode — and reports each signature's
+// hit tally plus matcher throughput. It is the traffic-side counterpart of
+// extractocol: where that command derives the signatures, this one
+// exercises them as a classifier.
 //
 // Usage:
 //
@@ -19,12 +19,11 @@
 //
 // Flags:
 //
-//	-workers n   matcher fan-out (0 = one per CPU, 1 = serial); chunked
-//	             merging keeps the output identical at any width
-//	-interp      match with the interpretive oracle instead of the VM
-//	-check       run both backends, require byte-identical classifications,
-//	             and report both throughputs with the speedup
-//	-repeat n    stream the traffic n times (throughput measurement)
+//	-workers n   matcher fan-out (0 or negative = one per CPU, 1 =
+//	             serial); chunked merging keeps the output identical at
+//	             any width
+//	-repeat n    stream the traffic n times (throughput measurement);
+//	             n must be at least 1
 //	-profile     append the classification profile as JSON: per-entry
 //	             latency histogram (p50/p90/p99 quantiles) plus the
 //	             analysis phase breakdown of the signature derivation
@@ -62,10 +61,8 @@ func main() {
 	flag.StringVar(&cfg.appName, "app", "", "corpus application name (see -list)")
 	flag.StringVar(&cfg.gen, "gen", "", "generate labeled traffic, as seed:N (e.g. 7:5000)")
 	flag.StringVar(&cfg.traceFile, "trace", "", "classify a recorded trace file (JSON lines)")
-	flag.IntVar(&cfg.workers, "workers", 0, "matcher fan-out (0 = one per CPU, 1 = serial)")
-	flag.BoolVar(&cfg.interp, "interp", false, "use the interpretive oracle instead of the compiled VM")
-	flag.BoolVar(&cfg.check, "check", false, "run both backends and require identical classifications")
-	flag.IntVar(&cfg.repeat, "repeat", 1, "stream the traffic this many times")
+	flag.IntVar(&cfg.workers, "workers", 0, "matcher fan-out (0 or negative = one per CPU, 1 = serial)")
+	flag.IntVar(&cfg.repeat, "repeat", 1, "stream the traffic this many times (at least 1)")
 	flag.BoolVar(&cfg.profile, "profile", false, "append the classification profile as JSON")
 	flag.StringVar(&cfg.opsAddr, "ops", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
 	flag.StringVar(&cfg.eventsFile, "events", "", "write the structured JSONL event stream to this file (empty = off)")
@@ -92,8 +89,6 @@ type config struct {
 	gen        string
 	traceFile  string
 	workers    int
-	interp     bool
-	check      bool
 	repeat     int
 	profile    bool
 	opsAddr    string
@@ -101,6 +96,9 @@ type config struct {
 }
 
 func run(cfg config) (err error) {
+	if cfg.repeat < 1 {
+		return fmt.Errorf("-repeat wants a positive count, got %d", cfg.repeat)
+	}
 	tel, err := ops.Open(cfg.opsAddr, cfg.eventsFile)
 	if err != nil {
 		return err
@@ -129,7 +127,7 @@ func run(cfg config) (err error) {
 		return fmt.Errorf("no traffic to classify")
 	}
 	workers := cfg.workers
-	if workers == 0 {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
@@ -144,43 +142,11 @@ func run(cfg config) (err error) {
 	}
 
 	bundle := sigvm.Compile(rep)
-	classify := func(vm bool) (*trace.ClassifyResult, time.Duration) {
-		opt := trace.ClassifyOptions{VM: vm, Workers: workers, Col: col}
-		if vm {
-			opt.Bundle = bundle
-		}
-		start := time.Now()
-		res := trace.Classify(rep, entries, opt)
-		return res, time.Since(start)
-	}
+	start := time.Now()
+	res := trace.Classify(rep, entries, trace.ClassifyOptions{Bundle: bundle, Workers: workers, Col: col})
+	elapsed := time.Since(start)
 
-	var res *trace.ClassifyResult
-	var elapsed time.Duration
-	if cfg.check {
-		vmRes, vmD := classify(true)
-		inRes, inD := classify(false)
-		jv, err := json.Marshal(vmRes)
-		if err != nil {
-			return err
-		}
-		ji, err := json.Marshal(inRes)
-		if err != nil {
-			return err
-		}
-		if string(jv) != string(ji) {
-			return fmt.Errorf("backends disagree over %d entries:\nvm     %s\ninterp %s",
-				len(entries), jv, ji)
-		}
-		fmt.Printf("check: VM and interpretive classifications identical over %d entries\n", len(entries))
-		fmt.Printf("  vm:     %s\n  interp: %s\n  speedup: %.1fx\n\n",
-			rate(len(entries), vmD), rate(len(entries), inD),
-			float64(inD)/float64(vmD))
-		res, elapsed = vmRes, vmD
-	} else {
-		res, elapsed = classify(!cfg.interp)
-	}
-
-	printReport(rep, res, labeled, len(entries), elapsed, workers, cfg.interp && !cfg.check)
+	printReport(rep, res, labeled, len(entries), elapsed, workers)
 	if cfg.profile {
 		if err := printProfile(rep, col); err != nil {
 			return err
@@ -280,13 +246,9 @@ func loadTraffic(rep *core.Report, app *corpus.App, gen, traceFile string) ([]tr
 }
 
 func printReport(rep *core.Report, res *trace.ClassifyResult, labeled []trace.LabeledEntry,
-	total int, elapsed time.Duration, workers int, interp bool) {
-	backend := "vm"
-	if interp {
-		backend = "interp"
-	}
-	fmt.Printf("%s: %d signatures, %d entries (%d workers, %s backend)\n",
-		rep.Package, len(res.PerSig), total, workers, backend)
+	total int, elapsed time.Duration, workers int) {
+	fmt.Printf("%s: %d signatures, %d entries (%d workers)\n",
+		rep.Package, len(res.PerSig), total, workers)
 	fmt.Printf("%-6s %-7s %6s %6s  %s\n", "Sig", "Method", "Hits", "Rate", "URI")
 	for _, s := range res.PerSig {
 		uri := ""

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -23,6 +26,34 @@ func TestRunCorpusApp(t *testing.T) {
 func TestRunRejectsMissingTarget(t *testing.T) {
 	if err := run(config{repeat: 1}); err == nil {
 		t.Fatal("accepted a run with no target")
+	}
+}
+
+// TestRunRejectsNonPositiveRepeat: -repeat below 1 is an error naming the
+// flag, not a silent single pass.
+func TestRunRejectsNonPositiveRepeat(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		var err error
+		captureStdout(t, func() {
+			err = run(config{appName: "radio reddit", gen: "7:10", repeat: n, workers: 1})
+		})
+		if err == nil || !strings.Contains(err.Error(), "-repeat") {
+			t.Errorf("-repeat %d: err = %v, want an error naming -repeat", n, err)
+		}
+	}
+}
+
+// TestRunNegativeWorkersResolved: a negative -workers runs one matcher per
+// CPU, and the summary line prints that width rather than the raw flag.
+func TestRunNegativeWorkersResolved(t *testing.T) {
+	out := captureStdout(t, func() {
+		if err := run(config{appName: "radio reddit", gen: "7:100", repeat: 1, workers: -1}); err != nil {
+			t.Error(err)
+		}
+	})
+	want := fmt.Sprintf("(%d workers", runtime.GOMAXPROCS(0))
+	if !bytes.Contains(out, []byte(want)) {
+		t.Fatalf("summary lacks %q:\n%s", want, out)
 	}
 }
 

@@ -9,7 +9,8 @@
 //	evaluate                     run everything
 //	evaluate -only table1        one artifact (table1, table2, table3,
 //	                             table4, table5, table6, figure6, figure7,
-//	                             validity, obfuscation, ablation, timing)
+//	                             validity, obfuscation, ablation, timing,
+//	                             slicefraction); any other name is an error
 //	evaluate -profile            emit per-app and corpus-wide per-phase
 //	                             observability breakdowns as JSON, plus
 //	                             the parallel fan-out speedup and, when a
@@ -31,11 +32,10 @@
 //	                             every unchanged app's report from disk
 //	evaluate -gen 1729:500       differential-testing harness: generate a
 //	                             500-app corpus from seed 1729 and assert
-//	                             byte-identical reports across the five
+//	                             byte-identical reports across the four
 //	                             equivalence axes (same-seed regeneration,
 //	                             serial/parallel, cold/warm cache,
-//	                             budgeted/unbudgeted, interpretive/compiled
-//	                             signature matcher); exits nonzero on any
+//	                             budgeted/unbudgeted); exits nonzero on any
 //	                             mismatch. Combines only with -ops, -events
 //	                             and -deadline (the budgeted axis' limit)
 //	evaluate -ops addr           serve the live ops plane on addr (e.g.
@@ -58,6 +58,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -69,7 +70,7 @@ import (
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.only, "only", "", "single artifact to produce")
+	flag.StringVar(&cfg.only, "only", "", "single artifact to produce: "+strings.Join(artifacts, ", "))
 	flag.BoolVar(&cfg.profile, "profile", false, "emit per-phase observability JSON")
 	flag.BoolVar(&cfg.serial, "serial", false, "disable per-app parallelism")
 	flag.DurationVar(&cfg.deadline, "deadline", 0, "per-app analysis deadline (0 = unlimited)")
@@ -84,6 +85,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "evaluate:", err)
 		os.Exit(1)
 	}
+}
+
+// artifacts names every value -only accepts, in output order.
+var artifacts = []string{
+	"table1", "figure6", "figure7", "table2", "validity", "table3", "table4",
+	"table5", "table6", "obfuscation", "ablation", "timing", "slicefraction",
 }
 
 // config carries every flag into run; tests construct it directly.
@@ -101,6 +108,9 @@ type config struct {
 }
 
 func run(cfg config) (err error) {
+	if cfg.only != "" && !slices.Contains(artifacts, cfg.only) {
+		return fmt.Errorf("-only %q is not an artifact; want one of %s", cfg.only, strings.Join(artifacts, ", "))
+	}
 	if cfg.gen != "" {
 		// The differential harness honours only -deadline, -ops and
 		// -events: refuse the artifact flags before any work instead of
@@ -267,7 +277,7 @@ func runArtifacts(cfg config, reg *obs.Registry) error {
 	if want("timing") {
 		fmt.Println(evaluate.Timing(results))
 	}
-	if want("slicefraction") || only == "" {
+	if want("slicefraction") {
 		frac, err := evaluate.DiodeSliceFraction()
 		if err != nil {
 			return err

@@ -66,3 +66,18 @@ func TestRunGenRejectsIgnoredFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsUnknownArtifact: an -only value that names no artifact is
+// an error listing the valid names, returned before any work, instead of
+// an empty run that exits 0.
+func TestRunRejectsUnknownArtifact(t *testing.T) {
+	err := run(config{only: "bogus"})
+	if err == nil {
+		t.Fatal("-only bogus: accepted")
+	}
+	for _, name := range []string{"table1", "validity", "timing", "slicefraction"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("-only bogus: error %q does not name the artifact %s", err, name)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -14,23 +13,20 @@ import (
 
 	"extractocol/internal/core"
 	"extractocol/internal/corpus"
-	"extractocol/internal/fuzz"
 	"extractocol/internal/obs"
 	"extractocol/internal/report"
 	"extractocol/internal/resultcache"
-	"extractocol/internal/trace"
 )
 
 // Differential-testing harness: the seeded generative corpus (corpus.Rand)
 // is run through every configuration that must not change analysis output —
 // serial vs parallel fan-out, cold vs warm result cache, and budgeted vs
 // unbudgeted execution — and every app's report is compared byte-for-byte
-// against the serial baseline; a fifth axis holds the two traffic matcher
-// backends to identical classifications. A same-seed regeneration pass
-// closes the loop: the corpus itself must be reproducible, not just the
-// analysis of one in-memory instance of it. The reference taint and pairing
-// implementations are checked against the production paths by the taint
-// and pairing package tests.
+// against the serial baseline. A same-seed regeneration pass closes the
+// loop: the corpus itself must be reproducible, not just the analysis of
+// one in-memory instance of it. The reference taint, pairing and traffic
+// matcher implementations are checked against the production paths by the
+// taint, pairing and sigvm package tests.
 
 // DiffConfig parameterizes one differential run.
 type DiffConfig struct {
@@ -324,61 +320,6 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 			return nil, err
 		}
 		return compareAxis(apps, baseline, got, ""), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Axis 5: interpretive signature matcher vs compiled sigvm bytecode.
-	// Every app's signatures classify two traffic sources — the recorded
-	// trace of a manual fuzz session and seeded labeled entries from
-	// trace.RandEntries — through both backends (the VM under parallel
-	// fan-out); the full classifications must be byte-identical, and the
-	// interpretive verdicts must reproduce the regex-derived labels exactly.
-	err = axis("matchvm", "interpretive matcher vs compiled sigvm bytecode", func() ([]DiffMismatch, error) {
-		var out []DiffMismatch
-		for i, app := range apps {
-			aopts := optionsFor(app)
-			aopts.Obs = cfg.Obs
-			rep, err := core.Analyze(app.Prog, aopts)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", app.Spec.Name, err)
-			}
-			n := app.NewNetwork()
-			if _, err := fuzz.Run(app.Prog, n, fuzz.Manual); err != nil {
-				return nil, fmt.Errorf("%s: %w", app.Spec.Name, err)
-			}
-			entries := trace.FromNetwork(n.Trace())
-			recorded := len(entries)
-			labeled := trace.RandEntries(cfg.Seed+uint64(i), rep, 50)
-			entries = append(entries, trace.Entries(labeled)...)
-
-			interp := trace.Classify(rep, entries, trace.ClassifyOptions{})
-			vm := trace.Classify(rep, entries, trace.ClassifyOptions{VM: true, Workers: -1})
-			ji, err := json.Marshal(interp)
-			if err != nil {
-				return nil, err
-			}
-			jv, err := json.Marshal(vm)
-			if err != nil {
-				return nil, err
-			}
-			if d := diffBytes(ji, jv); d != "" {
-				out = append(out, DiffMismatch{App: app.Spec.Name, Detail: d})
-				continue
-			}
-			for j, le := range labeled {
-				if got := interp.Verdicts[recorded+j]; got != le.WantID {
-					out = append(out, DiffMismatch{
-						App: app.Spec.Name,
-						Detail: fmt.Sprintf("labeled entry %d (%s %s): verdict %d, label %d",
-							j, le.Method, le.URL, got, le.WantID),
-					})
-					break
-				}
-			}
-		}
-		return out, nil
 	})
 	if err != nil {
 		return nil, err

@@ -7,12 +7,12 @@ import (
 	"extractocol/internal/corpus"
 )
 
-// TestRunDifferentialSmallCorpus runs the full five-axis harness over a
+// TestRunDifferentialSmallCorpus runs the full four-axis harness over a
 // small generated corpus — the same gate ci.sh runs at N=100, kept small
 // enough for every `go test ./...`.
 func TestRunDifferentialSmallCorpus(t *testing.T) {
 	if testing.Short() {
-		t.Skip("analyzes a generated corpus seven times")
+		t.Skip("analyzes a generated corpus six times")
 	}
 	res, err := RunDifferential(DiffConfig{Seed: 1729, N: 8})
 	if err != nil {
@@ -21,11 +21,11 @@ func TestRunDifferentialSmallCorpus(t *testing.T) {
 	if got := res.Mismatches(); got != 0 {
 		t.Fatalf("%d mismatches:\n%s", got, FormatDifferential(res))
 	}
-	if len(res.Axes) != 5 {
-		t.Fatalf("%d axes, want 5", len(res.Axes))
+	if len(res.Axes) != 4 {
+		t.Fatalf("%d axes, want 4", len(res.Axes))
 	}
-	if last := res.Axes[len(res.Axes)-1]; last.Name != "matchvm" {
-		t.Fatalf("last axis = %s, want matchvm", last.Name)
+	if last := res.Axes[len(res.Axes)-1]; last.Name != "budget" {
+		t.Fatalf("last axis = %s, want budget", last.Name)
 	}
 	if !strings.Contains(FormatDifferential(res), "OK: all axes byte-identical") {
 		t.Error("formatter missing the OK verdict")

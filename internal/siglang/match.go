@@ -40,24 +40,11 @@ func (s ByteStats) Fractions() (rk, rv, rn float64) {
 	return float64(s.Key) / t, float64(s.Value) / t, float64(s.None) / t
 }
 
-// MatchText reports whether the text payload matches the signature's
-// regular expression, and how many payload bytes fall on literal versus
-// wildcard parts. The literal accounting uses the signature's constant
-// fragments greedily in order, which is exact for the anchored signatures
-// the builder produces.
-func MatchText(s Sig, payload string) (bool, ByteStats) {
-	re, err := Compile(s)
-	if err != nil || !re.MatchString(payload) {
-		return false, ByteStats{}
-	}
-	return true, AccountText(LiteralFragments(s), payload)
-}
-
-// AccountText runs the greedy literal-fragment byte accounting of MatchText
-// over an already-matched payload: each fragment's bytes count as Key, the
-// wildcard-covered spans between them as Value. Exported so compiled
-// matchers (internal/sigvm), which precompute the fragment list, account
-// identically.
+// AccountText runs the greedy literal-fragment byte accounting of a text
+// match over an already-matched payload: each fragment's bytes count as
+// Key, the wildcard-covered spans between them as Value. The compiled
+// matcher (internal/sigvm), which precomputes the fragment list, and its
+// interpretive test oracle both account through it.
 func AccountText(lits []string, payload string) ByteStats {
 	var st ByteStats
 	rest := payload
@@ -80,8 +67,8 @@ func AccountText(lits []string, payload string) ByteStats {
 // LiteralFragments returns the unconditional constant fragments of a text
 // signature in order: literals under concatenation, skipping repetition
 // bodies (may appear zero times) and disjunction alternatives (ambiguous).
-// This is the fragment sequence MatchText accounts greedily; compiled
-// matchers (internal/sigvm) precompute it once per signature.
+// This is the fragment sequence AccountText consumes greedily; the
+// compiled matcher (internal/sigvm) precomputes it once per signature.
 func LiteralFragments(s Sig) []string {
 	var out []string
 	var walk func(Sig)
@@ -103,62 +90,8 @@ func LiteralFragments(s Sig) []string {
 	return out
 }
 
-// MatchQuery matches a query string or form body ("k=v&k2=v2") against a
-// signature, returning whether every pair with a signature-known key
-// matched and byte statistics. Keys the signature knows contribute their
-// bytes to Key and their values to Value; unknown pairs land in None.
-func MatchQuery(s Sig, query string) (bool, ByteStats) {
-	known := map[string]bool{}
-	for _, k := range Keywords(s) {
-		known[k] = true
-	}
-	var st ByteStats
-	if query == "" {
-		return true, st
-	}
-	pairs := strings.Split(query, "&")
-	for i, p := range pairs {
-		sep := 0
-		if i > 0 {
-			sep = 1 // the '&'
-		}
-		k, v, found := strings.Cut(p, "=")
-		if !found {
-			st.None += len(p) + sep
-			continue
-		}
-		if known[k] {
-			st.Key += len(k) + 1 + sep // key, '=', '&'
-			st.Value += len(v)
-		} else {
-			st.None += len(p) + sep
-		}
-	}
-	return st.None == 0 || len(known) > 0, st
-}
-
-// MatchJSON matches a JSON payload against a JSON/Obj signature.
-// ok is true when every constant key in the signature appears in the
-// payload (the signature is a valid description of what the app reads or
-// writes). Bytes of payload keys known to the signature count as Key,
-// their values as Value, and subtrees the signature does not describe as
-// None.
-func MatchJSON(s Sig, payload []byte) (bool, ByteStats, error) {
-	v, err := DecodeJSONPayload(payload)
-	if err != nil {
-		return false, ByteStats{}, err
-	}
-	root := s
-	if j, isJSON := s.(*JSON); isJSON {
-		root = j.Root
-	}
-	var st ByteStats
-	ok := matchJSONValue(root, v, &st)
-	return ok, st, nil
-}
-
-// DecodeJSONPayload unmarshals a payload for structural matching; both the
-// interpretive matcher above and the compiled matcher (internal/sigvm)
+// DecodeJSONPayload unmarshals a payload for structural matching; the
+// compiled matcher (internal/sigvm) and its interpretive test oracle both
 // decode through it so their error behavior is identical.
 func DecodeJSONPayload(payload []byte) (any, error) {
 	var v any
@@ -168,123 +101,10 @@ func DecodeJSONPayload(payload []byte) (any, error) {
 	return v, nil
 }
 
-func matchJSONValue(s Sig, v any, st *ByteStats) bool {
-	switch sv := s.(type) {
-	case nil:
-		st.None += JSONSize(v)
-		return true
-	case *Obj:
-		if sv == nil {
-			sv = &Obj{} // typed-nil signature: no keys known
-		}
-		m, isMap := v.(map[string]any)
-		if !isMap {
-			st.None += JSONSize(v)
-			return false
-		}
-		ok := true
-		// Every sig key must be present.
-		for _, kv := range sv.Pairs {
-			if kv.Dyn {
-				continue
-			}
-			if _, present := m[kv.Key]; !present {
-				ok = false
-			}
-		}
-		var dynVal Sig
-		hasDyn := false
-		for _, kv := range sv.Pairs {
-			if kv.Dyn {
-				hasDyn, dynVal = true, kv.Val
-			}
-		}
-		for k, val := range m {
-			if sigVal := sv.Get(k); sigVal != nil || containsKey(sv, k) {
-				st.Key += len(k) + 3 // quotes + colon
-				if !matchLeafOrRecurse(sigVal, val, st) {
-					ok = false
-				}
-			} else if hasDyn {
-				// Dynamically generated keys: value structure may still be known.
-				st.Value += len(k) + 3
-				if !matchLeafOrRecurse(dynVal, val, st) {
-					ok = false
-				}
-			} else {
-				st.None += len(k) + 3 + JSONSize(val)
-			}
-		}
-		return ok
-	case *Arr:
-		arr, isArr := v.([]any)
-		if !isArr {
-			st.None += JSONSize(v)
-			return false
-		}
-		var item Sig
-		for _, e := range sv.Elems {
-			item = Merge(item, e)
-		}
-		ok := true
-		for _, el := range arr {
-			if !matchLeafOrRecurse(item, el, st) {
-				ok = false
-			}
-		}
-		return ok
-	case *JSON:
-		return matchJSONValue(sv.Root, v, st)
-	case *Or:
-		// Accept if any alternative accepts; account bytes per best effort
-		// using the first matching alternative.
-		for _, alt := range sv.Alts {
-			var tmp ByteStats
-			if matchJSONValue(alt, v, &tmp) {
-				st.Add(tmp)
-				return true
-			}
-		}
-		st.None += JSONSize(v)
-		return false
-	case *Lit:
-		st.Value += JSONSize(v)
-		return LiteralMatches(sv, v)
-	case *Unknown:
-		st.Value += JSONSize(v)
-		return true
-	default: // Concat/Rep describing a string-typed leaf
-		st.Value += JSONSize(v)
-		str, isStr := v.(string)
-		if !isStr {
-			return true
-		}
-		re, err := Compile(s)
-		return err == nil && re.MatchString(str)
-	}
-}
-
-func containsKey(o *Obj, k string) bool {
-	for _, kv := range o.Pairs {
-		if !kv.Dyn && kv.Key == k {
-			return true
-		}
-	}
-	return false
-}
-
-func matchLeafOrRecurse(sigVal Sig, val any, st *ByteStats) bool {
-	if sigVal == nil {
-		st.Value += JSONSize(val)
-		return true
-	}
-	return matchJSONValue(sigVal, val, st)
-}
-
 // LiteralMatches reports whether a decoded JSON leaf equals a literal
 // signature term: strings compare directly, numbers and booleans through
-// their canonical %v rendering. Shared by the interpretive and compiled
-// matchers so verdicts cannot drift.
+// their canonical %v rendering. Shared by the compiled matcher and its
+// interpretive test oracle so verdicts cannot drift.
 func LiteralMatches(l *Lit, v any) bool {
 	switch tv := v.(type) {
 	case string:
@@ -299,8 +119,8 @@ func LiteralMatches(l *Lit, v any) bool {
 }
 
 // JSONSize returns the serialized size of a decoded JSON value — the byte
-// count the Table 2 accounting charges for a subtree. Exported so compiled
-// matchers account identically.
+// count the Table 2 accounting charges for a subtree. Exported so the
+// compiled matcher and its test oracle account identically.
 func JSONSize(v any) int {
 	switch t := v.(type) {
 	case nil:
@@ -410,27 +230,10 @@ func jsonFloatLen(f float64) int {
 	return len(b)
 }
 
-// MatchXML matches an XML payload against an XML signature: every tag and
-// attribute named by the signature must occur in the payload. Byte
-// accounting mirrors MatchJSON at element granularity.
-func MatchXML(s *XML, payload []byte) (bool, ByteStats, error) {
-	root, err := ParseXMLPayload(payload)
-	if err != nil {
-		return false, ByteStats{}, err
-	}
-	var st ByteStats
-	if s == nil || s.Root == nil {
-		st.None = len(payload)
-		return true, st, nil
-	}
-	ok := matchElem(s.Root, root, &st)
-	return ok, st, nil
-}
-
 // XMLNode is the decoded form of an XML payload: one node per element,
 // attributes flattened to a map, character data concatenated. Exported so
-// compiled matchers (internal/sigvm) walk the same decoded tree the
-// interpretive matcher does.
+// the compiled matcher (internal/sigvm) walks the same decoded tree its
+// interpretive test oracle does.
 type XMLNode struct {
 	Tag      string
 	Attrs    map[string]string
@@ -438,9 +241,9 @@ type XMLNode struct {
 	Text     string
 }
 
-// ParseXMLPayload decodes an XML payload into an XMLNode tree; both
-// matcher backends decode through it so error behavior and tree shape are
-// identical.
+// ParseXMLPayload decodes an XML payload into an XMLNode tree; the
+// compiled matcher and its test oracle both decode through it so error
+// behavior and tree shape are identical.
 func ParseXMLPayload(data []byte) (*XMLNode, error) {
 	dec := xml.NewDecoder(strings.NewReader(string(data)))
 	var stack []*XMLNode
@@ -479,104 +282,9 @@ func ParseXMLPayload(data []byte) (*XMLNode, error) {
 	return root, nil
 }
 
-func matchElem(sig *Elem, node *XMLNode, st *ByteStats) bool {
-	if sig == nil || node == nil {
-		return sig == nil
-	}
-	if sig.Tag == "*" {
-		// Wildcard root (the parser's document node): every named child of
-		// the signature must occur somewhere in the payload tree.
-		ok := true
-		for _, sc := range sig.Children {
-			found := findNode(node, sc.Tag)
-			if found == nil {
-				ok = false
-				continue
-			}
-			if !matchElem(sc, found, st) {
-				ok = false
-			}
-		}
-		return ok
-	}
-	if sig.Tag != node.Tag {
-		return false
-	}
-	st.Key += len(node.Tag)*2 + 5 // open+close tags
-	ok := true
-	for _, a := range sig.Attrs {
-		if v, present := node.Attrs[a.Key]; present {
-			st.Key += len(a.Key) + 3
-			st.Value += len(v)
-		} else {
-			ok = false
-		}
-	}
-	for k, v := range node.Attrs {
-		if !elemHasAttr(sig, k) {
-			st.None += len(k) + 3 + len(v)
-		}
-	}
-	for _, sc := range sig.Children {
-		found := false
-		for _, nc := range node.Children {
-			if nc.Tag == sc.Tag {
-				if matchElem(sc, nc, st) {
-					found = true
-				}
-				break
-			}
-		}
-		if !found {
-			ok = false
-		}
-	}
-	for _, nc := range node.Children {
-		if !elemHasChild(sig, nc.Tag) {
-			st.None += XMLNodeSize(nc)
-		}
-	}
-	if sig.Text != nil {
-		st.Value += len(strings.TrimSpace(node.Text))
-	} else {
-		st.None += len(strings.TrimSpace(node.Text))
-	}
-	return ok
-}
-
-func findNode(n *XMLNode, tag string) *XMLNode {
-	if n.Tag == tag {
-		return n
-	}
-	for _, c := range n.Children {
-		if f := findNode(c, tag); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
-func elemHasAttr(e *Elem, k string) bool {
-	for _, a := range e.Attrs {
-		if a.Key == k {
-			return true
-		}
-	}
-	return false
-}
-
-func elemHasChild(e *Elem, tag string) bool {
-	for _, c := range e.Children {
-		if c.Tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // XMLNodeSize returns the byte count the Table 2 accounting charges for an
-// undescribed XML subtree. Exported so compiled matchers account
-// identically.
+// undescribed XML subtree. Exported so the compiled matcher and its test
+// oracle account identically.
 func XMLNodeSize(n *XMLNode) int {
 	size := len(n.Tag)*2 + 5 + len(strings.TrimSpace(n.Text))
 	for k, v := range n.Attrs {
@@ -589,10 +297,9 @@ func XMLNodeSize(n *XMLNode) int {
 }
 
 // QueryShapedBody reports whether a text body should be matched as a
-// query string ("k=v&..." accounting) rather than as free text. Both the
-// interpretive matcher (trace.matchTextOrQuery) and the compiled matcher
-// (internal/sigvm) dispatch through this predicate so text-body verdicts
-// cannot drift.
+// query string ("k=v&..." accounting) rather than as free text. The
+// compiled matcher (internal/sigvm) and its interpretive test oracle both
+// dispatch through this predicate so text-body verdicts cannot drift.
 func QueryShapedBody(body string) bool {
 	return strings.Contains(body, "=") && !strings.HasPrefix(strings.TrimSpace(body), "{")
 }

@@ -25,66 +25,6 @@ func TestMergeIdempotent(t *testing.T) {
 	}
 }
 
-// Property: MatchQuery accounts every byte of the query exactly once.
-func TestMatchQueryAccountsAllBytes(t *testing.T) {
-	f := func(keys []string, vals []string) bool {
-		// Build a query from sanitized keys and values.
-		var sigParts []Sig
-		query := ""
-		n := len(keys)
-		if len(vals) < n {
-			n = len(vals)
-		}
-		if n == 0 {
-			return true
-		}
-		for i := 0; i < n; i++ {
-			k := sanitizeKey(keys[i])
-			v := sanitizeVal(vals[i])
-			if k == "" {
-				continue
-			}
-			if query != "" {
-				query += "&"
-				sigParts = append(sigParts, Str("&"))
-			}
-			query += k + "=" + v
-			sigParts = append(sigParts, Str(k+"="), AnyString())
-		}
-		if query == "" {
-			return true
-		}
-		_, st := MatchQuery(Cat(sigParts...), query)
-		return st.Total() == len(query)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func sanitizeKey(s string) string {
-	out := ""
-	for _, r := range s {
-		if (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
-			out += string(r)
-		}
-	}
-	if len(out) > 8 {
-		out = out[:8]
-	}
-	return out
-}
-
-func sanitizeVal(s string) string {
-	out := ""
-	for _, r := range s {
-		if r != '&' && r != '=' && r < 128 {
-			out += string(r)
-		}
-	}
-	return out
-}
-
 // Property: Disjoin produces a regex accepting everything its alternatives
 // accept.
 func TestDisjoinAcceptsAllAlternatives(t *testing.T) {

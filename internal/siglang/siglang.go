@@ -596,7 +596,7 @@ func writeRegex(s Sig, b *strings.Builder) {
 		b.WriteString(")")
 	case *JSON, *Obj, *Arr, *XML:
 		// Structured strings embedded in text positions match loosely;
-		// structural matching uses MatchJSON/MatchXML instead.
+		// structural bodies are matched by the JSON and XML matchers instead.
 		b.WriteString(".*")
 	}
 }

@@ -137,97 +137,6 @@ func TestKeywordsFromJSONAndQuery(t *testing.T) {
 	}
 }
 
-func TestMatchQueryAccounting(t *testing.T) {
-	sig := Cat(Str("id="), AnyString(), Str("&uh="), AnyString())
-	okMatch, st := MatchQuery(sig, "id=t3_abc&uh=f0f0f0")
-	if !okMatch {
-		t.Fatal("MatchQuery failed")
-	}
-	// "id=" (3) + "&uh=" (4) = 7 key bytes; values 6+6=12.
-	if st.Key != 7 || st.Value != 12 || st.None != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestMatchQueryUnknownKeyGoesToNone(t *testing.T) {
-	sig := Cat(Str("id="), AnyString())
-	_, st := MatchQuery(sig, "id=1&zzz=9")
-	if st.None != len("&zzz=9") {
-		t.Fatalf("None = %d, want %d", st.None, len("&zzz=9"))
-	}
-}
-
-func TestMatchJSONValidAndAccounting(t *testing.T) {
-	o := &Obj{}
-	o.Put("modhash", AnyString())
-	o.Put("cookie", AnyString())
-	sig := &JSON{Root: o}
-	ok, st, err := MatchJSON(sig, []byte(`{"modhash":"abc","cookie":"xyz","extra":42}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("expected valid match (all sig keys present)")
-	}
-	if st.Key == 0 || st.Value == 0 || st.None == 0 {
-		t.Fatalf("expected all three buckets populated: %+v", st)
-	}
-}
-
-func TestMatchJSONMissingKeyInvalid(t *testing.T) {
-	o := &Obj{}
-	o.Put("modhash", AnyString())
-	ok, _, err := MatchJSON(&JSON{Root: o}, []byte(`{"other":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("match should fail when a signature key is absent")
-	}
-}
-
-func TestMatchJSONNestedAndArray(t *testing.T) {
-	song := &Obj{}
-	song.Put("artist", AnyString())
-	songs := &Obj{}
-	songs.Put("song", &Arr{Elems: []Sig{song}, Open: true})
-	root := &Obj{}
-	root.Put("relay", AnyString())
-	root.Put("songs", songs)
-	payload := `{"relay":"http://cdn/x","songs":{"song":[{"artist":"stirus","id":"837"}]}}`
-	ok, st, err := MatchJSON(&JSON{Root: root}, []byte(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("nested match failed")
-	}
-	if st.None == 0 {
-		t.Fatal("unread keys (id) should land in None")
-	}
-}
-
-func TestMatchJSONRejectsNonJSON(t *testing.T) {
-	if _, _, err := MatchJSON(&JSON{Root: &Obj{}}, []byte("not json")); err == nil {
-		t.Fatal("expected parse error")
-	}
-}
-
-func TestMatchTextLiteralAccounting(t *testing.T) {
-	sig := Cat(Str("https://api.ted.com/v1/talks/"), AnyInt(), Str("/ad.json?api-key="), AnyString())
-	ok, st := MatchText(sig, "https://api.ted.com/v1/talks/42/ad.json?api-key=K1")
-	if !ok {
-		t.Fatal("MatchText failed")
-	}
-	wantKey := len("https://api.ted.com/v1/talks/") + len("/ad.json?api-key=")
-	if st.Key != wantKey {
-		t.Fatalf("Key = %d, want %d", st.Key, wantKey)
-	}
-	if st.Value != len("42")+len("K1") {
-		t.Fatalf("Value = %d", st.Value)
-	}
-}
-
 func TestJSONSchemaRendering(t *testing.T) {
 	o := &Obj{}
 	o.Put("url", AnyString())
@@ -253,28 +162,6 @@ func TestDTDRendering(t *testing.T) {
 		if !strings.Contains(dtd, frag) {
 			t.Errorf("DTD missing %q:\n%s", frag, dtd)
 		}
-	}
-}
-
-func TestMatchXML(t *testing.T) {
-	x := &XML{Root: &Elem{Tag: "ads", Children: []*Elem{{Tag: "url", Text: AnyString()}}}}
-	ok, st, err := MatchXML(x, []byte(`<ads><url>http://a/b.mp4</url><skip>1</skip></ads>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("XML match failed")
-	}
-	if st.Key == 0 || st.None == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestMatchXMLMissingTagInvalid(t *testing.T) {
-	x := &XML{Root: &Elem{Tag: "ads", Children: []*Elem{{Tag: "url"}}}}
-	ok, _, err := MatchXML(x, []byte(`<ads><other/></ads>`))
-	if err != nil || ok {
-		t.Fatalf("ok=%v err=%v, want invalid match", ok, err)
 	}
 }
 

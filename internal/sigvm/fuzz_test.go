@@ -1,23 +1,23 @@
-// FuzzSigVM is the equivalence fuzz gate between the compiled matcher
-// (internal/sigvm) and the interpretive oracle (siglang.MatchText /
-// MatchQuery / MatchJSON / MatchXML): any signature the parser accepts,
-// compiled and run against any payload, must produce the oracle's exact
-// verdict and ByteStats in every matching mode — and neither side may
-// panic. The signature corpus is seeded from the parser's canonical test
-// corpus (siglang/parse_test.go's corpusSigs renderings) plus shapes that
-// stress each engine: repetition epsilon cycles for the Pike VM, dynamic
-// keys and array confluence-merges for the JSON walker, wildcard roots
-// for XML.
-package extractocol
+package sigvm
 
 import (
 	"encoding/json"
 	"testing"
 
 	"extractocol/internal/siglang"
-	"extractocol/internal/sigvm"
 )
 
+// FuzzSigVM is the equivalence fuzz gate between the compiled matcher and
+// the interpretive oracle (oracle_test.go: MatchText / MatchQuery /
+// MatchJSON / MatchXML): any signature the parser accepts, compiled and
+// run against any payload, must produce the oracle's exact verdict and
+// ByteStats in every matching mode — and neither side may panic. The
+// signature corpus is seeded from the parser's canonical test corpus
+// (siglang/parse_test.go's corpusSigs renderings) plus shapes that stress
+// each engine: repetition epsilon cycles for the Pike VM, dynamic keys and
+// array confluence-merges for the JSON walker, wildcard roots for XML.
+// testdata/fuzz/FuzzSigVM holds the regression inputs a fuzzing run has
+// found; plain `go test` replays them with the seeds.
 func FuzzSigVM(f *testing.F) {
 	sigSeeds := []string{
 		// From siglang/parse_test.go's corpus (canonical renderings).
@@ -82,23 +82,23 @@ func FuzzSigVM(f *testing.F) {
 		// get a chance to confluence-merge arrays in place; the compiled
 		// programs must agree with the oracle both before and after that
 		// first-match mutation (round 2).
-		single := sigvm.CompileSingle(sig)
+		single := CompileSingle(sig)
 		for round := 0; round < 2; round++ {
-			wantOK, wantSt := siglang.MatchText(sig, payload)
+			wantOK, wantSt := MatchText(sig, payload)
 			gotOK, gotSt := single.MatchText(payload)
 			if wantOK != gotOK || wantSt != gotSt {
 				t.Fatalf("round %d MatchText(%s, %q): interp (%v, %+v), vm (%v, %+v)",
 					round, sigSrc, payload, wantOK, wantSt, gotOK, gotSt)
 			}
 
-			wantOK, wantSt = siglang.MatchQuery(sig, payload)
+			wantOK, wantSt = MatchQuery(sig, payload)
 			gotOK, gotSt = single.MatchQuery(payload)
 			if wantOK != gotOK || wantSt != gotSt {
 				t.Fatalf("round %d MatchQuery(%s, %q): interp (%v, %+v), vm (%v, %+v)",
 					round, sigSrc, payload, wantOK, wantSt, gotOK, gotSt)
 			}
 
-			wantOK, wantSt, wantErr := siglang.MatchJSON(sig, []byte(payload))
+			wantOK, wantSt, wantErr := MatchJSON(sig, []byte(payload))
 			gotOK, gotSt, gotErr := single.MatchJSON([]byte(payload))
 			if wantOK != gotOK || wantSt != gotSt || (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("round %d MatchJSON(%s, %q): interp (%v, %+v, %v), vm (%v, %+v, %v)",
@@ -106,7 +106,7 @@ func FuzzSigVM(f *testing.F) {
 			}
 
 			if x, isXML := sig.(*siglang.XML); isXML {
-				wantOK, wantSt, wantErr := siglang.MatchXML(x, []byte(payload))
+				wantOK, wantSt, wantErr := MatchXML(x, []byte(payload))
 				gotOK, gotSt, gotErr := single.MatchXML([]byte(payload))
 				if wantOK != gotOK || wantSt != gotSt || (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("round %d MatchXML(%s, %q): interp (%v, %+v, %v), vm (%v, %+v, %v)",

@@ -115,8 +115,8 @@ func (p *JSONProg) push(n jsonNode) int32 {
 	return int32(len(p.nodes) - 1)
 }
 
-// matchJSON is siglang.MatchJSON on a compiled program: decode through the
-// shared DecodeJSONPayload, then walk the flattened nodes with identical
+// matchJSON is the oracle's MatchJSON on a compiled program: decode through
+// the shared DecodeJSONPayload, then walk the flattened nodes with identical
 // verdicts and byte accounting.
 func (m *Matcher) matchJSON(p *JSONProg, payload []byte) (bool, siglang.ByteStats, error) {
 	v, err := siglang.DecodeJSONPayload(payload)
@@ -128,7 +128,7 @@ func (m *Matcher) matchJSON(p *JSONProg, payload []byte) (bool, siglang.ByteStat
 	return ok, st, nil
 }
 
-// matchJSONValue mirrors siglang.matchJSONValue node for node. idx == -1
+// matchJSONValue mirrors the oracle's matchJSONValue node for node. idx == -1
 // is the nil signature: the payload subtree is unaccounted (None).
 func (m *Matcher) matchJSONValue(p *JSONProg, idx int32, v any, st *siglang.ByteStats) bool {
 	if idx < 0 {

@@ -25,7 +25,7 @@ func (b *Bundle) compileQuery(s siglang.Sig) *QueryProg {
 	return p
 }
 
-// matchQuery is siglang.MatchQuery on a compiled program: identical pair
+// matchQuery is the oracle's MatchQuery on a compiled program: identical pair
 // splitting, separator accounting, and verdict rule ("every known-keyed
 // pair matched, or the signature knows no keys at all"), with the key
 // membership test a symbol lookup instead of a rebuilt map.

@@ -1,10 +1,11 @@
 // Package sigvm compiles siglang signatures into compact matcher programs
-// and executes them against traffic at line rate. The interpretive matcher
-// (siglang.MatchText/MatchQuery/MatchJSON/MatchXML driven by
-// trace.MatchReport) re-derives everything per entry: it renders and
-// compiles the URI regex, rebuilds keyword sets, re-merges array element
-// signatures, and recompiles string-leaf regexes. A Bundle does all of
-// that once per report:
+// and executes them against traffic at line rate. It is the only traffic
+// matcher: trace.MatchReport and trace.Classify (and through them Table 2,
+// the §5.1 validity count and cmd/classify) match through one Bundle plus
+// a per-worker Matcher. A Bundle does once per report what matching a
+// signature tree directly redoes for every entry — rendering and compiling
+// the URI regex, rebuilding keyword sets, re-merging array element
+// signatures, recompiling string-leaf regexes:
 //
 //   - URI templates and text bodies lower to a five-opcode Pike-VM
 //     bytecode (see text.go) with precomputed literal fragments, anchored
@@ -12,15 +13,18 @@
 //     tie-breaking;
 //   - query/form key sets become interned-symbol bitsets (query.go);
 //   - JSON body trees flatten to node arrays with key sets interned and
-//     array confluence-merges precomputed over clones (json.go);
+//     array confluence-merges precomputed over clones (json.go), so
+//     matching never rewrites the report's signature trees;
 //   - XML element trees carry interned attribute/child-tag sets (xml.go).
 //
 // A Bundle is immutable after Compile and shared read-only across any
 // number of matcher goroutines; all mutable run state (Pike thread lists,
 // visited marks) lives in per-worker Matcher values. The interpretive
-// matcher stays the equivalence oracle: trace.MatchOptions selects the
-// backend, a differential axis in internal/evaluate compares the two over
-// generated corpora, and FuzzSigVM compares them per primitive.
+// matcher is the equivalence oracle in this package's tests
+// (oracle_test.go): FuzzSigVM and the per-primitive tests compare it with
+// the compiled programs, and TestClassifyMatchesOracle compares whole
+// classifications of corpus and generated traffic. The byte-accounting
+// helpers both share stay in package siglang.
 package sigvm
 
 import (
@@ -45,8 +49,6 @@ type Prog struct {
 	respKind string // ResponseSig.BodyKind ("" when the body is unused)
 	respJSON *JSONProg
 	respXML  *XMLProg
-
-	headerKeys []string // constant request-header keys (interned, informational)
 }
 
 // Bundle is a report's signatures compiled for matching: one shared
@@ -59,7 +61,7 @@ type Bundle struct {
 
 // Compile lowers every transaction signature in a report. Signatures whose
 // URI regex does not compile still get a Prog — their text program simply
-// never matches, mirroring MatchReport's skip of uncompilable signatures.
+// never matches, as if the signature were absent.
 func Compile(rep *core.Report) *Bundle {
 	b := &Bundle{syms: intern.NewTable(64)}
 	for _, tx := range rep.Transactions {
@@ -74,12 +76,6 @@ func (b *Bundle) compileTx(tx *core.Transaction) Prog {
 		Method: tx.Request.Method,
 		uri:    b.note(compileText(tx.Request.URI)),
 	}
-	for _, h := range tx.Request.Headers {
-		if !h.Dyn {
-			b.syms.Intern(h.Key)
-			p.headerKeys = append(p.headerKeys, h.Key)
-		}
-	}
 	p.reqKind = tx.Request.BodyKind
 	switch p.reqKind {
 	case "query":
@@ -88,7 +84,7 @@ func (b *Bundle) compileTx(tx *core.Transaction) Prog {
 		p.reqJSON = b.compileJSON(tx.Request.Body)
 	case "text":
 		// Text bodies shaped like query strings get key/value matching
-		// (trace.matchTextOrQuery), so compile both forms.
+		// (siglang.QueryShapedBody), so compile both forms.
 		p.reqQuery = b.compileQuery(tx.Request.Body)
 		p.reqText = b.note(compileText(tx.Request.Body))
 	}
@@ -129,11 +125,8 @@ func (b *Bundle) TxID(i int) int { return b.progs[i].TxID }
 func (b *Bundle) Method(i int) string { return b.progs[i].Method }
 
 // SpecLen returns the length of signature i's rendered URI regex — the
-// specificity weight MatchReport breaks best-match ties with.
+// specificity weight trace's best-match rule breaks ties with.
 func (b *Bundle) SpecLen(i int) int { return b.progs[i].uri.spec }
-
-// HeaderKeys returns signature i's constant request-header keys.
-func (b *Bundle) HeaderKeys(i int) []string { return b.progs[i].headerKeys }
 
 // Matcher executes a Bundle's programs. It owns the mutable scratch of
 // the Pike VM (thread lists, generation-stamped visited marks), so each
@@ -174,23 +167,23 @@ func (m *Matcher) bump() {
 	}
 }
 
-// MatchURI reports whether url matches signature i's URI template —
-// the VM form of MatchReport's per-entry re.MatchString pre-filter.
+// MatchURI reports whether url matches signature i's URI template: the
+// per-entry pre-filter of trace's best-match rule, the VM form of
+// matching the rendered regex.
 func (m *Matcher) MatchURI(i int, url string) bool {
 	return m.matchText(m.b.progs[i].uri, url)
 }
 
 // URIStats returns the Table 2 byte accounting of url against signature
-// i's URI template (zero stats when it does not match), the VM form of
-// siglang.MatchText on the URI.
+// i's URI template (zero stats when it does not match).
 func (m *Matcher) URIStats(i int, url string) siglang.ByteStats {
 	_, st := m.matchTextStats(m.b.progs[i].uri, url)
 	return st
 }
 
-// MatchRequestBody validates a request body against signature i, the VM
-// form of trace's matchRequestBody: same body-kind dispatch, same
-// unmodeled-body accounting.
+// MatchRequestBody validates a request body against signature i,
+// dispatching on the signature's body kind; a body the signature does not
+// model is valid and all its bytes are unaccounted (None).
 func (m *Matcher) MatchRequestBody(i int, body string) (bool, siglang.ByteStats) {
 	if body == "" {
 		return true, siglang.ByteStats{}
@@ -216,8 +209,9 @@ func (m *Matcher) MatchRequestBody(i int, body string) (bool, siglang.ByteStats)
 	}
 }
 
-// MatchResponseBody validates a response body against signature i, the VM
-// form of trace's matchResponseBody.
+// MatchResponseBody validates a response body against signature i; a
+// body of another type than the signature models is valid and all its
+// bytes are unaccounted (None).
 func (m *Matcher) MatchResponseBody(i int, respType, body string) (bool, siglang.ByteStats) {
 	p := &m.b.progs[i]
 	if !p.hasResp || body == "" {

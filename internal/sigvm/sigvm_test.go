@@ -71,7 +71,7 @@ func TestTextVMMatchesOracle(t *testing.T) {
 	for _, sig := range textSigs(t) {
 		single := CompileSingle(sig)
 		for _, payload := range textPayloads() {
-			wantOK, wantSt := siglang.MatchText(sig, payload)
+			wantOK, wantSt := MatchText(sig, payload)
 			gotOK, gotSt := single.MatchText(payload)
 			if wantOK != gotOK || wantSt != gotSt {
 				t.Errorf("MatchText(%s, %q): interp (%v, %+v), vm (%v, %+v)",
@@ -104,7 +104,7 @@ func TestQueryVMMatchesOracle(t *testing.T) {
 	for _, sig := range sigs {
 		single := CompileSingle(sig)
 		for _, q := range queries {
-			wantOK, wantSt := siglang.MatchQuery(sig, q)
+			wantOK, wantSt := MatchQuery(sig, q)
 			gotOK, gotSt := single.MatchQuery(q)
 			if wantOK != gotOK || wantSt != gotSt {
 				t.Errorf("MatchQuery(%s, %q): interp (%v, %+v), vm (%v, %+v)",
@@ -180,7 +180,7 @@ func TestJSONVMMatchesOracle(t *testing.T) {
 		before := siglang.Canon(sig)
 		for round := 0; round < 2; round++ {
 			for _, payload := range jsonPayloads() {
-				wantOK, wantSt, wantErr := siglang.MatchJSON(sig, []byte(payload))
+				wantOK, wantSt, wantErr := MatchJSON(sig, []byte(payload))
 				gotOK, gotSt, gotErr := single.MatchJSON([]byte(payload))
 				if wantOK != gotOK || wantSt != gotSt || (wantErr == nil) != (gotErr == nil) {
 					t.Errorf("round %d MatchJSON(%s, %s): interp (%v, %+v, %v), vm (%v, %+v, %v)",
@@ -241,7 +241,7 @@ func TestXMLVMMatchesOracle(t *testing.T) {
 			t.Fatalf("no XML program for %s", siglang.Canon(sig))
 		}
 		for _, payload := range payloads {
-			wantOK, wantSt, wantErr := siglang.MatchXML(sig, []byte(payload))
+			wantOK, wantSt, wantErr := MatchXML(sig, []byte(payload))
 			gotOK, gotSt, gotErr := single.MatchXML([]byte(payload))
 			if wantOK != gotOK || wantSt != gotSt || (wantErr == nil) != (gotErr == nil) {
 				t.Errorf("MatchXML(%s, %s): interp (%v, %+v, %v), vm (%v, %+v, %v)",
@@ -261,7 +261,7 @@ func TestMatcherScratchReuse(t *testing.T) {
 		for _, sig := range sigs {
 			single := CompileSingle(sig)
 			for _, p := range payloads {
-				want, _ := siglang.MatchText(sig, p)
+				want, _ := MatchText(sig, p)
 				for i := 0; i < 2; i++ { // same matcher, repeated
 					if got, _ := single.MatchText(p); got != want {
 						t.Fatalf("round %d repeat %d: MatchText(%s, %q) = %v, want %v",
@@ -285,7 +285,7 @@ func TestTextVMDeepSignature(t *testing.T) {
 	sig := siglang.Cat(parts...)
 	single := CompileSingle(sig)
 	for _, p := range []string{payload, payload + "\n", "/root/seg0/"} {
-		wantOK, wantSt := siglang.MatchText(sig, p)
+		wantOK, wantSt := MatchText(sig, p)
 		gotOK, gotSt := single.MatchText(p)
 		if wantOK != gotOK || wantSt != gotSt {
 			t.Errorf("deep sig on %q: interp (%v, %+v), vm (%v, %+v)", p, wantOK, wantSt, gotOK, gotSt)

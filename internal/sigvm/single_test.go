@@ -7,7 +7,7 @@ import (
 
 // Single is one signature compiled in every matching mode — the harness
 // the fuzz and property tests drive to compare the VM against the
-// interpretive siglang matchers primitive by primitive, outside any
+// interpretive oracle (oracle_test.go) primitive by primitive, outside any
 // report. Methods are not safe for concurrent use (they share one
 // Matcher's scratch); report-scale matching goes through Compile.
 type Single struct {
@@ -36,22 +36,22 @@ func CompileSingle(s siglang.Sig) *Single {
 	return sg
 }
 
-// MatchText is the compiled form of siglang.MatchText(s, payload).
+// MatchText is the compiled form of the oracle's MatchText(s, payload).
 func (s *Single) MatchText(payload string) (bool, siglang.ByteStats) {
 	return s.m.matchTextStats(s.text, payload)
 }
 
-// MatchQuery is the compiled form of siglang.MatchQuery(s, query).
+// MatchQuery is the compiled form of the oracle's MatchQuery(s, query).
 func (s *Single) MatchQuery(query string) (bool, siglang.ByteStats) {
 	return s.b.matchQuery(s.query, query)
 }
 
-// MatchJSON is the compiled form of siglang.MatchJSON(s, payload).
+// MatchJSON is the compiled form of the oracle's MatchJSON(s, payload).
 func (s *Single) MatchJSON(payload []byte) (bool, siglang.ByteStats, error) {
 	return s.m.matchJSON(s.json, payload)
 }
 
-// MatchXML is the compiled form of siglang.MatchXML(s, payload); it
+// MatchXML is the compiled form of the oracle's MatchXML(s, payload); it
 // requires the signature to have been an *siglang.XML.
 func (s *Single) MatchXML(payload []byte) (bool, siglang.ByteStats, error) {
 	return s.b.matchXML(s.xml, payload)

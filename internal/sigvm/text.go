@@ -74,10 +74,10 @@ type TextProg struct {
 	re *regexp.Regexp
 }
 
-// compileText lowers a text signature to bytecode. Validity mirrors the
-// interpretive path exactly: siglang.Compile is consulted once here, and a
+// compileText lowers a text signature to bytecode. Validity follows the
+// regex renderer exactly: siglang.Compile is consulted once here, and a
 // signature it rejects yields a program that never matches — the same
-// outcome as MatchText's error return and MatchReport's sig skipping.
+// outcome as the oracle's MatchText error return (oracle_test.go).
 func compileText(s siglang.Sig) *TextProg {
 	rx := siglang.Regex(s)
 	p := &TextProg{spec: len(rx)}
@@ -286,7 +286,7 @@ func (c *textCompiler) alts(alts []siglang.Sig) {
 }
 
 // matchText runs a program over the input using the matcher's scratch
-// thread lists. It is the bool of siglang.MatchText.
+// thread lists. It is the bool of the oracle's MatchText.
 func (m *Matcher) matchText(p *TextProg, input string) bool {
 	if !p.valid {
 		return false
@@ -381,7 +381,7 @@ func (m *Matcher) addThread(p *TextProg, list []uint32, pc uint32) []uint32 {
 	return list
 }
 
-// matchTextStats is siglang.MatchText on a compiled program: the verdict
+// matchTextStats is the oracle's MatchText on a compiled program: the verdict
 // from the VM, the byte accounting from the shared AccountText over the
 // precomputed fragments.
 func (m *Matcher) matchTextStats(p *TextProg, input string) (bool, siglang.ByteStats) {

@@ -51,7 +51,7 @@ func (b *Bundle) compileXMLElem(e *siglang.Elem) *xmlElem {
 	return x
 }
 
-// matchXML is siglang.MatchXML on a compiled program: decode through the
+// matchXML is the oracle's MatchXML on a compiled program: decode through the
 // shared ParseXMLPayload, then walk the compiled elements with identical
 // verdicts and byte accounting (including the "no XML modeled → whole
 // payload unaccounted but valid" case, which still requires the payload to
@@ -70,7 +70,7 @@ func (b *Bundle) matchXML(p *XMLProg, payload []byte) (bool, siglang.ByteStats, 
 	return ok, st, nil
 }
 
-// matchXMLElem mirrors siglang.matchElem exactly: same wildcard-root
+// matchXMLElem mirrors the oracle's matchElem exactly: same wildcard-root
 // handling, same first-matching-child rule, same byte charges.
 func (b *Bundle) matchXMLElem(sig *xmlElem, node *siglang.XMLNode, st *siglang.ByteStats) bool {
 	if sig == nil || node == nil {

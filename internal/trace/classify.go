@@ -9,14 +9,18 @@ import (
 	"extractocol/internal/sigvm"
 )
 
-// ClassifyOptions configures Classify: backend selection (as in
-// MatchOptions) plus the worker fan-out.
+// ClassifyOptions configures Classify: an optional precompiled bundle,
+// the worker fan-out and the latency telemetry hook.
 type ClassifyOptions struct {
-	// VM matches with the compiled sigvm backend; false is the
-	// interpretive oracle.
+	// VM is ignored: Classify always matches with the compiled sigvm
+	// matcher.
+	//
+	// Deprecated: the interpretive matcher it once selected is a test
+	// oracle now (internal/sigvm/oracle_test.go). The field stays only
+	// until the benchmark harness, which still sets it, stops doing so.
 	VM bool
-	// Bundle optionally reuses a compiled bundle (VM only); nil compiles
-	// one from the report.
+	// Bundle optionally reuses a compiled bundle (it must have been
+	// compiled from the same report); nil compiles one from the report.
 	Bundle *sigvm.Bundle
 	// Workers is the matcher fan-out; 0 or 1 runs serially, <0 uses
 	// GOMAXPROCS. The result is byte-identical at any width: entries are
@@ -37,7 +41,7 @@ type SigHits struct {
 	Hits   int    `json:"hits"`
 }
 
-// ClassifyResult is MatchReport's aggregate plus the per-entry and
+// ClassifyResult is the MatchResult aggregate plus the per-entry and
 // per-signature views a classifier needs: which transaction each entry
 // resolved to, and how often each signature fired.
 type ClassifyResult struct {
@@ -51,8 +55,8 @@ type ClassifyResult struct {
 	Verdicts []int
 }
 
-// Classify streams entries through the selected matcher backend and
-// returns the full classification: MatchReport's aggregate, per-entry
+// Classify streams entries through the compiled signature matcher and
+// returns the full classification: the MatchResult aggregate, per-entry
 // verdicts, and per-signature hit tallies. With Workers > 1 the entries
 // are fanned out over contiguous chunks — the compiled bundle is shared
 // read-only, each worker owns a Matcher — and the merged result is
@@ -69,25 +73,11 @@ func Classify(rep *core.Report, entries []Entry, opt ClassifyOptions) *ClassifyR
 		workers = max(1, len(entries))
 	}
 
-	// One bundle compilation (or regex compilation, for the oracle) shared
-	// by every worker; only Matcher scratch is per-worker.
-	var bundle *sigvm.Bundle
-	var interp *interpBackend
-	if opt.VM {
-		bundle = opt.Bundle
-		if bundle == nil {
-			bundle = sigvm.Compile(rep)
-		}
-	} else {
-		interp = newInterpBackend(rep)
-	}
-	backend := func() sigBackend {
-		if opt.VM {
-			return &vmBackend{b: bundle, m: bundle.NewMatcher()}
-		}
-		// The interpretive backend is stateless per entry (compiled
-		// regexps are safe for concurrent use), so workers share it.
-		return interp
+	// One bundle compilation shared by every worker; only Matcher scratch
+	// is per-worker.
+	bundle := opt.Bundle
+	if bundle == nil {
+		bundle = sigvm.Compile(rep)
 	}
 
 	res := &ClassifyResult{Verdicts: make([]int, len(entries))}
@@ -106,7 +96,7 @@ func Classify(rep *core.Report, entries []Entry, opt ClassifyOptions) *ClassifyR
 
 	if workers == 1 {
 		stats := newStats()
-		matchChunk(backend(), entries, &res.MatchResult, sigMatched, sigFailed, hits, res.Verdicts, stats)
+		matchChunk(bundle, bundle.NewMatcher(), entries, &res.MatchResult, sigMatched, sigFailed, hits, res.Verdicts, stats)
 		opt.Col.Drain(stats)
 	} else {
 		type partial struct {
@@ -133,7 +123,7 @@ func Classify(rep *core.Report, entries []Entry, opt ClassifyOptions) *ClassifyR
 				p.matched = map[int]bool{}
 				p.failed = map[int]bool{}
 				p.hits = map[int]int{}
-				matchChunk(backend(), entries[lo:hi], &p.res, p.matched, p.failed, p.hits, res.Verdicts[lo:hi], shards[w])
+				matchChunk(bundle, bundle.NewMatcher(), entries[lo:hi], &p.res, p.matched, p.failed, p.hits, res.Verdicts[lo:hi], shards[w])
 			}(w, lo, hi)
 		}
 		wg.Wait()

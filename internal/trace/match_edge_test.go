@@ -1,8 +1,9 @@
 // MatchReport edge cases: an empty trace, signatures that never see
-// traffic, and the byte accounting of unmatched entries. These pin the
-// denominators of the §5.1 validity summary — a signature without observed
-// traffic must be excluded from SigsWithTraffic rather than counted valid,
-// and unmatched exchanges must not leak bytes into the Table 2 statistics.
+// traffic, the byte accounting of unmatched entries, and matching as a
+// read-only use of the report. These pin the denominators of the §5.1
+// validity summary — a signature without observed traffic must be excluded
+// from SigsWithTraffic rather than counted valid, and unmatched exchanges
+// must not leak bytes into the Table 2 statistics.
 package trace
 
 import (
@@ -91,5 +92,57 @@ func TestMatchReportUnmatchedEntryByteAccounting(t *testing.T) {
 	}
 	if got := res.URIStats.Total() + res.ReqStats.Total() + res.RespStats.Total(); got != 0 {
 		t.Fatalf("unmatched entries accounted %d bytes, want 0", got)
+	}
+}
+
+// TestMatchingLeavesReportUnchanged: matching reads the signatures and
+// never rewrites them. An array signature whose elements differ is the
+// shape an in-place merge of the element signatures would rewrite, here
+// as a request body and nested in a response body. The trees are compared
+// in canonical form: report.JSON and report.Text render an array by its
+// merged element only, so they cannot show such a rewrite.
+func TestMatchingLeavesReportUnchanged(t *testing.T) {
+	arr := func() siglang.Sig {
+		s, err := siglang.Parse(`array[obj{"a": ?int}, obj{"b": ?string}]`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	newReport := func() *core.Report {
+		tx := litTx(1, "POST", "https://a.example.com/items")
+		tx.Request.BodyKind = "json"
+		tx.Request.Body = &siglang.JSON{Root: arr()}
+		resp := &siglang.Obj{}
+		resp.Put("items", arr())
+		tx.Response = &sigbuild.ResponseSig{BodyKind: "json", JSON: resp}
+		return &core.Report{Transactions: []*core.Transaction{tx}}
+	}
+	canon := func(rep *core.Report) string {
+		tx := rep.Transactions[0]
+		return siglang.Canon(tx.Request.Body) + " / " + siglang.Canon(tx.Response.JSON)
+	}
+	es := []Entry{{
+		Method: "POST", URL: "https://a.example.com/items", Status: 200,
+		ReqBody: `[{"a":1,"b":"x"}]`, RespType: "json",
+		RespBody: `{"items":[{"a":2,"b":"y"}]}`, RouteID: "POST /items",
+	}}
+	for _, tc := range []struct {
+		name  string
+		match func(*core.Report) *MatchResult
+	}{
+		{"MatchReport", func(rep *core.Report) *MatchResult { return MatchReport(rep, es) }},
+		{"Classify", func(rep *core.Report) *MatchResult {
+			return &Classify(rep, es, ClassifyOptions{}).MatchResult
+		}},
+	} {
+		rep := newReport()
+		before := canon(rep)
+		if res := tc.match(rep); res.MatchedEntries != 1 || res.SigsValid != 1 {
+			t.Fatalf("%s: the entry should match its signature validly: %+v", tc.name, res)
+		}
+		if after := canon(rep); after != before {
+			t.Errorf("%s rewrote the report's signatures:\nbefore %s\nafter  %s", tc.name, before, after)
+		}
 	}
 }

@@ -19,8 +19,8 @@ type LabeledEntry struct {
 	// WantID is the expected best-match transaction ID (0 = none). It is
 	// computed from the signatures' rendered regular expressions — method
 	// equality, regexp match, longest-regex tie-break — independently of
-	// either matcher backend, so tests assert exact verdicts rather than
-	// one backend's opinion of the other.
+	// the compiled matcher, so tests assert exact verdicts rather than one
+	// matcher's opinion of another.
 	WantID int
 }
 
@@ -38,8 +38,8 @@ func Entries(labeled []LabeledEntry) []Entry {
 // synthesized from each signature's URI template and body model,
 // interleaved with deliberate near-misses (unknown methods, newline
 // injection, digit corruption, truncation, failed statuses). Labels come
-// from the regex specification, not from either matcher, so the same
-// corpus can judge both.
+// from the regex specification, not from a matcher, so the same corpus
+// can judge the compiled matcher and its interpretive test oracle.
 func RandEntries(seed uint64, rep *core.Report, n int) []LabeledEntry {
 	r := &entropy{state: seed ^ 0xE7037ED1A0B428DB}
 	r.next()

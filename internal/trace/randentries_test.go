@@ -1,7 +1,7 @@
 // Labeled-traffic generator tests: RandEntries must be deterministic per
 // seed, its labels must be exact ground truth (computed from the regex
-// specification, not from a matcher), and both matcher backends — at any
-// worker count — must reproduce those labels verbatim.
+// specification, not from a matcher), and the matcher — at any worker
+// count — must reproduce those labels verbatim.
 package trace
 
 import (
@@ -11,7 +11,6 @@ import (
 
 	"extractocol/internal/core"
 	"extractocol/internal/corpus"
-	"extractocol/internal/fuzz"
 	"extractocol/internal/sigvm"
 )
 
@@ -65,54 +64,28 @@ func TestRandEntriesMixesVerdicts(t *testing.T) {
 }
 
 // TestClassifyReproducesLabels is the exact-verdict gate: every entry's
-// best-match transaction must equal the label, for the interpretive
-// backend, the VM backend, and the VM backend under parallel fan-out —
-// and all three full results must be byte-identical.
+// best-match transaction must equal the label, serially and under parallel
+// fan-out, and the two full results must be byte-identical. The
+// interpretive oracle's half of this check is TestClassifyMatchesOracle in
+// internal/sigvm.
 func TestClassifyReproducesLabels(t *testing.T) {
 	for i, rep := range genReports(t, 21, 4) {
 		labeled := RandEntries(uint64(100+i), rep, 250)
 		entries := Entries(labeled)
 		bundle := sigvm.Compile(rep)
-		interp := Classify(rep, entries, ClassifyOptions{})
-		vm := Classify(rep, entries, ClassifyOptions{VM: true, Bundle: bundle})
-		vmPar := Classify(rep, entries, ClassifyOptions{VM: true, Bundle: bundle, Workers: 4})
+		vm := Classify(rep, entries, ClassifyOptions{Bundle: bundle})
+		vmPar := Classify(rep, entries, ClassifyOptions{Bundle: bundle, Workers: 4})
 
 		for j, le := range labeled {
-			if interp.Verdicts[j] != le.WantID {
-				t.Fatalf("app %d entry %d (%s %s): interp verdict %d, label %d",
-					i, j, le.Method, le.URL, interp.Verdicts[j], le.WantID)
+			if vm.Verdicts[j] != le.WantID {
+				t.Fatalf("app %d entry %d (%s %s): verdict %d, label %d",
+					i, j, le.Method, le.URL, vm.Verdicts[j], le.WantID)
 			}
 		}
-		ji := mustJSON(t, interp)
 		jv := mustJSON(t, vm)
 		jp := mustJSON(t, vmPar)
-		if ji != jv {
-			t.Fatalf("app %d: interp and VM classifications differ:\n%s\n%s", i, ji, jv)
-		}
 		if jv != jp {
-			t.Fatalf("app %d: serial and parallel VM classifications differ:\n%s\n%s", i, jv, jp)
-		}
-	}
-}
-
-// TestMatchReportVMEquivalence drives both backends over real interpreter
-// traffic (not generated entries) from seeded apps and demands identical
-// MatchResults.
-func TestMatchReportVMEquivalence(t *testing.T) {
-	for _, app := range corpus.Rand(31, 4) {
-		rep, err := core.Analyze(app.Prog, core.NewOptions())
-		if err != nil {
-			t.Fatalf("%s: %v", app.Spec.Name, err)
-		}
-		n := app.NewNetwork()
-		if _, err := fuzz.Run(app.Prog, n, fuzz.Manual); err != nil {
-			t.Fatalf("%s: %v", app.Spec.Name, err)
-		}
-		entries := FromNetwork(n.Trace())
-		want := MatchReport(rep, entries)
-		got := MatchReportOpts(rep, entries, MatchOptions{VM: true})
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: backends disagree:\ninterp %+v\nvm     %+v", app.Spec.Name, want, got)
+			t.Fatalf("app %d: serial and parallel classifications differ:\n%s\n%s", i, jv, jp)
 		}
 	}
 }
