@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"extractocol/internal/siglang"
 )
 
 // results are computed once; the full corpus evaluation is the expensive
@@ -92,6 +94,33 @@ func TestTable2FractionsReasonable(t *testing.T) {
 			t.Errorf("response Rn = %.2f (open=%v)", respRn, openSource)
 		}
 		_ = rn
+	}
+}
+
+// TestTable2AndValidityPinned pins the raw byte counts behind Table 2 and
+// the §5.1 validity totals. TestTable2FractionsReasonable checks only
+// loose bounds on rounded fractions, so a matcher change that moved a
+// few bytes between Rk, Rv and Rn would pass it unnoticed.
+func TestTable2AndValidityPinned(t *testing.T) {
+	results := allResults(t)
+	want := map[bool]Table2Stats{
+		true: {
+			Request:  siglang.ByteStats{Key: 1332, Value: 778, None: 0},
+			Response: siglang.ByteStats{Key: 2952, Value: 2781, None: 207},
+		},
+		false: {
+			Request:  siglang.ByteStats{Key: 12997, Value: 7810, None: 0},
+			Response: siglang.ByteStats{Key: 14129, Value: 15065, None: 14778},
+		},
+	}
+	for _, openSource := range []bool{true, false} {
+		if got := Table2(results, openSource); got != want[openSource] {
+			t.Errorf("Table2(open=%v) = %+v, want %+v", openSource, got, want[openSource])
+		}
+	}
+	wantV := ValiditySummary{Apps: 34, SigsWithTraffic: 747, SigsValid: 747, UnmatchedTraces: 32, Pairs: 739}
+	if got := Validity(results); got != wantV {
+		t.Errorf("Validity = %+v, want %+v", got, wantV)
 	}
 }
 
