@@ -42,6 +42,13 @@ go test -race -run 'TestFaultInjection|TestDecodeFault|TestInjectedHang|TestEval
 echo "== go test -race"
 go test -race ./...
 
+echo "== matcher equivalence fuzz"
+# Thirty seconds of FuzzSigVM beyond its seeds: the compiled matcher walks
+# JSON bytes and runs its own regex bytecode, the interpretive oracle
+# decodes with encoding/json and compiles with regexp, and any signature
+# and payload on which their verdicts or byte accounting differ fails.
+go test -run '^$' -fuzz '^FuzzSigVM$' -fuzztime 30s ./internal/sigvm
+
 echo "== result cache smoke under -race"
 # End-to-end warm-path gate on the real binaries: analyze the same .apkb
 # twice into one cache directory; the second (warm) run must produce an
@@ -66,7 +73,8 @@ echo "== differential harness under -race"
 # deadline feeds the budgeted axis; generous on purpose — a budget that
 # trips under -race is itself a mismatch. The compiled traffic matcher is
 # held to its interpretive oracle by the sigvm package tests
-# (TestClassifyMatchesOracle, FuzzSigVM) in the -race test step.
+# (TestClassifyMatchesOracle, FuzzSigVM) in the -race test step and by
+# the fuzz step.
 go run -race ./cmd/evaluate -gen 1729:100 -deadline 5m
 
 echo "== ops plane smoke under -race"
@@ -122,12 +130,14 @@ echo "== bench smoke"
 go test -run=NONE -bench=. -benchtime=1x .
 
 echo "== perfbench correctness smoke"
-# The benchmark harness's own checks on two short runs: every operation's
-# report digest, truth counts and cache verdicts must hold ("correct":true,
-# "failed":0). The traced run also cross-checks core.Analyze's profile
-# counters against the standalone layer chain.
+# The benchmark harness's own checks on three short runs: every operation's
+# report digest, truth counts and cache verdicts must hold, and on classify
+# every verdict must equal its entry's label ("correct":true, "failed":0).
+# The traced run also cross-checks core.Analyze's profile counters against
+# the standalone layer chain.
 for args in "--workload corpus-cold --seconds 3 --trace 1" \
-    "--workload gen-cold --seconds 3 --trace 0"; do
+    "--workload gen-cold --seconds 3 --trace 0" \
+    "--workload classify --seconds 3 --trace 0"; do
     # shellcheck disable=SC2086 # args is a word list on purpose
     bash perfbench/run.sh $args > "$smoke/perfbench.txt"
     grep '^{"attempted"' "$smoke/perfbench.txt" > "$smoke/perfbench.res" || true

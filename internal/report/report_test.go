@@ -7,6 +7,8 @@ import (
 
 	"extractocol/internal/core"
 	"extractocol/internal/corpus"
+	"extractocol/internal/sigbuild"
+	"extractocol/internal/siglang"
 )
 
 func rrReport(t *testing.T) *core.Report {
@@ -88,5 +90,50 @@ func TestGroupByPrefixKayak(t *testing.T) {
 	}
 	if byPrefix["GET /h/mobileapis"] != 12 {
 		t.Errorf("mobileapis = %d, want 12", byPrefix["GET /h/mobileapis"])
+	}
+}
+
+// TestRenderingLeavesSignaturesUnchanged checks that rendering a report
+// does not rewrite its signature trees. An array whose elements are
+// differently shaped objects is what JSONSchema folds into one item
+// schema; the fold must not merge the later elements into the first.
+func TestRenderingLeavesSignaturesUnchanged(t *testing.T) {
+	arr := func() siglang.Sig {
+		s, err := siglang.Parse(`array[obj{"a": ?int}, obj{"b": ?string}]`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	resp := &siglang.Obj{}
+	resp.Put("items", arr())
+	tx := &core.Transaction{
+		ID: 1,
+		Request: &sigbuild.RequestSig{
+			Method:   "POST",
+			URI:      siglang.Str("https://a.example.com/items"),
+			BodyKind: "json",
+			Body:     &siglang.JSON{Root: arr()},
+		},
+		Response: &sigbuild.ResponseSig{BodyKind: "json", JSON: resp},
+	}
+	rep := &core.Report{Package: "t.render", Transactions: []*core.Transaction{tx}}
+	canon := func() string {
+		return siglang.Canon(tx.Request.Body) + " / " + siglang.Canon(tx.Response.JSON)
+	}
+	before := canon()
+	for _, r := range []struct {
+		name   string
+		render func() error
+	}{
+		{"Text", func() error { Text(rep); return nil }},
+		{"JSON", func() error { _, err := JSON(rep); return err }},
+	} {
+		if err := r.render(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if after := canon(); after != before {
+			t.Fatalf("%s rewrote the report's signatures:\nbefore %s\nafter  %s", r.name, before, after)
+		}
 	}
 }

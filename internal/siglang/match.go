@@ -1,13 +1,10 @@
 package siglang
 
 import (
-	"encoding/json"
+	"bytes"
 	"encoding/xml"
 	"fmt"
-	"math"
-	"strconv"
 	"strings"
-	"unicode/utf8"
 )
 
 // ByteStats accounts matched bytes of a traffic payload against a
@@ -90,17 +87,6 @@ func LiteralFragments(s Sig) []string {
 	return out
 }
 
-// DecodeJSONPayload unmarshals a payload for structural matching; the
-// compiled matcher (internal/sigvm) and its interpretive test oracle both
-// decode through it so their error behavior is identical.
-func DecodeJSONPayload(payload []byte) (any, error) {
-	var v any
-	if err := json.Unmarshal(payload, &v); err != nil {
-		return nil, fmt.Errorf("siglang: payload is not JSON: %w", err)
-	}
-	return v, nil
-}
-
 // LiteralMatches reports whether a decoded JSON leaf equals a literal
 // signature term: strings compare directly, numbers and booleans through
 // their canonical %v rendering. Shared by the compiled matcher and its
@@ -118,118 +104,6 @@ func LiteralMatches(l *Lit, v any) bool {
 	}
 }
 
-// JSONSize returns the serialized size of a decoded JSON value — the byte
-// count the Table 2 accounting charges for a subtree. Exported so the
-// compiled matcher and its test oracle account identically.
-func JSONSize(v any) int {
-	switch t := v.(type) {
-	case nil:
-		return len("null")
-	case bool:
-		if t {
-			return len("true")
-		}
-		return len("false")
-	case string:
-		return quotedJSONLen(t)
-	case float64:
-		return jsonFloatLen(t)
-	case map[string]any:
-		if t == nil {
-			return len("null")
-		}
-		// '{' plus, per pair, its bytes and a ',' (the last pair's comma
-		// slot is the closing '}'); key order never affects the length.
-		n := 1 + len(t)
-		if len(t) == 0 {
-			n = 2
-		}
-		for k, e := range t {
-			n += quotedJSONLen(k) + 1 + JSONSize(e)
-		}
-		return n
-	case []any:
-		if t == nil {
-			return len("null")
-		}
-		n := 1 + len(t)
-		if len(t) == 0 {
-			n = 2
-		}
-		for _, e := range t {
-			n += JSONSize(e)
-		}
-		return n
-	default:
-		// Not a shape DecodeJSONPayload produces; defer to the encoder.
-		b, err := json.Marshal(v)
-		if err != nil {
-			return 0
-		}
-		return len(b)
-	}
-}
-
-// quotedJSONLen is the marshalled length of a string, replicating
-// encoding/json's appendString with its default HTML escaping: short
-// escapes for \", \\, \b, \f, \n, \r, \t; \u00XX for other control bytes
-// and for <, >, &; the six-byte \ufffd escape for invalid UTF-8 bytes;
-// \u2028 and \u2029 escaped; every other rune passes through at its
-// encoded width.
-func quotedJSONLen(s string) int {
-	n := 2
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				n++
-			} else {
-				switch b {
-				case '"', '\\', '\b', '\f', '\n', '\r', '\t':
-					n += 2
-				default:
-					n += 6
-				}
-			}
-			i++
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			n += len(`\ufffd`) // the six-byte escape sequence
-		case c == '\u2028' || c == '\u2029':
-			n += len(`\u2028`)
-		default:
-			n += size
-		}
-		i += size
-	}
-	return n
-}
-
-// jsonFloatLen is the marshalled length of a float64, replicating
-// encoding/json's floatEncoder: %f inside [1e-6, 1e21), %e outside with
-// the single-zero exponent trimmed ("e-09" to "e-9"); non-finite values
-// fail to marshal and keep their historical size of zero.
-func jsonFloatLen(f float64) int {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return 0
-	}
-	var buf [32]byte
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b := strconv.AppendFloat(buf[:0], f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b = b[:n-1]
-		}
-	}
-	return len(b)
-}
-
 // XMLNode is the decoded form of an XML payload: one node per element,
 // attributes flattened to a map, character data concatenated. Exported so
 // the compiled matcher (internal/sigvm) walks the same decoded tree its
@@ -245,7 +119,7 @@ type XMLNode struct {
 // compiled matcher and its test oracle both decode through it so error
 // behavior and tree shape are identical.
 func ParseXMLPayload(data []byte) (*XMLNode, error) {
-	dec := xml.NewDecoder(strings.NewReader(string(data)))
+	dec := xml.NewDecoder(bytes.NewReader(data))
 	var stack []*XMLNode
 	var root *XMLNode
 	for {

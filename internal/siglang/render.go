@@ -65,7 +65,9 @@ func writeSchema(s Sig, b *strings.Builder) {
 		b.WriteString(`{"type":"array","items":`)
 		var item Sig
 		for _, e := range v.Elems {
-			item = Merge(item, e)
+			// Merge writes into its first operand: fold over clones so
+			// rendering leaves the signature tree as it was.
+			item = Merge(item, Clone(e))
 		}
 		writeSchema(item, b)
 		b.WriteString("}")

@@ -3,6 +3,7 @@ package sigvm_test
 import (
 	"encoding/json"
 	"regexp"
+	"strings"
 	"testing"
 
 	"extractocol/internal/core"
@@ -254,6 +255,46 @@ func TestClassifyMatchesOracle(t *testing.T) {
 		}}
 		checkClassify(t, "tie", rep, []trace.Entry{{Method: "GET", URL: "https://h/zz", Status: 200, RouteID: "GET /zz"}}, nil)
 	})
+}
+
+// TestMatchJSONAllocs bounds the allocations of matching one JSON body
+// whose signature has no literal leaves: radio reddit's login response
+// against obj{"modhash": ?string, "cookie": ?string, "need_https": ?bool}.
+// The one allowed is the body's conversion to bytes for json.Valid; the
+// walk itself allocates nothing.
+func TestMatchJSONAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, and json.Valid pools its scanner")
+	}
+	app := corpus.RadioReddit()
+	rep := analyze(t, app)
+	entries := recorded(t, app)
+	bundle := sigvm.Compile(rep)
+	cls := trace.Classify(rep, entries, trace.ClassifyOptions{Bundle: bundle})
+	for ei, e := range entries {
+		if !strings.HasSuffix(e.URL, "/api/login") || e.RespType != "json" {
+			continue
+		}
+		sig := -1
+		for i := 0; i < bundle.NumSigs(); i++ {
+			if bundle.TxID(i) == cls.Verdicts[ei] {
+				sig = i
+			}
+		}
+		if sig < 0 {
+			t.Fatalf("login entry %s matched no signature", e.URL)
+		}
+		m := bundle.NewMatcher()
+		if ok, st := m.MatchResponseBody(sig, e.RespType, e.RespBody); !ok || st.Key == 0 {
+			t.Fatalf("login response %q: ok=%v stats=%+v, want a keyed match", e.RespBody, ok, st)
+		}
+		allocs := testing.AllocsPerRun(100, func() { m.MatchResponseBody(sig, e.RespType, e.RespBody) })
+		if allocs > 1 {
+			t.Errorf("matching the %d-byte login response costs %.0f allocations, want at most 1", len(e.RespBody), allocs)
+		}
+		return
+	}
+	t.Fatal("radio reddit's recorded traffic has no JSON login response")
 }
 
 // classifyFloor is the minimum ratio of the oracle's classification time

@@ -15,7 +15,8 @@ import (
 // signature corpus is seeded from the parser's canonical test corpus
 // (siglang/parse_test.go's corpusSigs renderings) plus shapes that stress
 // each engine: repetition epsilon cycles for the Pike VM, dynamic keys and
-// array confluence-merges for the JSON walker, wildcard roots for XML.
+// array confluence-merges for the JSON walk, wildcard roots for XML, and
+// the payloads of the JSON edge-case table.
 // testdata/fuzz/FuzzSigVM holds the regression inputs a fuzzing run has
 // found; plain `go test` replays them with the seeds.
 func FuzzSigVM(f *testing.F) {
@@ -61,13 +62,17 @@ func FuzzSigVM(f *testing.F) {
 	for _, p := range payloadSeeds {
 		f.Add(`concat("v", ?int)`, p)
 	}
+	// The JSON walk's edge cases (match_test.go).
+	for _, tc := range jsonEdgeCases {
+		f.Add(tc.sig, tc.payload)
+	}
 
 	f.Fuzz(func(t *testing.T, sigSrc, payload string) {
 		// JSONSize computes marshalled lengths without marshalling; hold it
 		// to the real encoder on every decodable payload.
-		if v, err := siglang.DecodeJSONPayload([]byte(payload)); err == nil {
+		if v, err := DecodeJSONPayload([]byte(payload)); err == nil {
 			if enc, merr := json.Marshal(v); merr == nil {
-				if got := siglang.JSONSize(v); got != len(enc) {
+				if got := JSONSize(v); got != len(enc) {
 					t.Fatalf("JSONSize(%q) = %d, encoder produced %d bytes: %s",
 						payload, got, len(enc), enc)
 				}

@@ -1,6 +1,12 @@
 package sigvm
 
 import (
+	"encoding/json"
+	"errors"
+	"math"
+	"strconv"
+	"unicode/utf8"
+
 	"extractocol/internal/siglang"
 )
 
@@ -23,10 +29,9 @@ type jsonNode struct {
 	kind jsonKind
 
 	// kObj
-	fields   map[uint32]int32 // interned key → value node (first non-dyn pair wins, as Obj.Get does)
-	required []string         // non-dyn keys that must be present in the payload
-	dyn      int32            // value node of the last dynamic pair
-	hasDyn   bool
+	fields map[uint32]int32 // interned key → value node (first non-dyn pair wins, as Obj.Get does)
+	dyn    int32            // value node of the last dynamic pair
+	hasDyn bool
 
 	// kArr
 	item int32 // confluence-merge of the element signatures
@@ -60,7 +65,7 @@ func (b *Bundle) compileJSON(s siglang.Sig) *JSONProg {
 }
 
 // compileJSONNode flattens one signature subtree, returning its node index
-// (-1 for nil). The case split mirrors matchJSONValue exactly.
+// (-1 for nil). The case split mirrors the oracle's matchJSONValue exactly.
 func (b *Bundle) compileJSONNode(p *JSONProg, s siglang.Sig) int32 {
 	switch v := s.(type) {
 	case nil:
@@ -81,7 +86,6 @@ func (b *Bundle) compileJSONNode(p *JSONProg, s siglang.Sig) int32 {
 				if _, seen := n.fields[id]; !seen {
 					// First non-dyn pair wins, as Obj.Get does.
 					n.fields[id] = b.compileJSONNode(p, kv.Val)
-					n.required = append(n.required, kv.Key)
 				}
 			}
 		}
@@ -115,103 +119,369 @@ func (p *JSONProg) push(n jsonNode) int32 {
 	return int32(len(p.nodes) - 1)
 }
 
-// matchJSON is the oracle's MatchJSON on a compiled program: decode through
-// the shared DecodeJSONPayload, then walk the flattened nodes with identical
-// verdicts and byte accounting.
-func (m *Matcher) matchJSON(p *JSONProg, payload []byte) (bool, siglang.ByteStats, error) {
-	v, err := siglang.DecodeJSONPayload(payload)
-	if err != nil {
-		return false, siglang.ByteStats{}, err
+var (
+	errNotJSON     = errors.New("sigvm: payload is not JSON")
+	errNumberRange = errors.New("sigvm: payload number overflows float64")
+)
+
+// jsonWalk is a Matcher's state for walking one JSON payload, plus the
+// scratch it reuses from payload to payload.
+type jsonWalk struct {
+	src    string // the payload, already checked by json.Valid
+	prog   *JSONProg
+	badNum bool // a number overflowed float64, which fails the payload
+
+	members []jsonMember        // members of the objects open on the walk, innermost last
+	seen    map[string]struct{} // duplicate-key detection in large objects
+}
+
+// jsonMember is one key-value pair of an object, walked but not yet
+// counted: only the last occurrence of a key counts.
+type jsonMember struct {
+	key   string            // decoded key
+	st    siglang.ByteStats // charges for the key and the value
+	size  int               // re-marshalled size of the value
+	ok    bool              // the value matched its signature
+	known bool              // the key is one of the object node's fields
+	last  bool              // no later member has the same key
+}
+
+// smallObject is the member count up to which duplicate keys are found by
+// comparing every pair; larger objects use a set, so one object's cost
+// stays linear in its number of keys.
+const smallObject = 8
+
+// matchJSON is the oracle's MatchJSON on a compiled program, without a
+// decoded tree. json.Valid runs the scanner json.Unmarshal runs before it
+// decodes, so both sides accept the same payloads; the walk then reads the
+// bytes against the flattened nodes with the oracle's verdicts and byte
+// accounting, including what decoding into interface{} does implicitly:
+// strings unquoted by encoding/json's rules, a float64 overflow failing
+// the payload, the last of duplicate keys winning, and sizes that are
+// re-marshalled lengths rather than raw byte spans.
+func (m *Matcher) matchJSON(p *JSONProg, payload string) (bool, siglang.ByteStats, error) {
+	if !json.Valid([]byte(payload)) {
+		return false, siglang.ByteStats{}, errNotJSON
 	}
-	var st siglang.ByteStats
-	ok := m.matchJSONValue(p, p.root, v, &st)
+	w := &m.json
+	w.src, w.prog, w.badNum = payload, p, false
+	_, ok, _, st := m.walkValue(p.root, skipWS(payload, 0))
+	w.src, w.prog = "", nil
+	if w.badNum {
+		return false, siglang.ByteStats{}, errNumberRange
+	}
 	return ok, st, nil
 }
 
-// matchJSONValue mirrors the oracle's matchJSONValue node for node. idx == -1
-// is the nil signature: the payload subtree is unaccounted (None).
-func (m *Matcher) matchJSONValue(p *JSONProg, idx int32, v any, st *siglang.ByteStats) bool {
+// walkValue matches the value starting at src[i] against node idx, the
+// oracle's matchJSONValue, and returns the index past the value, the
+// verdict, the value's re-marshalled size and its byte accounting. idx ==
+// -1 is the nil signature: the value is unaccounted (None). The walk
+// returns accounting by value: a pointer into a caller's loop variable
+// would make escape analysis move it to the heap, as the recursion gives
+// every level one parameter location.
+func (m *Matcher) walkValue(idx int32, i int) (end int, ok bool, size int, st siglang.ByteStats) {
 	if idx < 0 {
-		st.None += siglang.JSONSize(v)
-		return true
+		end, size = m.sizeValue(i)
+		st.None = size
+		return end, true, size, st
 	}
-	n := &p.nodes[idx]
+	s := m.json.src
+	n := &m.json.prog.nodes[idx]
 	switch n.kind {
 	case kObj:
-		mp, isMap := v.(map[string]any)
-		if !isMap {
-			st.None += siglang.JSONSize(v)
-			return false
+		if s[i] == '{' {
+			return m.walkObject(n, i)
 		}
-		ok := true
-		for _, k := range n.required {
-			if _, present := mp[k]; !present {
-				ok = false
-			}
-		}
-		for k, val := range mp {
-			if fieldIdx, known := m.lookupField(n, k); known {
-				st.Key += len(k) + 3 // quotes + colon
-				if !m.matchLeaf(p, fieldIdx, val, st) {
-					ok = false
-				}
-			} else if n.hasDyn {
-				st.Value += len(k) + 3
-				if !m.matchLeaf(p, n.dyn, val, st) {
-					ok = false
-				}
-			} else {
-				st.None += len(k) + 3 + siglang.JSONSize(val)
-			}
-		}
-		return ok
+		end, size = m.sizeValue(i)
+		st.None = size
+		return end, false, size, st
 	case kArr:
-		arr, isArr := v.([]any)
-		if !isArr {
-			st.None += siglang.JSONSize(v)
-			return false
+		if s[i] == '[' {
+			return m.walkArray(n.item, i)
 		}
-		ok := true
-		for _, el := range arr {
-			if !m.matchLeaf(p, n.item, el, st) {
-				ok = false
-			}
-		}
-		return ok
+		end, size = m.sizeValue(i)
+		st.None = size
+		return end, false, size, st
 	case kOr:
+		// Every alternative walks the same bytes; the first that matches
+		// supplies the accounting.
 		for _, alt := range n.alts {
-			var tmp siglang.ByteStats
-			if m.matchJSONValue(p, alt, v, &tmp) {
-				st.Add(tmp)
-				return true
+			if end, ok, size, st = m.walkValue(alt, i); ok {
+				return end, true, size, st
 			}
 		}
-		st.None += siglang.JSONSize(v)
-		return false
-	case kLit:
-		st.Value += siglang.JSONSize(v)
-		return siglang.LiteralMatches(n.lit, v)
-	case kUnknown:
-		st.Value += siglang.JSONSize(v)
-		return true
-	default: // kText
-		st.Value += siglang.JSONSize(v)
-		str, isStr := v.(string)
-		if !isStr {
-			return true
+		if len(n.alts) == 0 {
+			end, size = m.sizeValue(i)
 		}
-		return m.matchText(n.text, str)
+		return end, false, size, siglang.ByteStats{None: size}
+	case kLit:
+		end, ok, size = m.walkLiteral(n.lit, i)
+		st.Value = size
+		return end, ok, size, st
+	case kUnknown:
+		end, size = m.sizeValue(i)
+		st.Value = size
+		return end, true, size, st
+	default: // kText
+		if s[i] != '"' {
+			end, size = m.sizeValue(i)
+			st.Value = size
+			return end, true, size, st
+		}
+		end, str := m.walkString(i)
+		size = quotedJSONLen(str)
+		st.Value = size
+		return end, m.matchText(n.text, str), size, st
 	}
 }
 
-// matchLeaf mirrors matchLeafOrRecurse: a nil signature accepts the value
-// and charges its bytes as Value (the key was known, the structure is not).
-func (m *Matcher) matchLeaf(p *JSONProg, idx int32, val any, st *siglang.ByteStats) bool {
+// walkLeaf is the oracle's matchLeafOrRecurse: a nil signature accepts
+// the value and charges its bytes as Value (the key was known, the
+// structure is not).
+func (m *Matcher) walkLeaf(idx int32, i int) (end int, ok bool, size int, st siglang.ByteStats) {
 	if idx < 0 {
-		st.Value += siglang.JSONSize(val)
-		return true
+		end, size = m.sizeValue(i)
+		st.Value = size
+		return end, true, size, st
 	}
-	return m.matchJSONValue(p, idx, val, st)
+	return m.walkValue(idx, i)
+}
+
+// walkObject walks the object starting at src[i] == '{'. Against an
+// object node n it returns the verdict and the accounting; with n == nil
+// it only sizes the object. Members are accounted into their own records
+// first, because a later duplicate key replaces an earlier member's value,
+// verdict and bytes, as decoding into a map does.
+func (m *Matcher) walkObject(n *jsonNode, i int) (end int, ok bool, size int, st siglang.ByteStats) {
+	s := m.json.src
+	base := len(m.json.members)
+	for i = skipWS(s, i+1); s[i] != '}'; {
+		var mem jsonMember
+		i, mem.key = m.walkString(i)
+		i = skipWS(s, skipWS(s, i)+1) // past the ':'
+		charge := len(mem.key) + 3    // quotes and colon
+		field := int32(-1)
+		if n != nil {
+			field, mem.known = m.lookupField(n, mem.key)
+		}
+		switch {
+		case mem.known:
+			i, mem.ok, mem.size, mem.st = m.walkLeaf(field, i)
+			mem.st.Key += charge
+		case n != nil && n.hasDyn:
+			// Dynamically generated keys: the value structure may still
+			// be known.
+			i, mem.ok, mem.size, mem.st = m.walkLeaf(n.dyn, i)
+			mem.st.Value += charge
+		default:
+			i, mem.size = m.sizeValue(i)
+			mem.st.None = charge + mem.size
+			mem.ok = true
+		}
+		m.json.members = append(m.json.members, mem)
+		if i = skipWS(s, i); s[i] == ',' {
+			i = skipWS(s, i+1)
+		}
+	}
+	members := m.json.members[base:]
+	m.markLast(members)
+	ok = true
+	count, known := 0, 0
+	size = 1 // '{', and per member its bytes plus a ',' or the closing '}'
+	for k := range members {
+		mem := &members[k]
+		if !mem.last {
+			continue
+		}
+		count++
+		size += quotedJSONLen(mem.key) + 1 + mem.size + 1
+		st.Add(mem.st)
+		ok = ok && mem.ok
+		if mem.known {
+			known++
+		}
+	}
+	if count == 0 {
+		size = 2
+	}
+	m.json.members = m.json.members[:base]
+	// The surviving keys are distinct, so every field is present exactly
+	// when each one was counted once.
+	if n != nil && known != len(n.fields) {
+		ok = false
+	}
+	return i + 1, ok, size, st
+}
+
+// markLast flags each member that no later member of the same object
+// repeats.
+func (m *Matcher) markLast(members []jsonMember) {
+	if len(members) <= smallObject {
+		for a := range members {
+			members[a].last = true
+			for b := a + 1; b < len(members); b++ {
+				if members[b].key == members[a].key {
+					members[a].last = false
+					break
+				}
+			}
+		}
+		return
+	}
+	if m.json.seen == nil {
+		m.json.seen = map[string]struct{}{}
+	}
+	seen := m.json.seen
+	for a := len(members) - 1; a >= 0; a-- {
+		_, dup := seen[members[a].key]
+		members[a].last = !dup
+		seen[members[a].key] = struct{}{}
+	}
+	for a := range members {
+		delete(seen, members[a].key)
+	}
+}
+
+// walkArray walks the array starting at src[i] == '[', matching every
+// element against node item as a leaf.
+func (m *Matcher) walkArray(item int32, i int) (end int, ok bool, size int, st siglang.ByteStats) {
+	s := m.json.src
+	ok = true
+	count := 0
+	size = 1 // '[', and per element its bytes plus a ',' or the closing ']'
+	for i = skipWS(s, i+1); s[i] != ']'; {
+		elEnd, elOK, elSize, elSt := m.walkLeaf(item, i)
+		i = elEnd
+		ok = ok && elOK
+		size += elSize + 1
+		st.Add(elSt)
+		count++
+		if i = skipWS(s, i); s[i] == ',' {
+			i = skipWS(s, i+1)
+		}
+	}
+	if count == 0 {
+		size = 2
+	}
+	return i + 1, ok, size, st
+}
+
+// sizeValue walks the value starting at src[i] without a signature and
+// returns the index past it and its re-marshalled size.
+func (m *Matcher) sizeValue(i int) (end, size int) {
+	switch c := m.json.src[i]; c {
+	case '{':
+		end, _, size, _ = m.walkObject(nil, i)
+	case '[':
+		end, _, size, _ = m.walkArray(-1, i)
+	case '"':
+		var str string
+		end, str = m.walkString(i)
+		size = quotedJSONLen(str)
+	case 't', 'n':
+		end, size = i+4, 4
+	case 'f':
+		end, size = i+5, 5
+	default:
+		end, _, size = m.walkNumber(i)
+	}
+	return end, size
+}
+
+// walkLiteral compares the value starting at src[i] with a literal
+// signature term, as LiteralMatches does with the decoded value.
+func (m *Matcher) walkLiteral(l *siglang.Lit, i int) (end int, ok bool, size int) {
+	switch c := m.json.src[i]; {
+	case c == '"':
+		end, str := m.walkString(i)
+		return end, siglang.LiteralMatches(l, str), quotedJSONLen(str)
+	case c == 't':
+		return i + 4, siglang.LiteralMatches(l, true), 4
+	case c == 'f':
+		return i + 5, siglang.LiteralMatches(l, false), 5
+	case c == '-' || c >= '0' && c <= '9':
+		end, f, size := m.walkNumber(i)
+		return end, siglang.LiteralMatches(l, f), size
+	default: // null, an object or an array: never equal to a literal
+		end, size = m.sizeValue(i)
+		return end, false, size
+	}
+}
+
+// walkNumber parses the number starting at src[i] as json.Unmarshal does
+// into interface{}, recording an overflow, and returns the index past it,
+// its value and its re-marshalled size.
+func (m *Matcher) walkNumber(i int) (end int, f float64, size int) {
+	s := m.json.src
+	integer := true
+	for end = i; end < len(s); end++ {
+		c := s[end]
+		if c == '.' || c == 'e' || c == 'E' || c == '+' {
+			integer = false
+		} else if c != '-' && (c < '0' || c > '9') {
+			break
+		}
+	}
+	tok := s[i:end]
+	f, err := strconv.ParseFloat(tok, 64)
+	if err != nil {
+		m.json.badNum = true
+		return end, 0, 0
+	}
+	if integer && len(tok) <= 15 {
+		// Exact in a float64 and inside %f's range: the encoder prints the
+		// same digits back.
+		return end, f, len(tok)
+	}
+	return end, f, jsonFloatLen(f)
+}
+
+// walkString scans the string starting at src[i] == '"' and returns the
+// index past its closing quote and its value. A string without escapes
+// or invalid UTF-8 is its own value, a substring of the payload; any
+// other is decoded by encoding/json itself.
+func (m *Matcher) walkString(i int) (end int, val string) {
+	s := m.json.src
+	for j := i + 1; j < len(s); {
+		switch c := s[j]; {
+		case c == '"':
+			return j + 1, s[i+1 : j]
+		case c == '\\':
+			return unquote(s, i)
+		case c < utf8.RuneSelf:
+			j++
+		default:
+			r, n := utf8.DecodeRuneInString(s[j:])
+			if r == utf8.RuneError && n == 1 {
+				return unquote(s, i)
+			}
+			j += n
+		}
+	}
+	return len(s), "" // unreachable on a payload json.Valid accepted
+}
+
+// unquote decodes the string token starting at s[i] == '"' with
+// json.Unmarshal, so escapes, surrogate pairs and the U+FFFD replacement
+// of unpaired surrogates and invalid UTF-8 follow encoding/json exactly.
+// The token is valid JSON, so decoding it cannot fail.
+func unquote(s string, i int) (end int, val string) {
+	for end = i + 1; s[end] != '"'; end++ {
+		if s[end] == '\\' {
+			end++
+		}
+	}
+	end++
+	_ = json.Unmarshal([]byte(s[i:end]), &val)
+	return end, val
+}
+
+func skipWS(s string, i int) int {
+	for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // lookupField resolves a payload key against an object node's interned
@@ -223,4 +493,64 @@ func (m *Matcher) lookupField(n *jsonNode, k string) (int32, bool) {
 	}
 	idx, known := n.fields[id]
 	return idx, known
+}
+
+// quotedJSONLen is the marshalled length of a string, replicating
+// encoding/json's appendString with its default HTML escaping: short
+// escapes for \", \\, \b, \f, \n, \r, \t; \u00XX for other control bytes
+// and for <, >, &; the six-byte \ufffd escape for invalid UTF-8 bytes;
+// \u2028 and \u2029 escaped; every other rune passes through at its
+// encoded width.
+func quotedJSONLen(s string) int {
+	n := 2
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				n++
+			} else {
+				switch b {
+				case '"', '\\', '\b', '\f', '\n', '\r', '\t':
+					n += 2
+				default:
+					n += 6
+				}
+			}
+			i++
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			n += len(`\ufffd`) // the six-byte escape sequence
+		case c == '\u2028' || c == '\u2029':
+			n += len(`\u2028`)
+		default:
+			n += size
+		}
+		i += size
+	}
+	return n
+}
+
+// jsonFloatLen is the marshalled length of a float64, replicating
+// encoding/json's floatEncoder: %f inside [1e-6, 1e21), %e outside with
+// the single-zero exponent trimmed ("e-09" to "e-9"); non-finite values
+// fail to marshal and keep their historical size of zero.
+func jsonFloatLen(f float64) int {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return 0
+	}
+	var buf [32]byte
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(buf[:0], f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b = b[:n-1]
+		}
+	}
+	return len(b)
 }

@@ -1,4 +1,4 @@
-package siglang
+package sigvm
 
 import (
 	"encoding/json"

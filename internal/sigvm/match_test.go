@@ -1,6 +1,7 @@
 package sigvm
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,6 +160,81 @@ func TestMatchTextLiteralAccounting(t *testing.T) {
 		}
 		if st.Value != len("42")+len("K1") {
 			t.Fatalf("%s: Value = %d", m.name, st.Value)
+		}
+	}
+}
+
+// jsonEdgeCases are payloads on which walking the bytes could diverge
+// from decoding them with encoding/json: duplicate keys, escapes, invalid
+// UTF-8 and surrogates, HTML-escaped and line-separator characters,
+// number spellings, nesting depth, trailing bytes, null in place of a
+// container, and alternatives that re-walk the same bytes. Each pins the
+// verdict and the byte accounting; FuzzSigVM takes them as seeds.
+var jsonEdgeCases = []struct {
+	name, sig, payload string
+	ok                 bool
+	st                 siglang.ByteStats
+	err                bool
+}{
+	// The last duplicate supplies the value, the verdict and the bytes.
+	{"dup-last-passes", `obj{"a": num(1)}`, `{"a":"first value","a":1}`, true, siglang.ByteStats{Key: 4, Value: 1}, false},
+	{"dup-last-fails", `obj{"a": num(1)}`, `{"a":1,"a":"last value"}`, false, siglang.ByteStats{Key: 4, Value: 12}, false},
+	{"dup-sized-once", `?any`, `{"k":"long value","k":1}`, true, siglang.ByteStats{Value: 7}, false},
+	{"dup-unknown-key", `obj{"a": ?int}`, `{"a":1,"z":"long value","z":2}`, true, siglang.ByteStats{Key: 4, Value: 1, None: 5}, false},
+	{"dup-many-keys", `obj{"a": num(1)}`, `{"a":0,"b":0,"c":0,"d":0,"e":0,"f":0,"g":0,"h":0,"i":0,"a":1}`, true, siglang.ByteStats{Key: 4, Value: 1, None: 40}, false},
+	// Keys are unquoted before lookup.
+	{"escaped-key", `obj{"a": ?int}`, `{"\u0061":7}`, true, siglang.ByteStats{Key: 4, Value: 1}, false},
+	{"escaped-key-dup", `obj{"a": num(1)}`, `{"a":2,"\u0061":1}`, true, siglang.ByteStats{Key: 4, Value: 1}, false},
+	// Invalid UTF-8 and unpaired surrogates decode to U+FFFD.
+	{"invalid-utf8", `obj{"s": ?string}`, "{\"s\":\"a\xffb\"}", true, siglang.ByteStats{Key: 4, Value: 7}, false},
+	{"invalid-utf8-literal", "obj{\"s\": \"a\ufffdb\"}", "{\"s\":\"a\xffb\"}", true, siglang.ByteStats{Key: 4, Value: 7}, false},
+	{"surrogate-pair", `obj{"s": ?string}`, `{"s":"\ud83d\ude00"}`, true, siglang.ByteStats{Key: 4, Value: 6}, false},
+	{"surrogate-high-alone", "obj{\"s\": \"\ufffdx\"}", `{"s":"\ud83dx"}`, true, siglang.ByteStats{Key: 4, Value: 6}, false},
+	{"surrogate-low-first", `obj{"s": ?string}`, `{"s":"\ude00\ud83d"}`, true, siglang.ByteStats{Key: 4, Value: 8}, false},
+	{"surrogate-high-high", `obj{"s": ?string}`, `{"s":"\ud83d\ud83d\ude00"}`, true, siglang.ByteStats{Key: 4, Value: 9}, false},
+	// <, > and & re-marshal as \u003c-style escapes, U+2028 as \u2028.
+	{"html-chars", `obj{"s": ?string}`, `{"s":"<a&b>"}`, true, siglang.ByteStats{Key: 4, Value: 22}, false},
+	{"line-separator", `obj{"s": ?string}`, "{\"s\":\"x\u2028\"}", true, siglang.ByteStats{Key: 4, Value: 9}, false},
+	{"escaped-line-separator", `obj{"s": concat("x", ?string)}`, `{"s":"x\u2028"}`, true, siglang.ByteStats{Key: 4, Value: 9}, false},
+	{"escaped-slash", `obj{"u": "http://h/p"}`, `{"u":"http:\/\/h\/p"}`, true, siglang.ByteStats{Key: 4, Value: 12}, false},
+	// Numbers are sized as the encoder prints the parsed float64.
+	{"negative-zero", `obj{"n": ?int}`, `{"n":-0}`, true, siglang.ByteStats{Key: 4, Value: 2}, false},
+	{"exponent-upper", `obj{"n": num(100)}`, `{"n":1E+2}`, true, siglang.ByteStats{Key: 4, Value: 3}, false},
+	{"exponent-small", `obj{"n": ?int}`, `{"n":1e-7}`, true, siglang.ByteStats{Key: 4, Value: 4}, false},
+	{"exponent-large", `obj{"n": ?int}`, `{"n":1e21}`, true, siglang.ByteStats{Key: 4, Value: 5}, false},
+	{"long-integer", `obj{"n": ?int}`, `{"n":99999999999999999}`, true, siglang.ByteStats{Key: 4, Value: 18}, false},
+	{"overflow", `obj{"n": ?int}`, `{"n":1e400}`, false, siglang.ByteStats{}, true},
+	{"overflow-overridden", `obj{"n": ?int}`, `{"n":1e400,"n":1}`, false, siglang.ByteStats{}, true},
+	{"overflow-unread", `obj{}`, `{"x":[-1e400]}`, false, siglang.ByteStats{}, true},
+	// encoding/json's nesting limit: 10 000 levels decode, 10 001 do not.
+	{"depth-10000", `?any`, strings.Repeat("[", 10000) + strings.Repeat("]", 10000), true, siglang.ByteStats{Value: 20000}, false},
+	{"depth-10001", `?any`, strings.Repeat("[", 10001) + strings.Repeat("]", 10001), false, siglang.ByteStats{}, true},
+	// Trailing bytes fail the payload; surrounding whitespace does not.
+	{"trailing-garbage", `obj{"a": ?int}`, `{"a":1} x`, false, siglang.ByteStats{}, true},
+	{"surrounding-whitespace", `obj{"a": ?int}`, " \n{ \"a\" : 1 }\t\r ", true, siglang.ByteStats{Key: 4, Value: 1}, false},
+	// null is neither an object nor an array.
+	{"null-for-object", `obj{"a": ?int}`, `null`, false, siglang.ByteStats{None: 4}, false},
+	{"null-for-array", `array[?int]`, `null`, false, siglang.ByteStats{None: 4}, false},
+	{"null-for-nested-object", `obj{"o": obj{"x": ?int}}`, `{"o":null}`, false, siglang.ByteStats{Key: 4, None: 4}, false},
+	// An Or re-walks the same bytes per alternative; the first match
+	// supplies the charges, and no match charges the value as None.
+	{"or-second-shape", `(obj{"a": ?int} ∨ obj{"b": ?string})`, `{"b":"x"}`, true, siglang.ByteStats{Key: 4, Value: 3}, false},
+	{"or-no-shape", `(obj{"a": ?int} ∨ obj{"b": ?string})`, `{"c":1}`, false, siglang.ByteStats{None: 7}, false},
+	{"or-nested", `obj{"v": (obj{"a": ?int} ∨ obj{"b": ?string})}`, `{"v":{"b":"x","a":1}}`, true, siglang.ByteStats{Key: 8, Value: 1, None: 7}, false},
+}
+
+func TestMatchJSONEdgeCases(t *testing.T) {
+	for _, tc := range jsonEdgeCases {
+		sig, err := siglang.Parse(tc.sig)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, m := range jsonModes(sig) {
+			ok, st, err := m.match([]byte(tc.payload))
+			if ok != tc.ok || st != tc.st || (err != nil) != tc.err {
+				t.Errorf("%s/%s: (%v, %+v, %v), want (%v, %+v, error %v)",
+					tc.name, m.name, ok, st, err, tc.ok, tc.st, tc.err)
+			}
 		}
 	}
 }

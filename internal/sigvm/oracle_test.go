@@ -1,6 +1,8 @@
 package sigvm
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 
 	"extractocol/internal/siglang"
@@ -8,13 +10,18 @@ import (
 
 // The interpretive matcher, kept as the equivalence oracle of the compiled
 // one. It re-derives everything per call: it renders and compiles the
-// signature's regex, rebuilds keyword sets, re-merges array element
-// signatures and recompiles string-leaf regexes. The byte-accounting
-// helpers both sides share (AccountText, LiteralFragments,
-// DecodeJSONPayload, LiteralMatches, JSONSize, ParseXMLPayload,
-// XMLNodeSize, QueryShapedBody) stay in package siglang, so the two cannot
-// drift there. The functions are exported so the report-level oracle test
-// in package sigvm_test can drive them.
+// signature's regex, rebuilds keyword sets, decodes JSON payloads into
+// interface{} trees, re-merges array element signatures and recompiles
+// string-leaf regexes. The text, query and XML helpers both sides share
+// (AccountText, LiteralFragments, ParseXMLPayload, XMLNodeSize,
+// QueryShapedBody) stay in package siglang, so the two cannot drift
+// there. On JSON the two share only siglang.LiteralMatches and the
+// package's two length helpers, quotedJSONLen and jsonFloatLen: the
+// compiled side walks the payload bytes, this side decodes them with
+// encoding/json (DecodeJSONPayload) and sizes the decoded values
+// (JSONSize), and only the tests hold the two equal. The functions are
+// exported so the report-level oracle test in package sigvm_test can
+// drive them.
 
 // MatchText reports whether the text payload matches the signature's
 // regular expression, and how many payload bytes fall on literal versus
@@ -73,7 +80,7 @@ func MatchQuery(s siglang.Sig, query string) (bool, siglang.ByteStats) {
 // compiled matcher avoids by merging clones; the two agree on every call,
 // first or later.
 func MatchJSON(s siglang.Sig, payload []byte) (bool, siglang.ByteStats, error) {
-	v, err := siglang.DecodeJSONPayload(payload)
+	v, err := DecodeJSONPayload(payload)
 	if err != nil {
 		return false, siglang.ByteStats{}, err
 	}
@@ -89,7 +96,7 @@ func MatchJSON(s siglang.Sig, payload []byte) (bool, siglang.ByteStats, error) {
 func matchJSONValue(s siglang.Sig, v any, st *siglang.ByteStats) bool {
 	switch sv := s.(type) {
 	case nil:
-		st.None += siglang.JSONSize(v)
+		st.None += JSONSize(v)
 		return true
 	case *siglang.Obj:
 		if sv == nil {
@@ -97,7 +104,7 @@ func matchJSONValue(s siglang.Sig, v any, st *siglang.ByteStats) bool {
 		}
 		m, isMap := v.(map[string]any)
 		if !isMap {
-			st.None += siglang.JSONSize(v)
+			st.None += JSONSize(v)
 			return false
 		}
 		ok := true
@@ -130,14 +137,14 @@ func matchJSONValue(s siglang.Sig, v any, st *siglang.ByteStats) bool {
 					ok = false
 				}
 			} else {
-				st.None += len(k) + 3 + siglang.JSONSize(val)
+				st.None += len(k) + 3 + JSONSize(val)
 			}
 		}
 		return ok
 	case *siglang.Arr:
 		arr, isArr := v.([]any)
 		if !isArr {
-			st.None += siglang.JSONSize(v)
+			st.None += JSONSize(v)
 			return false
 		}
 		var item siglang.Sig
@@ -163,16 +170,16 @@ func matchJSONValue(s siglang.Sig, v any, st *siglang.ByteStats) bool {
 				return true
 			}
 		}
-		st.None += siglang.JSONSize(v)
+		st.None += JSONSize(v)
 		return false
 	case *siglang.Lit:
-		st.Value += siglang.JSONSize(v)
+		st.Value += JSONSize(v)
 		return siglang.LiteralMatches(sv, v)
 	case *siglang.Unknown:
-		st.Value += siglang.JSONSize(v)
+		st.Value += JSONSize(v)
 		return true
 	default: // Concat/Rep describing a string-typed leaf
-		st.Value += siglang.JSONSize(v)
+		st.Value += JSONSize(v)
 		str, isStr := v.(string)
 		if !isStr {
 			return true
@@ -193,10 +200,71 @@ func containsKey(o *siglang.Obj, k string) bool {
 
 func matchLeafOrRecurse(sigVal siglang.Sig, val any, st *siglang.ByteStats) bool {
 	if sigVal == nil {
-		st.Value += siglang.JSONSize(val)
+		st.Value += JSONSize(val)
 		return true
 	}
 	return matchJSONValue(sigVal, val, st)
+}
+
+// DecodeJSONPayload unmarshals a payload into an interface{} tree for
+// structural matching.
+func DecodeJSONPayload(payload []byte) (any, error) {
+	var v any
+	if err := json.Unmarshal(payload, &v); err != nil {
+		return nil, fmt.Errorf("sigvm: payload is not JSON: %w", err)
+	}
+	return v, nil
+}
+
+// JSONSize returns the serialized size of a decoded JSON value — the byte
+// count the Table 2 accounting charges for a subtree.
+func JSONSize(v any) int {
+	switch t := v.(type) {
+	case nil:
+		return len("null")
+	case bool:
+		if t {
+			return len("true")
+		}
+		return len("false")
+	case string:
+		return quotedJSONLen(t)
+	case float64:
+		return jsonFloatLen(t)
+	case map[string]any:
+		if t == nil {
+			return len("null")
+		}
+		// '{' plus, per pair, its bytes and a ',' (the last pair's comma
+		// slot is the closing '}'); key order never affects the length.
+		n := 1 + len(t)
+		if len(t) == 0 {
+			n = 2
+		}
+		for k, e := range t {
+			n += quotedJSONLen(k) + 1 + JSONSize(e)
+		}
+		return n
+	case []any:
+		if t == nil {
+			return len("null")
+		}
+		n := 1 + len(t)
+		if len(t) == 0 {
+			n = 2
+		}
+		for _, e := range t {
+			n += JSONSize(e)
+		}
+		return n
+	default:
+		// Not a shape DecodeJSONPayload produces; defer to the encoder.
+		b, err := json.Marshal(v)
+		if err != nil {
+			return 0
+		}
+		return len(b)
+	}
 }
 
 // MatchXML matches an XML payload against an XML signature: every tag and

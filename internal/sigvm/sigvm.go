@@ -10,24 +10,39 @@
 //   - URI templates and text bodies lower to a five-opcode Pike-VM
 //     bytecode (see text.go) with precomputed literal fragments, anchored
 //     literal prefixes, and the rendered-regex length used for best-match
-//     tie-breaking;
+//     tie-breaking. Compile builds no regexp program: parsing the rendered
+//     regex decides validity, and only a pattern containing U+FFFD keeps a
+//     compiled regexp, for its rune semantics;
+//   - each HTTP method's signatures are listed longest rendered regex
+//     first, report order among equals (Candidates), so the first URI
+//     program that matches an entry is its best match;
 //   - query/form key sets become interned-symbol bitsets (query.go);
 //   - JSON body trees flatten to node arrays with key sets interned and
 //     array confluence-merges precomputed over clones (json.go), so
-//     matching never rewrites the report's signature trees;
-//   - XML element trees carry interned attribute/child-tag sets (xml.go).
+//     matching never rewrites the report's signature trees. A JSON
+//     payload is checked with json.Valid and then walked in place against
+//     the nodes, with no decoded tree: strings are unquoted by
+//     encoding/json's rules, the last of duplicate keys wins, and sizes
+//     are re-marshalled lengths, as decoding into interface{} gives;
+//   - XML element trees carry interned attribute/child-tag sets (xml.go)
+//     and match the tree siglang.ParseXMLPayload decodes.
 //
 // A Bundle is immutable after Compile and shared read-only across any
 // number of matcher goroutines; all mutable run state (Pike thread lists,
-// visited marks) lives in per-worker Matcher values. The interpretive
-// matcher is the equivalence oracle in this package's tests
-// (oracle_test.go): FuzzSigVM and the per-primitive tests compare it with
-// the compiled programs, and TestClassifyMatchesOracle compares whole
-// classifications of corpus and generated traffic. The byte-accounting
-// helpers both share stay in package siglang.
+// visited marks, the JSON walk's member stack) lives in per-worker Matcher
+// values. The interpretive matcher is the equivalence oracle in this
+// package's tests (oracle_test.go): FuzzSigVM and the per-primitive tests
+// compare it with the compiled programs, and TestClassifyMatchesOracle
+// compares whole classifications of corpus and generated traffic. The
+// text, query and XML helpers both share stay in package siglang. On JSON
+// the two share only siglang.LiteralMatches and the two length helpers
+// (quotedJSONLen, jsonFloatLen): the oracle decodes with encoding/json,
+// so only those tests hold the walk to it.
 package sigvm
 
 import (
+	"sort"
+
 	"extractocol/internal/core"
 	"extractocol/internal/intern"
 	"extractocol/internal/siglang"
@@ -35,8 +50,7 @@ import (
 
 // Prog is the compiled form of one transaction signature.
 type Prog struct {
-	TxID   int
-	Method string
+	TxID int
 
 	uri *TextProg
 
@@ -57,24 +71,31 @@ type Bundle struct {
 	syms  *intern.Table
 	progs []Prog
 	maxPC int // largest text program, sizes Matcher scratch
+
+	// byMethod lists, per HTTP method, the signature indices in the order
+	// the best-match rule tries them (see Candidates).
+	byMethod map[string][]int
 }
 
 // Compile lowers every transaction signature in a report. Signatures whose
 // URI regex does not compile still get a Prog — their text program simply
 // never matches, as if the signature were absent.
 func Compile(rep *core.Report) *Bundle {
-	b := &Bundle{syms: intern.NewTable(64)}
-	for _, tx := range rep.Transactions {
+	b := &Bundle{syms: intern.NewTable(64), byMethod: map[string][]int{}}
+	for i, tx := range rep.Transactions {
 		b.progs = append(b.progs, b.compileTx(tx))
+		b.byMethod[tx.Request.Method] = append(b.byMethod[tx.Request.Method], i)
+	}
+	for _, c := range b.byMethod {
+		sort.SliceStable(c, func(x, y int) bool { return b.progs[c[x]].uri.spec > b.progs[c[y]].uri.spec })
 	}
 	return b
 }
 
 func (b *Bundle) compileTx(tx *core.Transaction) Prog {
 	p := Prog{
-		TxID:   tx.ID,
-		Method: tx.Request.Method,
-		uri:    b.note(compileText(tx.Request.URI)),
+		TxID: tx.ID,
+		uri:  b.note(compileText(tx.Request.URI)),
 	}
 	p.reqKind = tx.Request.BodyKind
 	switch p.reqKind {
@@ -121,12 +142,12 @@ func (b *Bundle) NumSigs() int { return len(b.progs) }
 // TxID returns signature i's transaction ID.
 func (b *Bundle) TxID(i int) int { return b.progs[i].TxID }
 
-// Method returns signature i's HTTP method.
-func (b *Bundle) Method(i int) string { return b.progs[i].Method }
-
-// SpecLen returns the length of signature i's rendered URI regex — the
-// specificity weight trace's best-match rule breaks ties with.
-func (b *Bundle) SpecLen(i int) int { return b.progs[i].uri.spec }
+// Candidates returns the signatures of one HTTP method in the order
+// trace's best-match rule tries them: the longest rendered URI regex
+// first, report order among equals. The first whose URI template matches
+// an entry is its best match, the most specific one. The slice is shared;
+// callers must not modify it.
+func (b *Bundle) Candidates(method string) []int { return b.byMethod[method] }
 
 // Matcher executes a Bundle's programs. It owns the mutable scratch of
 // the Pike VM (thread lists, generation-stamped visited marks), so each
@@ -137,6 +158,7 @@ type Matcher struct {
 	stack     []uint32
 	mark      []uint32
 	gen       uint32
+	json      jsonWalk
 }
 
 // NewMatcher returns a matcher over the bundle with scratch sized for its
@@ -174,11 +196,10 @@ func (m *Matcher) MatchURI(i int, url string) bool {
 	return m.matchText(m.b.progs[i].uri, url)
 }
 
-// URIStats returns the Table 2 byte accounting of url against signature
-// i's URI template (zero stats when it does not match).
-func (m *Matcher) URIStats(i int, url string) siglang.ByteStats {
-	_, st := m.matchTextStats(m.b.progs[i].uri, url)
-	return st
+// AccountURI returns the Table 2 byte accounting of a url that MatchURI
+// accepted for signature i.
+func (b *Bundle) AccountURI(i int, url string) siglang.ByteStats {
+	return siglang.AccountText(b.progs[i].uri.lits, url)
 }
 
 // MatchRequestBody validates a request body against signature i,
@@ -193,7 +214,7 @@ func (m *Matcher) MatchRequestBody(i int, body string) (bool, siglang.ByteStats)
 	case "query":
 		return m.b.matchQuery(p.reqQuery, body)
 	case "json":
-		ok, st, err := m.matchJSON(p.reqJSON, []byte(body))
+		ok, st, err := m.matchJSON(p.reqJSON, body)
 		if err != nil {
 			return false, siglang.ByteStats{}
 		}
@@ -219,7 +240,7 @@ func (m *Matcher) MatchResponseBody(i int, respType, body string) (bool, siglang
 	}
 	switch {
 	case p.respKind == "json" && respType == "json":
-		ok, st, err := m.matchJSON(p.respJSON, []byte(body))
+		ok, st, err := m.matchJSON(p.respJSON, body)
 		if err != nil {
 			return false, siglang.ByteStats{}
 		}

@@ -48,7 +48,7 @@ func (s *Single) MatchQuery(query string) (bool, siglang.ByteStats) {
 
 // MatchJSON is the compiled form of the oracle's MatchJSON(s, payload).
 func (s *Single) MatchJSON(payload []byte) (bool, siglang.ByteStats, error) {
-	return s.m.matchJSON(s.json, payload)
+	return s.m.matchJSON(s.json, string(payload))
 }
 
 // MatchXML is the compiled form of the oracle's MatchXML(s, payload); it

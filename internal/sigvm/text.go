@@ -2,6 +2,7 @@ package sigvm
 
 import (
 	"regexp"
+	"regexp/syntax"
 	"strings"
 	"unicode/utf8"
 
@@ -55,7 +56,7 @@ type TextProg struct {
 	insts []inst
 	lits  []string // literal fragments, for AccountText
 	spec  int      // len(siglang.Regex(sig)): the tie-break weight
-	valid bool     // siglang.Compile succeeded; invalid progs never match
+	valid bool     // the rendered regex parses; invalid progs never match
 
 	prefix    string // unconditional anchored literal prefix
 	prefixLen uint32 // leading opByte count; the VM resumes past them
@@ -75,20 +76,22 @@ type TextProg struct {
 }
 
 // compileText lowers a text signature to bytecode. Validity follows the
-// regex renderer exactly: siglang.Compile is consulted once here, and a
-// signature it rejects yields a program that never matches — the same
-// outcome as the oracle's MatchText error return (oracle_test.go).
+// regex renderer exactly: a signature whose rendered regex regexp.Compile
+// rejects yields a program that never matches — the same outcome as the
+// oracle's MatchText error return (oracle_test.go). regexp.Compile fails
+// only where syntax.Parse with the Perl flags does, so parsing the one
+// rendering decides validity without building a regexp program.
 func compileText(s siglang.Sig) *TextProg {
 	rx := siglang.Regex(s)
 	p := &TextProg{spec: len(rx)}
-	re, err := siglang.Compile(s)
-	if err != nil {
+	if _, err := syntax.Parse(rx, syntax.Perl); err != nil {
 		return p
 	}
 	p.valid = true
 	p.lits = siglang.LiteralFragments(s)
 	if strings.ContainsRune(rx, utf8.RuneError) {
-		p.re = re
+		re, err := regexp.Compile(rx)
+		p.re, p.valid = re, err == nil
 		return p
 	}
 	var c textCompiler

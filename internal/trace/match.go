@@ -40,11 +40,13 @@ func MatchReport(rep *core.Report, entries []Entry) *MatchResult {
 // matchChunk runs the verdict loop over a slice of entries with one
 // matcher over the bundle b, accumulating into res, the per-signature maps
 // and hits (keyed by transaction ID). Each considered entry goes to the
-// most specific signature (longest rendered URI regex) whose method and
-// URI template match; verdicts records its transaction ID (0 = entry
-// skipped or unmatched). A non-nil stats shard additionally records the
-// per-entry classification latency (obs.HistClassifyEntry); nil skips the
-// clock reads entirely, so the default match path is unchanged.
+// most specific signature (longest rendered URI regex, first in report
+// order on a tie) whose method and URI template match: the first match
+// among the bundle's candidates for its method, which come in that order.
+// verdicts records its transaction ID (0 = entry skipped or unmatched). A
+// non-nil stats shard additionally records the per-entry classification
+// latency (obs.HistClassifyEntry); nil skips the clock reads entirely, so
+// the default match path is unchanged.
 func matchChunk(b *sigvm.Bundle, m *sigvm.Matcher, entries []Entry, res *MatchResult, sigMatched, sigFailed map[int]bool, hits map[int]int, verdicts []int, stats *obs.Shard) {
 	var t0 time.Time
 	for ei, e := range entries {
@@ -56,16 +58,10 @@ func matchChunk(b *sigvm.Bundle, m *sigvm.Matcher, entries []Entry, res *MatchRe
 		}
 		res.TraceEntries++
 		best := -1
-		for i := 0; i < b.NumSigs(); i++ {
-			if b.Method(i) != e.Method {
-				continue
-			}
-			if !m.MatchURI(i, e.URL) {
-				continue
-			}
-			// Prefer the most specific match (longest literal regex).
-			if best < 0 || b.SpecLen(i) > b.SpecLen(best) {
+		for _, i := range b.Candidates(e.Method) {
+			if m.MatchURI(i, e.URL) {
 				best = i
+				break
 			}
 		}
 		if best < 0 {
@@ -81,7 +77,7 @@ func matchChunk(b *sigvm.Bundle, m *sigvm.Matcher, entries []Entry, res *MatchRe
 		verdicts[ei] = b.TxID(best)
 		ok := true
 
-		if st := m.URIStats(best, e.URL); st.Total() > 0 {
+		if st := b.AccountURI(best, e.URL); st.Total() > 0 {
 			res.URIStats.Add(st)
 		}
 		if bodyOK, st := m.MatchRequestBody(best, e.ReqBody); !bodyOK {
