@@ -12,7 +12,7 @@ import (
 
 // JSONProg is a compiled JSON-body matcher: the signature tree flattened
 // into an array of nodes with every per-call derivation of the
-// interpretive matcher precomputed — object key sets interned, the
+// interpretive matcher precomputed — object key sets indexed, the
 // last-dynamic-pair value resolved, array element signatures
 // confluence-merged (over clones, so compiling never mutates the report's
 // trees), and string-leaf regexes lowered to text bytecode instead of
@@ -29,7 +29,7 @@ type jsonNode struct {
 	kind jsonKind
 
 	// kObj
-	fields map[uint32]int32 // interned key → value node (first non-dyn pair wins, as Obj.Get does)
+	fields map[string]int32 // key → value node (first non-dyn pair wins, as Obj.Get does)
 	dyn    int32            // value node of the last dynamic pair
 	hasDyn bool
 
@@ -73,7 +73,7 @@ func (b *Bundle) compileJSONNode(p *JSONProg, s siglang.Sig) int32 {
 	case *siglang.JSON:
 		return b.compileJSONNode(p, v.Root)
 	case *siglang.Obj:
-		n := jsonNode{kind: kObj, fields: map[uint32]int32{}, dyn: -1}
+		n := jsonNode{kind: kObj, fields: map[string]int32{}, dyn: -1}
 		if v != nil {
 			for _, kv := range v.Pairs {
 				if kv.Dyn {
@@ -82,10 +82,9 @@ func (b *Bundle) compileJSONNode(p *JSONProg, s siglang.Sig) int32 {
 					n.dyn = b.compileJSONNode(p, kv.Val)
 					continue
 				}
-				id := b.syms.Intern(kv.Key)
-				if _, seen := n.fields[id]; !seen {
+				if _, seen := n.fields[kv.Key]; !seen {
 					// First non-dyn pair wins, as Obj.Get does.
-					n.fields[id] = b.compileJSONNode(p, kv.Val)
+					n.fields[kv.Key] = b.compileJSONNode(p, kv.Val)
 				}
 			}
 		}
@@ -261,9 +260,9 @@ func (m *Matcher) walkObject(n *jsonNode, i int) (end int, ok bool, size int, st
 		i, mem.key = m.walkString(i)
 		i = skipWS(s, skipWS(s, i)+1) // past the ':'
 		charge := len(mem.key) + 3    // quotes and colon
-		field := int32(-1)
+		var field int32
 		if n != nil {
-			field, mem.known = m.lookupField(n, mem.key)
+			field, mem.known = n.fields[mem.key]
 		}
 		switch {
 		case mem.known:
@@ -482,17 +481,6 @@ func skipWS(s string, i int) int {
 		i++
 	}
 	return i
-}
-
-// lookupField resolves a payload key against an object node's interned
-// field set.
-func (m *Matcher) lookupField(n *jsonNode, k string) (int32, bool) {
-	id, ok := m.b.syms.Lookup(k)
-	if !ok {
-		return -1, false
-	}
-	idx, known := n.fields[id]
-	return idx, known
 }
 
 // quotedJSONLen is the marshalled length of a string, replicating

@@ -17,7 +17,7 @@
 //     first, report order among equals (Candidates), so the first URI
 //     program that matches an entry is its best match;
 //   - query/form key sets become interned-symbol bitsets (query.go);
-//   - JSON body trees flatten to node arrays with key sets interned and
+//   - JSON body trees flatten to node arrays with key sets indexed and
 //     array confluence-merges precomputed over clones (json.go), so
 //     matching never rewrites the report's signature trees. A JSON
 //     payload is checked with json.Valid and then walked in place against
