@@ -118,10 +118,9 @@ func (p *JSONProg) push(n jsonNode) int32 {
 	return int32(len(p.nodes) - 1)
 }
 
-var (
-	errNotJSON     = errors.New("sigvm: payload is not JSON")
-	errNumberRange = errors.New("sigvm: payload number overflows float64")
-)
+// errNotJSON is returned for a payload json.Unmarshal would reject: one
+// json.Valid refuses, or one with a number that overflows float64.
+var errNotJSON = errors.New("sigvm: payload does not decode as JSON")
 
 // jsonWalk is a Matcher's state for walking one JSON payload, plus the
 // scratch it reuses from payload to payload.
@@ -131,7 +130,7 @@ type jsonWalk struct {
 	badNum bool // a number overflowed float64, which fails the payload
 
 	members []jsonMember        // members of the objects open on the walk, innermost last
-	seen    map[string]struct{} // duplicate-key detection in large objects
+	seen    map[string]struct{} // the keys of one object, for duplicate detection
 }
 
 // jsonMember is one key-value pair of an object, walked but not yet
@@ -144,11 +143,6 @@ type jsonMember struct {
 	known bool              // the key is one of the object node's fields
 	last  bool              // no later member has the same key
 }
-
-// smallObject is the member count up to which duplicate keys are found by
-// comparing every pair; larger objects use a set, so one object's cost
-// stays linear in its number of keys.
-const smallObject = 8
 
 // matchJSON is the oracle's MatchJSON on a compiled program, without a
 // decoded tree. json.Valid runs the scanner json.Unmarshal runs before it
@@ -167,7 +161,7 @@ func (m *Matcher) matchJSON(p *JSONProg, payload string) (bool, siglang.ByteStat
 	_, ok, _, st := m.walkValue(p.root, skipWS(payload, 0))
 	w.src, w.prog = "", nil
 	if w.badNum {
-		return false, siglang.ByteStats{}, errNumberRange
+		return false, siglang.ByteStats{}, errNotJSON
 	}
 	return ok, st, nil
 }
@@ -314,28 +308,18 @@ func (m *Matcher) walkObject(n *jsonNode, i int) (end int, ok bool, size int, st
 }
 
 // markLast flags each member that no later member of the same object
-// repeats.
+// repeats. It walks the members backwards through the matcher's reused
+// set, so one object costs time linear in its number of keys: a key the
+// set already holds leaves its size unchanged.
 func (m *Matcher) markLast(members []jsonMember) {
-	if len(members) <= smallObject {
-		for a := range members {
-			members[a].last = true
-			for b := a + 1; b < len(members); b++ {
-				if members[b].key == members[a].key {
-					members[a].last = false
-					break
-				}
-			}
-		}
-		return
-	}
 	if m.json.seen == nil {
 		m.json.seen = map[string]struct{}{}
 	}
 	seen := m.json.seen
 	for a := len(members) - 1; a >= 0; a-- {
-		_, dup := seen[members[a].key]
-		members[a].last = !dup
+		n := len(seen)
 		seen[members[a].key] = struct{}{}
+		members[a].last = len(seen) > n
 	}
 	for a := range members {
 		delete(seen, members[a].key)
@@ -413,25 +397,15 @@ func (m *Matcher) walkLiteral(l *siglang.Lit, i int) (end int, ok bool, size int
 // its value and its re-marshalled size.
 func (m *Matcher) walkNumber(i int) (end int, f float64, size int) {
 	s := m.json.src
-	integer := true
 	for end = i; end < len(s); end++ {
-		c := s[end]
-		if c == '.' || c == 'e' || c == 'E' || c == '+' {
-			integer = false
-		} else if c != '-' && (c < '0' || c > '9') {
+		if c := s[end]; c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && (c < '0' || c > '9') {
 			break
 		}
 	}
-	tok := s[i:end]
-	f, err := strconv.ParseFloat(tok, 64)
+	f, err := strconv.ParseFloat(s[i:end], 64)
 	if err != nil {
 		m.json.badNum = true
 		return end, 0, 0
-	}
-	if integer && len(tok) <= 15 {
-		// Exact in a float64 and inside %f's range: the encoder prints the
-		// same digits back.
-		return end, f, len(tok)
 	}
 	return end, f, jsonFloatLen(f)
 }

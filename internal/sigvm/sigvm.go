@@ -29,8 +29,8 @@
 //
 // A Bundle is immutable after Compile and shared read-only across any
 // number of matcher goroutines; all mutable run state (Pike thread lists,
-// visited marks, the JSON walk's member stack) lives in per-worker Matcher
-// values. The interpretive matcher is the equivalence oracle in this
+// visited marks, the JSON walk's member stack and key set) lives in
+// per-worker Matcher values. The interpretive matcher is the equivalence oracle in this
 // package's tests (oracle_test.go): FuzzSigVM and the per-primitive tests
 // compare it with the compiled programs, and TestClassifyMatchesOracle
 // compares whole classifications of corpus and generated traffic. The
