@@ -286,3 +286,34 @@ func TestDuplicateMethodRejected(t *testing.T) {
 		t.Fatalf("Analyze = %v, want a duplicate method error", err)
 	}
 }
+
+// TestSelfPutJSONObjectAnalyzes: js.put("self", js) makes a JSONObject
+// that contains itself. Signature construction used to copy that tree
+// recursively until the goroutine's stack overflowed, a fatal error no
+// recover catches. Analyze must return the one POST transaction.
+func TestSelfPutJSONObjectAnalyzes(t *testing.T) {
+	p := ir.NewProgram("t.self")
+	c := p.AddClass(&ir.Class{Name: "t.self.Main"})
+	b := ir.NewMethod(c, "onClick", false, []string{"java.lang.String"}, "void")
+	js := b.New("org.json.JSONObject")
+	b.InvokeSpecial("org.json.JSONObject.<init>", js)
+	b.InvokeVoid("org.json.JSONObject.put", js, b.ConstStr("a"), b.Param(0))
+	b.InvokeVoid("org.json.JSONObject.put", js, b.ConstStr("self"), js)
+	body := b.Invoke("org.json.JSONObject.toString", js)
+	ent := b.New("org.apache.http.entity.StringEntity")
+	b.InvokeSpecial("org.apache.http.entity.StringEntity.<init>", ent, body)
+	req := b.New("org.apache.http.client.methods.HttpPost")
+	b.InvokeSpecial("org.apache.http.client.methods.HttpPost.<init>", req, b.ConstStr("https://self.example.com/api"))
+	b.InvokeVoid("org.apache.http.client.methods.HttpPost.setEntity", req, ent)
+	cl := b.New("org.apache.http.impl.client.DefaultHttpClient")
+	b.InvokeSpecial("org.apache.http.impl.client.DefaultHttpClient.<init>", cl)
+	b.Invoke("org.apache.http.client.HttpClient.execute", cl, req)
+	b.ReturnVoid()
+	b.Done()
+	p.Manifest.EntryPoints = []ir.EntryPoint{{Method: "t.self.Main.onClick", Kind: ir.EventClick}}
+
+	rep, err := core.Analyze(p, core.NewOptions())
+	if err != nil || len(rep.Transactions) != 1 {
+		t.Fatalf("Analyze = %v, %v; want one transaction", rep, err)
+	}
+}

@@ -36,7 +36,10 @@ const (
 // aobj is a mutable abstract object. Objects are shared by reference
 // between registers, mirroring Java aliasing. Each carries the allocation
 // site identity (allocID) so per-branch copies can be matched and merged at
-// control-flow confluence points.
+// control-flow confluence points. The signatures an object holds are
+// values: a write replaces a field (tree, buf, ...) with a new signature
+// and never edits the old one, which a toString result, a request body or
+// another branch's copy may still hold.
 type aobj struct {
 	allocID int
 	kind    objKind
@@ -70,6 +73,10 @@ type aobj struct {
 
 	// oJSONBuild.
 	tree *siglang.Obj
+	// nested maps each tree a JSONObject builder was put as (a pair value
+	// in tree) to that builder, so the builder's later puts reach this
+	// object when it is used, as Java's references do (resolvedTree).
+	nested map[*siglang.Obj]*aobj
 
 	// oRespNode / oRespXML: shared access tree of one response.
 	resp     *respState
@@ -81,7 +88,8 @@ type aobj struct {
 	request *aobj
 
 	// oBuilder loop widening: the repetition node currently being extended
-	// and the loop header it belongs to.
+	// and the loop header it belongs to. When non-nil, lastRep is buf's
+	// last part.
 	lastRep     *siglang.Rep
 	lastRepLoop int
 
@@ -128,7 +136,7 @@ func (v aval) sigOf() siglang.Sig {
 			}
 			return v.obj.buf
 		case oJSONBuild:
-			return &siglang.JSON{Root: v.obj.tree}
+			return &siglang.JSON{Root: v.obj.resolvedTree(0)}
 		case oEntity:
 			return v.obj.text
 		case oRespRaw, oRespNode:
@@ -192,7 +200,8 @@ func (o *aobj) shared() bool {
 
 // cloneVal deep-copies the value's object graph so a control-flow branch
 // can mutate its own copy. Aliasing within one environment is preserved by
-// the memo; shared response-tree objects are never copied.
+// the memo; shared response-tree objects are never copied. Signatures are
+// values and are shared, not copied.
 func cloneVal(v aval, memo map[*aobj]*aobj) aval {
 	out := v
 	out.obj = cloneObj(v.obj, memo)
@@ -231,11 +240,11 @@ func cloneObj(o *aobj, memo map[*aobj]*aobj) *aobj {
 	}
 	c.uriDeps = cloneNonNil(o.uriDeps)
 	c.bodyDeps = cloneNonNil(o.bodyDeps)
-	if o.tree != nil {
-		c.tree = cloneSigObj(o.tree)
-	}
-	if o.jsonTree != nil {
-		c.jsonTree = cloneSigObj(o.jsonTree)
+	if o.nested != nil {
+		c.nested = make(map[*siglang.Obj]*aobj, len(o.nested))
+		for t, n := range o.nested {
+			c.nested[t] = cloneObj(n, memo)
+		}
 	}
 	return c
 }
@@ -245,18 +254,6 @@ func cloneNonNil(s map[string]bool) map[string]bool {
 		return nil
 	}
 	return cloneSet(s)
-}
-
-// cloneSigObj deep-copies a JSON signature tree under construction.
-func cloneSigObj(o *siglang.Obj) *siglang.Obj {
-	out := &siglang.Obj{Pairs: make([]siglang.KV, len(o.Pairs))}
-	copy(out.Pairs, o.Pairs)
-	for i := range out.Pairs {
-		if sub, ok := out.Pairs[i].Val.(*siglang.Obj); ok {
-			out.Pairs[i].Val = cloneSigObj(sub)
-		}
-	}
-	return out
 }
 
 // mergeVals joins two abstract values arriving from different control-flow
@@ -408,21 +405,57 @@ func mergeObjs(a, b *aobj, memo map[[2]*aobj]*aobj) *aobj {
 			}
 		}
 	}
-	if a.tree != nil || b.tree != nil {
-		m.tree = siglang.MergeObj(cloneMaybe(a.tree), cloneMaybe(b.tree))
-	}
-	if a.jsonTree != nil || b.jsonTree != nil {
-		m.jsonTree = siglang.MergeObj(cloneMaybe(a.jsonTree), cloneMaybe(b.jsonTree))
+	m.tree = siglang.MergeObj(a.tree, b.tree)
+	m.jsonTree = siglang.MergeObj(a.jsonTree, b.jsonTree)
+	if a.nested != nil || b.nested != nil {
+		m.nested = make(map[*siglang.Obj]*aobj, len(a.nested)+len(b.nested))
+		for t, n := range a.nested {
+			m.nested[t] = n
+		}
+		for t, n := range b.nested {
+			if an, ok := m.nested[t]; ok {
+				n = mergeObjs(an, n, memo)
+			}
+			m.nested[t] = n
+		}
 	}
 	m.lastRep, m.lastRepLoop = nil, 0
 	return m
 }
 
-func cloneMaybe(o *siglang.Obj) *siglang.Obj {
-	if o == nil {
-		return nil
+// resolvedTree returns the JSONObject builder's tree with each nested
+// builder's pair value replaced by that builder's current tree, resolved
+// in turn. Nesting is bounded like typedToTree's, which also ends a
+// builder put into itself: past the bound a pair keeps the tree it was
+// put as.
+func (o *aobj) resolvedTree(depth int) *siglang.Obj {
+	if len(o.nested) == 0 || depth > 4 {
+		return o.tree
 	}
-	return cloneSigObj(o)
+	out := &siglang.Obj{Pairs: make([]siglang.KV, len(o.tree.Pairs))}
+	for i, kv := range o.tree.Pairs {
+		kv.Val = o.resolveNested(kv.Val, depth)
+		out.Pairs[i] = kv
+	}
+	return out
+}
+
+// resolveNested resolves one pair value of o's tree: a nested builder's
+// tree, or a disjunction holding some.
+func (o *aobj) resolveNested(v siglang.Sig, depth int) siglang.Sig {
+	switch t := v.(type) {
+	case *siglang.Obj:
+		if n, ok := o.nested[t]; ok {
+			return n.resolvedTree(depth + 1)
+		}
+	case *siglang.Or:
+		alts := make([]siglang.Sig, len(t.Alts))
+		for i, a := range t.Alts {
+			alts[i] = o.resolveNested(a, depth)
+		}
+		return &siglang.Or{Alts: alts}
+	}
+	return v
 }
 
 // env is the per-program-point signature database: register -> value.
@@ -466,7 +499,8 @@ func mergeEnvShared(a, b env) env {
 }
 
 // mergeEnv joins two environments at a confluence point. Both inputs are
-// treated as immutable; the result holds fresh object copies.
+// left unchanged; the result holds fresh object copies, which share the
+// inputs' signatures (values, never written).
 func mergeEnv(a, b env) env {
 	if a == nil {
 		return b.clone()

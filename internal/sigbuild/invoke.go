@@ -187,6 +187,7 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 		}
 		o.kind = oBuilder
 		o.buf = siglang.Str("")
+		o.lastRep = nil
 		if len(in.Args) > 1 {
 			o.buf = arg(1).sigOf()
 			o.uriDeps = unionSet(o.uriDeps, deps(arg(1)))
@@ -253,7 +254,7 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 				}
 			}
 			if v.obj != nil && v.obj.kind == oJSONBuild {
-				o.body = &aobj{kind: oEntity, bodyKind: "json", jsonTree: v.obj.tree}
+				o.body = &aobj{kind: oEntity, bodyKind: "json", jsonTree: v.obj.resolvedTree(0)}
 				if o.method == "GET" {
 					o.method = "POST"
 				}
@@ -540,6 +541,7 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 		}
 		o.kind = oJSONBuild
 		o.tree = &siglang.Obj{}
+		o.nested = nil
 	case semmodel.KJSONParse:
 		src := arg(0)
 		if in.Kind != ir.InvokeStatic && len(in.Args) > 1 {
@@ -573,7 +575,7 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 		setDst(unknownVal(siglang.VInt, "len"))
 	case semmodel.KJSONToString:
 		if recv.obj != nil && recv.obj.kind == oJSONBuild {
-			setDst(aval{sig: &siglang.JSON{Root: recv.obj.tree}, locs: recv.locs})
+			setDst(aval{sig: recv.sigOf(), locs: recv.locs})
 			return
 		}
 		if rsp := respOf(recv); rsp != nil {
@@ -800,7 +802,7 @@ func constOr(v aval, def string) string {
 }
 
 // evalAppend accumulates onto a builder; inside a loop the appended parts
-// widen into a repetition marker mutated in place (rep{...} of §3.2).
+// widen into a repetition marker (rep{...} of §3.2).
 func (ev *evaluator) evalAppend(recv, v aval, loop int) {
 	o := recv.obj
 	if o == nil || o.kind != oBuilder {
@@ -810,9 +812,12 @@ func (ev *evaluator) evalAppend(recv, v aval, loop int) {
 	addDeps(ensureSet(&o.uriDeps), v)
 	if loop >= 0 {
 		if o.lastRep != nil && o.lastRepLoop == loop {
-			// Same loop iteration context: extend the repetition body
-			// mutated in place (the buf already references it).
-			o.lastRep.Body = siglang.Cat(o.lastRep.Body, s)
+			// Same loop iteration context: extend the repetition by
+			// swapping buf's last part, lastRep, for a wider one; a
+			// toString result may still hold the old one.
+			rep := &siglang.Rep{Body: siglang.Cat(o.lastRep.Body, s)}
+			o.buf = withLastPart(o.buf, rep)
+			o.lastRep = rep
 			return
 		}
 		rep := &siglang.Rep{Body: s}
@@ -824,18 +829,36 @@ func (ev *evaluator) evalAppend(recv, v aval, loop int) {
 	o.buf = siglang.Cat(o.buf, s)
 }
 
-// evalJSONPut adds a key/value pair to a JSON object under construction.
-func (ev *evaluator) evalJSONPut(recv, key, val aval, loop int) {
-	if recv.obj == nil || recv.obj.kind != oJSONBuild {
-		return
+// withLastPart returns buf with its last part replaced by p; a buf that is
+// not a concatenation is its own last part.
+func withLastPart(buf, p siglang.Sig) siglang.Sig {
+	c, ok := buf.(*siglang.Concat)
+	if !ok {
+		return p
 	}
-	if recv.obj.tree == nil {
-		recv.obj.tree = &siglang.Obj{}
+	parts := append([]siglang.Sig(nil), c.Parts...)
+	parts[len(parts)-1] = p
+	return &siglang.Concat{Parts: parts}
+}
+
+// evalJSONPut adds a key/value pair to a JSON object under construction.
+// The pair goes into a copy of the builder's tree, since the old tree may
+// already be held by a toString result, a request body or another branch.
+// A nested builder is put as its current tree and recorded in nested, so
+// its later puts still show through this object (resolvedTree).
+func (ev *evaluator) evalJSONPut(recv, key, val aval, loop int) {
+	o := recv.obj
+	if o == nil || o.kind != oJSONBuild {
+		return
 	}
 	var vs siglang.Sig
 	switch {
 	case val.obj != nil && val.obj.kind == oJSONBuild:
 		vs = val.obj.tree
+		if o.nested == nil {
+			o.nested = map[*siglang.Obj]*aobj{}
+		}
+		o.nested[val.obj.tree] = val.obj
 	case val.obj != nil && val.obj.kind == oList:
 		a := &siglang.Arr{Open: val.obj.open}
 		for _, el := range val.obj.elems {
@@ -845,15 +868,20 @@ func (ev *evaluator) evalJSONPut(recv, key, val aval, loop int) {
 	default:
 		vs = val.sigOf()
 	}
-	if recv.obj.pairs == nil {
-		recv.obj.pairs = map[string]aval{}
+	if o.pairs == nil {
+		o.pairs = map[string]aval{}
+	}
+	t := &siglang.Obj{}
+	if o.tree != nil {
+		t.Pairs = append(make([]siglang.KV, 0, len(o.tree.Pairs)+1), o.tree.Pairs...)
 	}
 	if k, ok := key.constString(); ok && loop < 0 {
-		recv.obj.tree.Put(k, vs)
-		recv.obj.pairs[k] = val
+		t.Put(k, vs)
+		o.pairs[k] = val
 	} else {
-		recv.obj.tree.PutDyn(vs)
+		t.PutDyn(vs)
 	}
+	o.tree = t
 }
 
 // evalJSONGetLeaf handles getString/getInt/getBoolean on response trees.

@@ -65,9 +65,7 @@ func writeSchema(s Sig, b *strings.Builder) {
 		b.WriteString(`{"type":"array","items":`)
 		var item Sig
 		for _, e := range v.Elems {
-			// Merge writes into its first operand: fold over clones so
-			// rendering leaves the signature tree as it was.
-			item = Merge(item, Clone(e))
+			item = Merge(item, e)
 		}
 		writeSchema(item, b)
 		b.WriteString("}")

@@ -14,6 +14,14 @@
 // Signatures render to regular expressions (repetition → Kleene star,
 // disjunction → |, typed unknowns → [0-9]+ or .*), to a JSON-schema-like
 // form for JSON trees, and to DTDs for XML trees.
+//
+// Signatures are values: nothing writes a node that another signature, an
+// abstract environment or a report can already reach, so trees may be
+// shared freely and need no defensive copies. Merge and MergeObj build
+// their result on a fresh copy and leave both operands as they were. The
+// only writers are constructors filling a node they just allocated (Cat,
+// Disjoin, Parse and the like), and (*Obj).Put and PutDyn on a tree their
+// caller still owns, that is, one it has not yet handed to anyone.
 package siglang
 
 import (
@@ -353,7 +361,9 @@ func String(s Sig) string { return Canon(s) }
 
 // Put sets key to val, replacing an existing pair with the same key; when
 // the key already holds a different signature the values are disjoined,
-// mirroring JSONObject.put on divergent paths.
+// mirroring JSONObject.put on divergent paths. Put writes o in place: it
+// is a construction call, for a tree the caller still owns. To extend a
+// tree others can reach, put into a copy of its pairs.
 func (o *Obj) Put(key string, val Sig) {
 	for i := range o.Pairs {
 		if !o.Pairs[i].Dyn && o.Pairs[i].Key == key {
@@ -366,7 +376,8 @@ func (o *Obj) Put(key string, val Sig) {
 	o.Pairs = append(o.Pairs, KV{Key: key, Val: val})
 }
 
-// PutDyn appends a dynamically keyed pair.
+// PutDyn appends a dynamically keyed pair. Like Put, it writes o in place
+// and is for a tree the caller still owns.
 func (o *Obj) PutDyn(val Sig) {
 	o.Pairs = append(o.Pairs, KV{Dyn: true, Val: val})
 }
@@ -392,8 +403,11 @@ func (o *Obj) Keys() []string {
 	return out
 }
 
-// MergeObj merges b into a (set union of keys; common keys disjoin values)
-// and returns a. Used at control-flow confluence points.
+// MergeObj returns the union of a and b (set union of keys; common keys
+// disjoin values), used at control-flow confluence points. It puts b's
+// pairs into a copy of a's pair slice, so neither operand is written; the
+// values themselves are shared, not copied. A nil operand yields the
+// other one.
 func MergeObj(a, b *Obj) *Obj {
 	if a == nil {
 		return b
@@ -401,20 +415,24 @@ func MergeObj(a, b *Obj) *Obj {
 	if b == nil {
 		return a
 	}
+	m := &Obj{Pairs: make([]KV, len(a.Pairs), len(a.Pairs)+len(b.Pairs))}
+	copy(m.Pairs, a.Pairs)
 	for _, kv := range b.Pairs {
 		if kv.Dyn {
-			a.PutDyn(kv.Val)
+			m.PutDyn(kv.Val)
 			continue
 		}
-		a.Put(kv.Key, kv.Val)
+		m.Put(kv.Key, kv.Val)
 	}
-	return a
+	return m
 }
 
 // Merge combines two signatures for the same variable arriving from
 // different control-flow paths (the confluence rule of §3.2): equal
 // signatures collapse, JSON/object signatures merge structurally, and
-// anything else becomes a disjunction.
+// anything else becomes a disjunction. Like MergeObj, it writes neither
+// operand, so a fold such as item = Merge(item, e) over a report's array
+// elements leaves the report as it was.
 func Merge(a, b Sig) Sig {
 	if a == nil {
 		return b
@@ -599,77 +617,4 @@ func writeRegex(s Sig, b *strings.Builder) {
 		// structural bodies are matched by the JSON and XML matchers instead.
 		b.WriteString(".*")
 	}
-}
-
-// Clone returns a structurally identical deep copy of s, sharing no mutable
-// state with the original. Compiled matchers (internal/sigvm) clone
-// signature subtrees before confluence merging so that compilation never
-// mutates the report's trees (Merge appends to Obj pair slices in place).
-// Clone copies the tree directly rather than round-tripping through
-// Parse(Canon(s)), which would not be faithful (e.g. a nil Obj value
-// renders as "?any" and parses back as *Unknown).
-func Clone(s Sig) Sig {
-	switch v := s.(type) {
-	case nil:
-		return nil
-	case *Lit:
-		c := *v
-		return &c
-	case *Unknown:
-		c := *v
-		return &c
-	case *Concat:
-		c := &Concat{Parts: make([]Sig, len(v.Parts))}
-		for i, p := range v.Parts {
-			c.Parts[i] = Clone(p)
-		}
-		return c
-	case *Rep:
-		return &Rep{Body: Clone(v.Body)}
-	case *Or:
-		c := &Or{Alts: make([]Sig, len(v.Alts))}
-		for i, a := range v.Alts {
-			c.Alts[i] = Clone(a)
-		}
-		return c
-	case *Obj:
-		c := &Obj{Pairs: make([]KV, len(v.Pairs))}
-		for i, kv := range v.Pairs {
-			c.Pairs[i] = KV{Key: kv.Key, Dyn: kv.Dyn, Val: Clone(kv.Val)}
-		}
-		return c
-	case *Arr:
-		c := &Arr{Elems: make([]Sig, len(v.Elems)), Open: v.Open}
-		for i, e := range v.Elems {
-			c.Elems[i] = Clone(e)
-		}
-		return c
-	case *JSON:
-		return &JSON{Root: Clone(v.Root)}
-	case *XML:
-		return &XML{Root: CloneElem(v.Root)}
-	default:
-		return s
-	}
-}
-
-// CloneElem deep-copies an XML element tree (nil-safe).
-func CloneElem(e *Elem) *Elem {
-	if e == nil {
-		return nil
-	}
-	c := &Elem{Tag: e.Tag, Text: Clone(e.Text)}
-	if len(e.Attrs) > 0 {
-		c.Attrs = make([]KV, len(e.Attrs))
-		for i, a := range e.Attrs {
-			c.Attrs[i] = KV{Key: a.Key, Dyn: a.Dyn, Val: Clone(a.Val)}
-		}
-	}
-	if len(e.Children) > 0 {
-		c.Children = make([]*Elem, len(e.Children))
-		for i, ch := range e.Children {
-			c.Children[i] = CloneElem(ch)
-		}
-	}
-	return c
 }

@@ -14,9 +14,9 @@ import (
 // into an array of nodes with every per-call derivation of the
 // interpretive matcher precomputed — object key sets indexed, the
 // last-dynamic-pair value resolved, array element signatures
-// confluence-merged (over clones, so compiling never mutates the report's
-// trees), and string-leaf regexes lowered to text bytecode instead of
-// being recompiled per payload.
+// confluence-merged (siglang.Merge writes neither operand, so compiling
+// leaves the report's trees as they were), and string-leaf regexes
+// lowered to text bytecode instead of being recompiled per payload.
 type JSONProg struct {
 	nodes []jsonNode
 	root  int32 // index of the root node; -1 for a nil signature
@@ -92,10 +92,7 @@ func (b *Bundle) compileJSONNode(p *JSONProg, s siglang.Sig) int32 {
 	case *siglang.Arr:
 		var item siglang.Sig
 		for _, e := range v.Elems {
-			// Merge mutates its first operand (MergeObj appends pairs in
-			// place), so fold over clones: the report's tree stays pristine
-			// and the compiled item equals what the interpreter builds.
-			item = siglang.Merge(item, siglang.Clone(e))
+			item = siglang.Merge(item, e)
 		}
 		return p.push(jsonNode{kind: kArr, item: b.compileJSONNode(p, item)})
 	case *siglang.Or:

@@ -75,10 +75,8 @@ func MatchQuery(s siglang.Sig, query string) (bool, siglang.ByteStats) {
 // payload (the signature is a valid description of what the app reads or
 // writes). Bytes of payload keys known to the signature count as Key,
 // their values as Value, and subtrees the signature does not describe as
-// None. The array case merges the element signatures into the first
-// element in place (siglang.Merge mutates its first operand), which the
-// compiled matcher avoids by merging clones; the two agree on every call,
-// first or later.
+// None. The array case folds the element signatures with siglang.Merge on
+// every call, as the compiled matcher does once at compile time.
 func MatchJSON(s siglang.Sig, payload []byte) (bool, siglang.ByteStats, error) {
 	v, err := DecodeJSONPayload(payload)
 	if err != nil {

@@ -18,8 +18,9 @@
 //     program that matches an entry is its best match;
 //   - query/form key sets become interned-symbol bitsets (query.go);
 //   - JSON body trees flatten to node arrays with key sets indexed and
-//     array confluence-merges precomputed over clones (json.go), so
-//     matching never rewrites the report's signature trees. A JSON
+//     array confluence-merges precomputed (json.go); siglang.Merge writes
+//     neither operand, so matching never rewrites the report's signature
+//     trees. A JSON
 //     payload is checked with json.Valid and then walked in place against
 //     the nodes, with no decoded tree: strings are unquoted by
 //     encoding/json's rules, the last of duplicate keys wins, and sizes

@@ -172,10 +172,8 @@ func jsonPayloads() []string {
 // interpretive walk, including the error behavior on malformed payloads.
 func TestJSONVMMatchesOracle(t *testing.T) {
 	for _, sig := range jsonSigs(t) {
-		// Compile from the pristine tree: the interpreter's array
-		// confluence-merge mutates signature trees on first match, and the
-		// compiled program must behave like every interpretive call, first
-		// or later.
+		// Two rounds: the compiled program must behave like every
+		// interpretive call, first or later.
 		single := CompileSingle(sig)
 		before := siglang.Canon(sig)
 		for round := 0; round < 2; round++ {
@@ -191,9 +189,9 @@ func TestJSONVMMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestCompileDoesNotMutateSignature pins the Clone-before-Merge contract:
-// compiling a bundle must leave the report's signature trees untouched,
-// unlike the interpretive array merge.
+// TestCompileDoesNotMutateSignature pins that compiling a bundle leaves the
+// report's signature trees untouched: the array fold merges the element
+// signatures, and siglang.Merge writes neither operand.
 func TestCompileDoesNotMutateSignature(t *testing.T) {
 	src := `array[obj{"a": ?int}, obj{"b": ?string}]`
 	sig, err := siglang.Parse(src)
