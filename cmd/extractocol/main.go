@@ -48,6 +48,9 @@
 //	                        panic or tripped deadline the diagnostic
 //	                        carries the most recent spans of its track,
 //	                        ending with the job that died
+//
+// An unknown -format and a negative -async-hops, -deadline, -slice-budget
+// or -fixpoint-budget are rejected before the app is read.
 package main
 
 import (
@@ -114,6 +117,27 @@ type config struct {
 }
 
 func run(cfg config) (err error) {
+	// Check the flags before any work: an unknown format found after the
+	// analysis would leave a cache entry behind, and a negative budget,
+	// hop count or deadline would silently act as 0.
+	switch cfg.format {
+	case "text", "json", "dot", "disasm":
+	default:
+		return fmt.Errorf("unknown format %q (want text, json, dot or disasm)", cfg.format)
+	}
+	for _, f := range []struct {
+		name string
+		val  int64
+	}{
+		{"async-hops", int64(cfg.hops)},
+		{"slice-budget", cfg.sliceSteps},
+		{"fixpoint-budget", cfg.fixIters},
+		{"deadline", int64(cfg.deadline)},
+	} {
+		if f.val < 0 {
+			return fmt.Errorf("-%s must not be negative", f.name)
+		}
+	}
 	data, err := os.ReadFile(cfg.path)
 	if err != nil {
 		return err
@@ -169,10 +193,8 @@ func run(cfg config) (err error) {
 		fmt.Print(report.DOT(rep))
 	case "disasm":
 		fmt.Print(prog.Disassemble())
-	case "text":
-		fmt.Print(report.TextOpts(rep, ropts))
 	default:
-		return fmt.Errorf("unknown format %q", cfg.format)
+		fmt.Print(report.TextOpts(rep, ropts))
 	}
 	if cfg.profile {
 		data, err := report.ProfileJSON(rep)

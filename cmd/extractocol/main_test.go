@@ -6,7 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"extractocol/internal/corpus"
 	"extractocol/internal/dex"
@@ -45,6 +47,35 @@ func TestRunRejectsBadFormat(t *testing.T) {
 	path := writeApp(t, "blippex")
 	if err := run(config{path: path, format: "yaml", hops: 1}); err == nil {
 		t.Fatal("accepted unknown format")
+	}
+}
+
+// TestRunChecksFlagsBeforeWork: a bad -format or a negative budget, hop
+// count or deadline fails before the app is analyzed, so nothing reaches
+// the cache.
+func TestRunChecksFlagsBeforeWork(t *testing.T) {
+	path := writeApp(t, "blippex")
+	for _, tc := range []struct {
+		name string
+		cfg  config
+		want string
+	}{
+		{"format", config{format: "bogus", hops: 1}, `unknown format "bogus"`},
+		{"async-hops", config{format: "text", hops: -1}, "-async-hops must not be negative"},
+		{"slice-budget", config{format: "text", hops: 1, sliceSteps: -5}, "-slice-budget must not be negative"},
+		{"fixpoint-budget", config{format: "text", hops: 1, fixIters: -7}, "-fixpoint-budget must not be negative"},
+		{"deadline", config{format: "text", hops: 1, deadline: -3 * time.Second}, "-deadline must not be negative"},
+	} {
+		cache := filepath.Join(t.TempDir(), "cache")
+		tc.cfg.path, tc.cfg.cacheDir = path, cache
+		var err error
+		captureStdout(t, func() { err = run(tc.cfg) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if entries, _ := os.ReadDir(cache); len(entries) > 0 {
+			t.Errorf("%s: run wrote %d cache entries before failing", tc.name, len(entries))
+		}
 	}
 }
 
