@@ -47,7 +47,9 @@ echo "== matcher equivalence fuzz"
 # JSON bytes and runs its own regex bytecode, the interpretive oracle
 # decodes with encoding/json and compiles with regexp, and any signature
 # and payload on which their verdicts or byte accounting differ fails.
-go test -run '^$' -fuzz '^FuzzSigVM$' -fuzztime 30s ./internal/sigvm
+# Minimizing a new interesting input may take 1 s, not the default 60 s,
+# which would spend the whole budget on one input instead of fuzzing.
+go test -run '^$' -fuzz '^FuzzSigVM$' -fuzztime 30s -fuzzminimizetime 1s ./internal/sigvm
 
 echo "== result cache smoke under -race"
 # End-to-end warm-path gate on the real binaries: analyze the same .apkb
