@@ -15,8 +15,11 @@ package main
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 	"strings"
 
@@ -94,20 +97,25 @@ func byteFingerprint(p *ir.Program) (string, error) {
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func run(w io.Writer) error {
 	original := buildSpyware()
 	knownBytes, err := byteFingerprint(original)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	knownNet, err := networkFingerprint(original)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("known malware byte fingerprint:   ", knownBytes[:16]+"...")
-	fmt.Println("known malware network fingerprint:")
+	fmt.Fprintln(w, "known malware byte fingerprint:   ", knownBytes[:16]+"...")
+	fmt.Fprintln(w, "known malware network fingerprint:")
 	for _, l := range strings.Split(knownNet, "\n") {
-		fmt.Println("   ", l)
+		fmt.Fprintln(w, "   ", l)
 	}
 
 	// The attacker repackages: rename everything.
@@ -116,22 +124,23 @@ func main() {
 
 	vBytes, err := byteFingerprint(variant)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	vNet, err := networkFingerprint(variant)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("\nafter repackaging (ProGuard-style renaming):")
-	fmt.Printf("  byte fingerprint match:    %v\n", vBytes == knownBytes)
-	fmt.Printf("  network fingerprint match: %v\n", vNet == knownNet)
+	fmt.Fprintln(w, "\nafter repackaging (ProGuard-style renaming):")
+	fmt.Fprintf(w, "  byte fingerprint match:    %v\n", vBytes == knownBytes)
+	fmt.Fprintf(w, "  network fingerprint match: %v\n", vNet == knownNet)
 	if vBytes == knownBytes {
-		log.Fatal("unexpected: repackaging did not change the bytes")
+		return errors.New("unexpected: repackaging did not change the bytes")
 	}
 	if vNet != knownNet {
-		log.Fatal("network fingerprint should survive repackaging")
+		return errors.New("network fingerprint should survive repackaging")
 	}
-	fmt.Println("\nthe variant evades byte signatures but is caught by its protocol behavior:")
-	fmt.Println("  POST to cnc.badhost.example carrying device-ID and location data")
+	fmt.Fprintln(w, "\nthe variant evades byte signatures but is caught by its protocol behavior:")
+	fmt.Fprintln(w, "  POST to cnc.badhost.example carrying device-ID and location data")
+	return nil
 }

@@ -13,8 +13,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"extractocol/internal/core"
@@ -26,13 +29,19 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	app := corpus.TED()
 
 	// Static analysis: find the transaction whose URI depends on a prior
 	// response field — those are the prefetchable edges.
 	rep, err := core.Analyze(app.Prog, core.NewOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	type edge struct {
 		fromID    int
@@ -51,11 +60,11 @@ func main() {
 		chain = append(chain, edge{fromID: d.From, fromField: d.FromField, toID: d.To})
 	}
 	if len(chain) == 0 {
-		log.Fatal("prefetch: no URI dependencies found")
+		return errors.New("prefetch: no URI dependencies found")
 	}
-	fmt.Println("prefetchable edges discovered by Extractocol:")
+	fmt.Fprintln(w, "prefetchable edges discovered by Extractocol:")
 	for _, e := range chain {
-		fmt.Printf("  tx#%d response field %q feeds tx#%d's URI\n", e.fromID, e.fromField, e.toID)
+		fmt.Fprintf(w, "  tx#%d response field %q feeds tx#%d's URI\n", e.fromID, e.fromField, e.toID)
 	}
 
 	// Dynamic side: a "proxy" watches responses; whenever a response
@@ -91,16 +100,17 @@ func main() {
 				resp := net.RoundTrip(&httpsim.Request{Method: "GET", URL: uri})
 				if resp.Status == 200 {
 					prefetched++
-					fmt.Printf("prefetched %s for tx#%d (%d bytes, %s)\n",
+					fmt.Fprintf(w, "prefetched %s for tx#%d (%d bytes, %s)\n",
 						uri, e.toID, len(resp.Body), resp.Type)
 				}
 			}
 		}
 	}
 	if prefetched == 0 {
-		log.Fatal("prefetch: nothing prefetched")
+		return errors.New("prefetch: nothing prefetched")
 	}
-	fmt.Printf("\n%d resources prefetched before the app asked for them\n", prefetched)
+	fmt.Fprintf(w, "\n%d resources prefetched before the app asked for them\n", prefetched)
+	return nil
 }
 
 // extractField pulls a dotted-path string field out of a JSON body.

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -20,37 +22,42 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func run(w io.Writer) error {
 	// Step 1: obtain the application binary. The corpus builds Diode and
 	// we round-trip it through the .apkb container to demonstrate that the
 	// binary is the analysis' only input.
 	app := corpus.Diode()
 	dir, err := os.MkdirTemp("", "extractocol-quickstart")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	apk := filepath.Join(dir, "diode.apkb")
 	if err := dex.WriteFile(apk, app.Prog); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	prog, err := dex.ReadFile(apk)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("loaded %s: %d classes, %d instructions\n\n",
+	fmt.Fprintf(w, "loaded %s: %d classes, %d instructions\n\n",
 		apk, len(prog.Classes()), prog.InstrCount())
 
 	// Step 2: run the analysis.
 	rep, err := core.Analyze(prog, core.NewOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(report.Text(rep))
+	fmt.Fprint(w, report.Text(rep))
 
 	// Step 3: the Fig. 3 signature. One transaction combines all nine URI
 	// patterns of DownloadThreadsTask into a single regular expression.
-	fmt.Println("\nFig. 3 check — the DownloadThreadsTask signature accepts:")
+	fmt.Fprintln(w, "\nFig. 3 check — the DownloadThreadsTask signature accepts:")
 	for _, tx := range rep.Transactions {
 		re, err := siglang.Compile(tx.Request.URI)
 		if err != nil {
@@ -64,11 +71,11 @@ func main() {
 		}
 		if matched == len(corpus.DiodeFigure3URIs()) {
 			for _, uri := range corpus.DiodeFigure3URIs() {
-				fmt.Printf("  %s\n", uri)
+				fmt.Fprintf(w, "  %s\n", uri)
 			}
-			fmt.Printf("  (signature: %s)\n", tx.URIRegex())
-			return
+			fmt.Fprintf(w, "  (signature: %s)\n", tx.URIRegex())
+			return nil
 		}
 	}
-	log.Fatal("quickstart: no signature covered the Fig. 3 URI set")
+	return errors.New("quickstart: no signature covered the Fig. 3 URI set")
 }

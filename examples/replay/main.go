@@ -10,8 +10,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"extractocol/internal/core"
@@ -22,6 +25,12 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	app := corpus.Kayak()
 
 	// Reverse-engineer the API, scoped to com.kayak (excluding ad libs).
@@ -29,21 +38,21 @@ func main() {
 	opts.ScopePrefix = "com.kayak."
 	rep, err := core.Analyze(app.Prog, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("recovered %d API endpoints from the binary\n", len(rep.Transactions))
+	fmt.Fprintf(w, "recovered %d API endpoints from the binary\n", len(rep.Transactions))
 
 	auth := findTx(rep, "authajax")
 	start := findTx(rep, "flight/start")
 	poll := findTx(rep, "flight/poll")
 	if auth == nil || start == nil || poll == nil {
-		log.Fatal("replay: flight-search endpoints not recovered")
+		return errors.New("replay: flight-search endpoints not recovered")
 	}
 	ua := headerValue(auth, "User-Agent")
 	if ua == "" {
-		log.Fatal("replay: User-Agent header not recovered")
+		return errors.New("replay: User-Agent header not recovered")
 	}
-	fmt.Printf("app-specific header: User-Agent: %s\n\n", ua)
+	fmt.Fprintf(w, "app-specific header: User-Agent: %s\n\n", ua)
 
 	net := app.NewNetwork()
 	send := func(method, url, body string) *httpsim.Response {
@@ -53,7 +62,7 @@ func main() {
 			Headers: map[string]string{"User-Agent": ua},
 			Body:    body,
 		})
-		fmt.Printf("%s %s -> %d\n", method, url, resp.Status)
+		fmt.Fprintf(w, "%s %s -> %d\n", method, url, resp.Status)
 		return resp
 	}
 
@@ -67,7 +76,7 @@ func main() {
 	resp := send("POST", literalURI(auth), authBody)
 	sid := jsonField(resp.Body, "_sid_")
 	if sid == "" {
-		log.Fatal("replay: no _sid_ in authajax response")
+		return errors.New("replay: no _sid_ in authajax response")
 	}
 
 	// Step 2: /flight/start with the recovered query-string template.
@@ -78,7 +87,7 @@ func main() {
 	resp = send("GET", startURL, "")
 	searchid := jsonField(resp.Body, "searchid")
 	if searchid == "" {
-		log.Fatal("replay: no searchid in flight/start response")
+		return errors.New("replay: no searchid in flight/start response")
 	}
 
 	// Step 3: /flight/poll for the fares.
@@ -87,10 +96,11 @@ func main() {
 	})
 	resp = send("GET", pollURL, "")
 	if resp.Status != 200 {
-		log.Fatal("replay: poll failed")
+		return errors.New("replay: poll failed")
 	}
-	fmt.Printf("\nflight fares retrieved: cheapest %s %s\n",
+	fmt.Fprintf(w, "\nflight fares retrieved: cheapest %s %s\n",
 		jsonField(resp.Body, "cheapest"), jsonField(resp.Body, "currencyCode"))
+	return nil
 }
 
 func findTx(rep *core.Report, frag string) *core.Transaction {
