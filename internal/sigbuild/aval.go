@@ -36,10 +36,7 @@ const (
 // aobj is a mutable abstract object. Objects are shared by reference
 // between registers, mirroring Java aliasing. Each carries the allocation
 // site identity (allocID) so per-branch copies can be matched and merged at
-// control-flow confluence points. The signatures an object holds are
-// values: a write replaces a field (tree, buf, ...) with a new signature
-// and never edits the old one, which a toString result, a request body or
-// another branch's copy may still hold.
+// control-flow confluence points. Signature fields are replaced, not edited.
 type aobj struct {
 	allocID int
 	kind    objKind
@@ -73,9 +70,8 @@ type aobj struct {
 
 	// oJSONBuild.
 	tree *siglang.Obj
-	// nested maps each tree a JSONObject builder was put as (a pair value
-	// in tree) to that builder, so the builder's later puts reach this
-	// object when it is used, as Java's references do (resolvedTree).
+	// nested maps each tree a builder was put as (a pair value in tree) to
+	// that builder, whose later puts resolvedTree shows, as Java would.
 	nested map[*siglang.Obj]*aobj
 
 	// oRespNode / oRespXML: shared access tree of one response.
@@ -88,8 +84,7 @@ type aobj struct {
 	request *aobj
 
 	// oBuilder loop widening: the repetition node currently being extended
-	// and the loop header it belongs to. When non-nil, lastRep is buf's
-	// last part.
+	// and the loop header it belongs to; lastRep, when set, is buf's last part.
 	lastRep     *siglang.Rep
 	lastRepLoop int
 
@@ -200,8 +195,7 @@ func (o *aobj) shared() bool {
 
 // cloneVal deep-copies the value's object graph so a control-flow branch
 // can mutate its own copy. Aliasing within one environment is preserved by
-// the memo; shared response-tree objects are never copied. Signatures are
-// values and are shared, not copied.
+// the memo; shared response-tree objects are never copied.
 func cloneVal(v aval, memo map[*aobj]*aobj) aval {
 	out := v
 	out.obj = cloneObj(v.obj, memo)
@@ -424,38 +418,20 @@ func mergeObjs(a, b *aobj, memo map[[2]*aobj]*aobj) *aobj {
 }
 
 // resolvedTree returns the JSONObject builder's tree with each nested
-// builder's pair value replaced by that builder's current tree, resolved
-// in turn. Nesting is bounded like typedToTree's, which also ends a
-// builder put into itself: past the bound a pair keeps the tree it was
-// put as.
+// builder's pair value replaced by that builder's resolved current tree.
+// The depth bound, typedToTree's, also ends a builder put into itself.
 func (o *aobj) resolvedTree(depth int) *siglang.Obj {
 	if len(o.nested) == 0 || depth > 4 {
 		return o.tree
 	}
 	out := &siglang.Obj{Pairs: make([]siglang.KV, len(o.tree.Pairs))}
 	for i, kv := range o.tree.Pairs {
-		kv.Val = o.resolveNested(kv.Val, depth)
+		if t, ok := kv.Val.(*siglang.Obj); ok && o.nested[t] != nil {
+			kv.Val = o.nested[t].resolvedTree(depth + 1)
+		}
 		out.Pairs[i] = kv
 	}
 	return out
-}
-
-// resolveNested resolves one pair value of o's tree: a nested builder's
-// tree, or a disjunction holding some.
-func (o *aobj) resolveNested(v siglang.Sig, depth int) siglang.Sig {
-	switch t := v.(type) {
-	case *siglang.Obj:
-		if n, ok := o.nested[t]; ok {
-			return n.resolvedTree(depth + 1)
-		}
-	case *siglang.Or:
-		alts := make([]siglang.Sig, len(t.Alts))
-		for i, a := range t.Alts {
-			alts[i] = o.resolveNested(a, depth)
-		}
-		return &siglang.Or{Alts: alts}
-	}
-	return v
 }
 
 // env is the per-program-point signature database: register -> value.
@@ -499,8 +475,7 @@ func mergeEnvShared(a, b env) env {
 }
 
 // mergeEnv joins two environments at a confluence point. Both inputs are
-// left unchanged; the result holds fresh object copies, which share the
-// inputs' signatures (values, never written).
+// left unchanged; the result's fresh object copies share their signatures.
 func mergeEnv(a, b env) env {
 	if a == nil {
 		return b.clone()

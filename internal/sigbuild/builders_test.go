@@ -125,16 +125,6 @@ func TestJSONObjectAndStringBuilderSemantics(t *testing.T) {
 			// Finite: nesting stops at resolvedTree's depth bound.
 			body: `json(obj{"a": ?string, "self": obj{"a": ?string, "self": obj{"a": ?string, "self": ` +
 				`obj{"a": ?string, "self": obj{"a": ?string, "self": obj{"a": ?string, "self": obj{"a": ?string}}}}}}})`},
-		{name: "K two nested objects under one key",
-			build: func(b *ir.B, p, q, c int) {
-				outer, x, y := newJS(b), newJS(b), newJS(b)
-				put(b, x, "x", p)
-				put(b, outer, "k", x)
-				put(b, outer, "k", y)
-				put(b, y, "y", q)
-				postJSON(b, outer)
-			},
-			body: `json(obj{"k": (obj{"x": ?string} ∨ obj{"y": ?string})})`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, c := newApp("t.jv", "t.jv.V")

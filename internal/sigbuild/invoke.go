@@ -541,7 +541,6 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 		}
 		o.kind = oJSONBuild
 		o.tree = &siglang.Obj{}
-		o.nested = nil
 	case semmodel.KJSONParse:
 		src := arg(0)
 		if in.Kind != ir.InvokeStatic && len(in.Args) > 1 {
@@ -812,12 +811,14 @@ func (ev *evaluator) evalAppend(recv, v aval, loop int) {
 	addDeps(ensureSet(&o.uriDeps), v)
 	if loop >= 0 {
 		if o.lastRep != nil && o.lastRepLoop == loop {
-			// Same loop iteration context: extend the repetition by
-			// swapping buf's last part, lastRep, for a wider one; a
-			// toString result may still hold the old one.
+			// Same loop iteration context: swap buf's last part, lastRep,
+			// for a wider repetition; a toString result may hold the old.
 			rep := &siglang.Rep{Body: siglang.Cat(o.lastRep.Body, s)}
-			o.buf = withLastPart(o.buf, rep)
-			o.lastRep = rep
+			var head siglang.Sig
+			if c, ok := o.buf.(*siglang.Concat); ok {
+				head = &siglang.Concat{Parts: c.Parts[:len(c.Parts)-1]}
+			}
+			o.buf, o.lastRep = siglang.Cat(head, rep), rep
 			return
 		}
 		rep := &siglang.Rep{Body: s}
@@ -829,23 +830,9 @@ func (ev *evaluator) evalAppend(recv, v aval, loop int) {
 	o.buf = siglang.Cat(o.buf, s)
 }
 
-// withLastPart returns buf with its last part replaced by p; a buf that is
-// not a concatenation is its own last part.
-func withLastPart(buf, p siglang.Sig) siglang.Sig {
-	c, ok := buf.(*siglang.Concat)
-	if !ok {
-		return p
-	}
-	parts := append([]siglang.Sig(nil), c.Parts...)
-	parts[len(parts)-1] = p
-	return &siglang.Concat{Parts: parts}
-}
-
-// evalJSONPut adds a key/value pair to a JSON object under construction.
-// The pair goes into a copy of the builder's tree, since the old tree may
-// already be held by a toString result, a request body or another branch.
-// A nested builder is put as its current tree and recorded in nested, so
-// its later puts still show through this object (resolvedTree).
+// evalJSONPut adds a key/value pair to a JSON object under construction,
+// merging it into a copy of the tree: the old one may already be held. A
+// nested builder is put as its current tree and recorded in nested.
 func (ev *evaluator) evalJSONPut(recv, key, val aval, loop int) {
 	o := recv.obj
 	if o == nil || o.kind != oJSONBuild {
@@ -871,17 +858,12 @@ func (ev *evaluator) evalJSONPut(recv, key, val aval, loop int) {
 	if o.pairs == nil {
 		o.pairs = map[string]aval{}
 	}
-	t := &siglang.Obj{}
-	if o.tree != nil {
-		t.Pairs = append(make([]siglang.KV, 0, len(o.tree.Pairs)+1), o.tree.Pairs...)
-	}
+	kv := siglang.KV{Dyn: true, Val: vs}
 	if k, ok := key.constString(); ok && loop < 0 {
-		t.Put(k, vs)
+		kv = siglang.KV{Key: k, Val: vs}
 		o.pairs[k] = val
-	} else {
-		t.PutDyn(vs)
 	}
-	o.tree = t
+	o.tree = siglang.MergeObj(o.tree, &siglang.Obj{Pairs: []siglang.KV{kv}})
 }
 
 // evalJSONGetLeaf handles getString/getInt/getBoolean on response trees.

@@ -16,12 +16,10 @@
 // form for JSON trees, and to DTDs for XML trees.
 //
 // Signatures are values: nothing writes a node that another signature, an
-// abstract environment or a report can already reach, so trees may be
-// shared freely and need no defensive copies. Merge and MergeObj build
-// their result on a fresh copy and leave both operands as they were. The
-// only writers are constructors filling a node they just allocated (Cat,
-// Disjoin, Parse and the like), and (*Obj).Put and PutDyn on a tree their
-// caller still owns, that is, one it has not yet handed to anyone.
+// environment or a report can reach, so trees are shared without copies.
+// Merge and MergeObj write neither operand. The only writers are
+// constructors filling a node they just allocated, and (*Obj).Put and
+// PutDyn on a tree their caller still owns.
 package siglang
 
 import (
@@ -361,9 +359,8 @@ func String(s Sig) string { return Canon(s) }
 
 // Put sets key to val, replacing an existing pair with the same key; when
 // the key already holds a different signature the values are disjoined,
-// mirroring JSONObject.put on divergent paths. Put writes o in place: it
-// is a construction call, for a tree the caller still owns. To extend a
-// tree others can reach, put into a copy of its pairs.
+// mirroring JSONObject.put on divergent paths. It writes o in place, so it
+// is for building a tree the caller still owns.
 func (o *Obj) Put(key string, val Sig) {
 	for i := range o.Pairs {
 		if !o.Pairs[i].Dyn && o.Pairs[i].Key == key {
@@ -376,8 +373,7 @@ func (o *Obj) Put(key string, val Sig) {
 	o.Pairs = append(o.Pairs, KV{Key: key, Val: val})
 }
 
-// PutDyn appends a dynamically keyed pair. Like Put, it writes o in place
-// and is for a tree the caller still owns.
+// PutDyn appends a dynamically keyed pair, in place like Put.
 func (o *Obj) PutDyn(val Sig) {
 	o.Pairs = append(o.Pairs, KV{Dyn: true, Val: val})
 }
@@ -404,10 +400,8 @@ func (o *Obj) Keys() []string {
 }
 
 // MergeObj returns the union of a and b (set union of keys; common keys
-// disjoin values), used at control-flow confluence points. It puts b's
-// pairs into a copy of a's pair slice, so neither operand is written; the
-// values themselves are shared, not copied. A nil operand yields the
-// other one.
+// disjoin values) in a new object, writing neither operand; a nil operand
+// yields the other. Used at control-flow confluence points.
 func MergeObj(a, b *Obj) *Obj {
 	if a == nil {
 		return b
@@ -415,8 +409,7 @@ func MergeObj(a, b *Obj) *Obj {
 	if b == nil {
 		return a
 	}
-	m := &Obj{Pairs: make([]KV, len(a.Pairs), len(a.Pairs)+len(b.Pairs))}
-	copy(m.Pairs, a.Pairs)
+	m := &Obj{Pairs: append(make([]KV, 0, len(a.Pairs)+len(b.Pairs)), a.Pairs...)}
 	for _, kv := range b.Pairs {
 		if kv.Dyn {
 			m.PutDyn(kv.Val)
@@ -431,8 +424,7 @@ func MergeObj(a, b *Obj) *Obj {
 // different control-flow paths (the confluence rule of §3.2): equal
 // signatures collapse, JSON/object signatures merge structurally, and
 // anything else becomes a disjunction. Like MergeObj, it writes neither
-// operand, so a fold such as item = Merge(item, e) over a report's array
-// elements leaves the report as it was.
+// operand.
 func Merge(a, b Sig) Sig {
 	if a == nil {
 		return b
