@@ -48,12 +48,10 @@
 //	                        panic or tripped deadline the diagnostic
 //	                        carries the most recent spans of its track,
 //	                        ending with the job that died
-//
-// An unknown -format and a negative -async-hops, -deadline, -slice-budget
-// or -fixpoint-budget are rejected before the app is read.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -120,23 +118,17 @@ func run(cfg config) (err error) {
 	// Check the flags before any work: an unknown format found after the
 	// analysis would leave a cache entry behind, and a negative budget,
 	// hop count or deadline would silently act as 0.
-	switch cfg.format {
-	case "text", "json", "dot", "disasm":
-	default:
+	switch {
+	case cfg.format != "text" && cfg.format != "json" && cfg.format != "dot" && cfg.format != "disasm":
 		return fmt.Errorf("unknown format %q (want text, json, dot or disasm)", cfg.format)
-	}
-	for _, f := range []struct {
-		name string
-		val  int64
-	}{
-		{"async-hops", int64(cfg.hops)},
-		{"slice-budget", cfg.sliceSteps},
-		{"fixpoint-budget", cfg.fixIters},
-		{"deadline", int64(cfg.deadline)},
-	} {
-		if f.val < 0 {
-			return fmt.Errorf("-%s must not be negative", f.name)
-		}
+	case cfg.hops < 0:
+		return errors.New("-async-hops must not be negative")
+	case cfg.sliceSteps < 0:
+		return errors.New("-slice-budget must not be negative")
+	case cfg.fixIters < 0:
+		return errors.New("-fixpoint-budget must not be negative")
+	case cfg.deadline < 0:
+		return errors.New("-deadline must not be negative")
 	}
 	data, err := os.ReadFile(cfg.path)
 	if err != nil {
