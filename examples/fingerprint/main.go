@@ -15,10 +15,8 @@ package main
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"sort"
 	"strings"
@@ -96,9 +94,9 @@ func byteFingerprint(p *ir.Program) (string, error) {
 }
 
 func main() {
-	log.SetFlags(0)
 	if err := run(os.Stdout); err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
@@ -135,10 +133,10 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "  byte fingerprint match:    %v\n", vBytes == knownBytes)
 	fmt.Fprintf(w, "  network fingerprint match: %v\n", vNet == knownNet)
 	if vBytes == knownBytes {
-		return errors.New("unexpected: repackaging did not change the bytes")
+		return fmt.Errorf("unexpected: repackaging did not change the bytes")
 	}
 	if vNet != knownNet {
-		return errors.New("network fingerprint should survive repackaging")
+		return fmt.Errorf("network fingerprint should survive repackaging")
 	}
 	fmt.Fprintln(w, "\nthe variant evades byte signatures but is caught by its protocol behavior:")
 	fmt.Fprintln(w, "  POST to cnc.badhost.example carrying device-ID and location data")

@@ -13,10 +13,8 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strings"
 
@@ -28,9 +26,9 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
 	if err := run(os.Stdout); err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
@@ -60,7 +58,7 @@ func run(w io.Writer) error {
 		chain = append(chain, edge{fromID: d.From, fromField: d.FromField, toID: d.To})
 	}
 	if len(chain) == 0 {
-		return errors.New("prefetch: no URI dependencies found")
+		return fmt.Errorf("prefetch: no URI dependencies found")
 	}
 	fmt.Fprintln(w, "prefetchable edges discovered by Extractocol:")
 	for _, e := range chain {
@@ -107,7 +105,7 @@ func run(w io.Writer) error {
 		}
 	}
 	if prefetched == 0 {
-		return errors.New("prefetch: nothing prefetched")
+		return fmt.Errorf("prefetch: nothing prefetched")
 	}
 	fmt.Fprintf(w, "\n%d resources prefetched before the app asked for them\n", prefetched)
 	return nil

@@ -6,10 +6,8 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 
@@ -21,9 +19,9 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
 	if err := run(os.Stdout); err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
@@ -77,5 +75,5 @@ func run(w io.Writer) error {
 			return nil
 		}
 	}
-	return errors.New("quickstart: no signature covered the Fig. 3 URI set")
+	return fmt.Errorf("quickstart: no signature covered the Fig. 3 URI set")
 }

@@ -10,10 +10,8 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strings"
 
@@ -24,9 +22,9 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
 	if err := run(os.Stdout); err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
@@ -46,11 +44,11 @@ func run(w io.Writer) error {
 	start := findTx(rep, "flight/start")
 	poll := findTx(rep, "flight/poll")
 	if auth == nil || start == nil || poll == nil {
-		return errors.New("replay: flight-search endpoints not recovered")
+		return fmt.Errorf("replay: flight-search endpoints not recovered")
 	}
 	ua := headerValue(auth, "User-Agent")
 	if ua == "" {
-		return errors.New("replay: User-Agent header not recovered")
+		return fmt.Errorf("replay: User-Agent header not recovered")
 	}
 	fmt.Fprintf(w, "app-specific header: User-Agent: %s\n\n", ua)
 
@@ -76,7 +74,7 @@ func run(w io.Writer) error {
 	resp := send("POST", literalURI(auth), authBody)
 	sid := jsonField(resp.Body, "_sid_")
 	if sid == "" {
-		return errors.New("replay: no _sid_ in authajax response")
+		return fmt.Errorf("replay: no _sid_ in authajax response")
 	}
 
 	// Step 2: /flight/start with the recovered query-string template.
@@ -87,7 +85,7 @@ func run(w io.Writer) error {
 	resp = send("GET", startURL, "")
 	searchid := jsonField(resp.Body, "searchid")
 	if searchid == "" {
-		return errors.New("replay: no searchid in flight/start response")
+		return fmt.Errorf("replay: no searchid in flight/start response")
 	}
 
 	// Step 3: /flight/poll for the fares.
@@ -96,7 +94,7 @@ func run(w io.Writer) error {
 	})
 	resp = send("GET", pollURL, "")
 	if resp.Status != 200 {
-		return errors.New("replay: poll failed")
+		return fmt.Errorf("replay: poll failed")
 	}
 	fmt.Fprintf(w, "\nflight fares retrieved: cheapest %s %s\n",
 		jsonField(resp.Body, "cheapest"), jsonField(resp.Body, "currencyCode"))
