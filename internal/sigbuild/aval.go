@@ -195,7 +195,7 @@ func (o *aobj) shared() bool {
 
 // cloneVal deep-copies the value's object graph so a control-flow branch
 // can mutate its own copy. Aliasing within one environment is preserved by
-// the memo; shared response-tree objects are never copied.
+// the memo; shared response-tree objects and signatures are never copied.
 func cloneVal(v aval, memo map[*aobj]*aobj) aval {
 	out := v
 	out.obj = cloneObj(v.obj, memo)
