@@ -31,6 +31,11 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
+echo "== perfbench vet and short tests"
+# perfbench is its own module (go.mod with a replace of this repository),
+# so the root ./... never builds, vets or tests it, though it imports core.
+(cd perfbench && go vet ./... && go test -short ./...)
+
 echo "== fault injection under -race"
 # Robustness gate: injected panics and hangs in every pipeline phase must
 # degrade into diagnostics, not crashes, while other apps are analyzed

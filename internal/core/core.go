@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"extractocol/internal/budget"
@@ -27,6 +28,10 @@ import (
 	"extractocol/internal/txdep"
 )
 
+// defaultModel is the semantic model of an Options without one. Analysis
+// only reads it, so one copy serves every call.
+var defaultModel = sync.OnceValue(semmodel.Default)
+
 // Options configures an analysis run.
 type Options struct {
 	// MaxAsyncHops bounds asynchronous event-boundary crossings (§3.4).
@@ -41,7 +46,10 @@ type Options struct {
 	// points become analysis roots, closing the coverage gap of Table 1's
 	// rows where manual fuzzing beats the analyzer.
 	ModelIntents bool
-	// Model overrides the semantic model; nil uses semmodel.Default().
+	// Model overrides the semantic model; nil uses semmodel.Default(),
+	// built once per process and shared by every Analyze call, since
+	// analysis only looks entries up. A model must not change while an
+	// Analyze call reads it.
 	Model *semmodel.Model
 
 	// Deadline bounds the wall-clock time of one Analyze call; 0 means
@@ -324,10 +332,6 @@ func Analyze(p *ir.Program, opts Options) (rep *Report, err error) {
 	// The run span brackets the whole pipeline on the coordinator track;
 	// free when neither tracing nor the flight recorder is on.
 	defer col.Span(obs.CatRun, p.Manifest.Package).End()
-	model := opts.Model
-	if model == nil {
-		model = semmodel.Default()
-	}
 
 	// diags accumulates degradation events (sorted before report assembly);
 	// counting happens here (not in the phases) so each event is tallied
@@ -385,6 +389,10 @@ func Analyze(p *ir.Program, opts Options) (rep *Report, err error) {
 		return nil, fmt.Errorf("core: invalid program: %w", verr)
 	}
 
+	model := opts.Model
+	if model == nil {
+		model = defaultModel()
+	}
 	endCallgraph := col.Phase(obs.PhaseCallgraph)
 	cg := callgraph.Build(p, model)
 	endCallgraph()

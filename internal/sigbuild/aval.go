@@ -474,29 +474,28 @@ func mergeEnvShared(a, b env) env {
 	return out
 }
 
-// mergeEnv joins two environments at a confluence point. Both inputs are
-// left unchanged; the result's fresh object copies share their signatures.
+// mergeEnv joins b into the accumulator a at a confluence point and
+// returns it. a is the caller's own (a copy made here, or a returning
+// block's environment) and is written in place; a nil a starts from a copy
+// of b. b is left unchanged: its block may have other successors, so its
+// objects are copied before they join a. The fresh object copies share
+// their signatures.
 func mergeEnv(a, b env) env {
 	if a == nil {
 		return b.clone()
 	}
-	// Merge under one shared memo so aliasing survives the merge.
-	memoA := map[*aobj]*aobj{}
-	out := make(env, len(a))
-	for k, v := range a {
-		out[k] = cloneVal(v, memoA)
-	}
+	// Copy b under one memo so its aliasing survives the merge.
 	memoB := map[*aobj]*aobj{}
 	merged := map[[2]*aobj]*aobj{}
 	for r, bv := range b {
 		bc := cloneVal(bv, memoB)
-		if av, ok := out[r]; ok {
-			out[r] = mergeValsMemo(av, bc, merged)
+		if av, ok := a[r]; ok {
+			a[r] = mergeValsMemo(av, bc, merged)
 		} else {
-			out[r] = bc
+			a[r] = bc
 		}
 	}
-	return out
+	return a
 }
 
 // typeToVType maps an IR type name to a signature value type.

@@ -11,8 +11,9 @@ import (
 // Java's semantics, one hand-built program per row: a JSONObject put into
 // another shows its later puts, on every branch; toString() is a snapshot;
 // a JSONObject put into itself yields a finite body; a StringBuilder's
-// toString() inside a loop keeps the repetition it saw. Each program
-// takes (String p, String q, int c) and sends one request.
+// toString() inside a loop keeps the repetition it saw; a second put of a
+// constant key replaces its pair. Each program takes (String p, String q,
+// int c) and sends one request.
 func TestJSONObjectAndStringBuilderSemantics(t *testing.T) {
 	newJS := func(b *ir.B) int {
 		js := b.New("org.json.JSONObject")
@@ -125,6 +126,35 @@ func TestJSONObjectAndStringBuilderSemantics(t *testing.T) {
 			// Finite: nesting stops at resolvedTree's depth bound.
 			body: `json(obj{"a": ?string, "self": obj{"a": ?string, "self": obj{"a": ?string, "self": ` +
 				`obj{"a": ?string, "self": obj{"a": ?string, "self": obj{"a": ?string, "self": obj{"a": ?string}}}}}}})`},
+		{name: "K constant key put twice, each object filled after its put",
+			build: func(b *ir.B, p, q, c int) {
+				outer, x, y := newJS(b), newJS(b), newJS(b)
+				put(b, outer, "k", x)
+				put(b, x, "x", p)
+				put(b, outer, "k", y)
+				put(b, y, "y", q)
+				postJSON(b, outer)
+			},
+			body: `json(obj{"k": obj{"y": ?string}})`},
+		{name: "L constant key put twice, the first object filled before its put",
+			build: func(b *ir.B, p, q, c int) {
+				outer, x, y := newJS(b), newJS(b), newJS(b)
+				put(b, x, "x", p)
+				put(b, outer, "k", x)
+				put(b, outer, "k", y)
+				put(b, y, "y", q)
+				postJSON(b, outer)
+			},
+			body: `json(obj{"k": obj{"y": ?string}})`},
+		{name: "M scalar key put twice",
+			build: func(b *ir.B, p, q, c int) {
+				js := newJS(b)
+				put(b, js, "a", b.ConstStr("x"))
+				put(b, js, "b", p)
+				put(b, js, "a", b.ConstStr("y"))
+				postJSON(b, js)
+			},
+			body: `json(obj{"a": "y", "b": ?string})`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, c := newApp("t.jv", "t.jv.V")
@@ -148,6 +178,58 @@ func TestJSONObjectAndStringBuilderSemantics(t *testing.T) {
 				if got := siglang.Canon(rq.Body); got != tc.body {
 					t.Fatalf("body = %s, want %s", got, tc.body)
 				}
+			}
+		})
+	}
+}
+
+// TestCalleeWritesCallerObjects pins that an app method's writes to an
+// object it was passed reach the caller, straight-line and when the
+// callee forks: send builds a URI, hands its StringBuilder to addKey,
+// which appends to it, and sends the caller's builder.
+func TestCalleeWritesCallerObjects(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		helper func(b *ir.B, sb, c int)
+		uri    string
+	}{
+		{name: "straight-line",
+			helper: func(b *ir.B, sb, c int) {
+				b.InvokeVoid(sbApp, sb, b.ConstStr("k="))
+			},
+			uri: `"https://h.example.com/q?k="`},
+		{name: "two branches",
+			helper: func(b *ir.B, sb, c int) {
+				b.IfZ(c, "else")
+				b.InvokeVoid(sbApp, sb, b.ConstStr("k="))
+				b.Goto("join")
+				b.Label("else")
+				b.InvokeVoid(sbApp, sb, b.ConstStr("j="))
+				b.Label("join")
+			},
+			uri: `("https://h.example.com/q?k=" ∨ "https://h.example.com/q?j=")`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, c := newApp("t.cw", "t.cw.V")
+			h := ir.NewMethod(c, "addKey", true, []string{"java.lang.StringBuilder", "int"}, "void")
+			tc.helper(h, h.Param(0), h.Param(1))
+			h.ReturnVoid()
+			h.Done()
+
+			b := ir.NewMethod(c, "send", false, []string{"int"}, "void")
+			sb := b.New("java.lang.StringBuilder")
+			b.InvokeSpecial(sbInit, sb)
+			b.InvokeVoid(sbApp, sb, b.ConstStr("https://h.example.com/q?"))
+			b.InvokeStaticVoid("t.cw.V.addKey", sb, b.Param(0))
+			req := b.New("org.apache.http.client.methods.HttpGet")
+			b.InvokeSpecial(getInit, req, b.Invoke(sbStr, sb))
+			execute(b, req)
+			b.ReturnVoid()
+			b.Done()
+			p.Manifest.EntryPoints = []ir.EntryPoint{{Method: "t.cw.V.send", Kind: ir.EventClick}}
+
+			if got := siglang.Canon(analyze(t, p)[0].URI); got != tc.uri {
+				t.Fatalf("URI = %s, want %s", got, tc.uri)
 			}
 		})
 	}

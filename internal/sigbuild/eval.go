@@ -101,6 +101,9 @@ func newEvaluator(prog *ir.Program, model *semmodel.Model, dp taint.StmtID,
 // merged return value. Blocks are visited in reverse post-order; loop
 // back-edge environments are not re-propagated — loop-variant string
 // accumulation is widened in place via repetition markers (see evalAppend).
+// Block 0 runs on the caller's objects, as Java's callee would; only a
+// block entered from a fork works on copies (DESIGN.md "Where object state
+// is copied").
 func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 	if m == nil || len(m.Instrs) == 0 {
 		return unknownVal(siglang.VAny, "")
@@ -144,7 +147,8 @@ func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 	outs := map[int]env{}
 	var ret aval
 	hasRet := false
-	var exit env
+	var exit env    // the returning block's environment, or the join of several
+	forked := false // some block started from a copy of its predecessor's state
 
 	for _, bid := range g.ReversePostOrder() {
 		b := g.Blocks[bid]
@@ -154,7 +158,7 @@ func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 		}
 		var in env
 		if bid == 0 {
-			in = entry.clone()
+			in = entry
 		}
 		for _, p := range b.Preds {
 			po, ok := outs[p]
@@ -168,6 +172,7 @@ func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 				in = mergeEnvShared(in, po)
 			} else {
 				in = mergeEnv(in, po)
+				forked = true
 			}
 		}
 		if in == nil {
@@ -207,14 +212,21 @@ func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 		}
 		outs[bid] = in
 		if returned {
-			exit = mergeEnv(exit, in)
+			if exit == nil {
+				exit = in // a returning block has no successor to share it with
+			} else {
+				exit = mergeEnv(exit, in)
+			}
 		}
 	}
 
 	// Sync mutations of caller-owned argument objects back into the
 	// caller's object graph: per-branch copies made inside this method are
-	// matched by allocation site.
-	syncBack(args, exit)
+	// matched by allocation site. Without a fork every write went to the
+	// caller's objects themselves.
+	if forked {
+		syncBack(args, exit)
+	}
 
 	if !hasRet {
 		return unknownVal(siglang.VAny, "")

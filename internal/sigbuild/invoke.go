@@ -1,6 +1,8 @@
 package sigbuild
 
 import (
+	"slices"
+
 	"extractocol/internal/ir"
 	"extractocol/internal/semmodel"
 	"extractocol/internal/siglang"
@@ -831,8 +833,10 @@ func (ev *evaluator) evalAppend(recv, v aval, loop int) {
 }
 
 // evalJSONPut adds a key/value pair to a JSON object under construction,
-// merging it into a copy of the tree: the old one may already be held. A
-// nested builder is put as its current tree and recorded in nested.
+// in a copy of the tree: the old one may already be held. Outside a loop a
+// constant key's pair replaces the one it had, as Java's put does; other
+// keys add a dynamic pair. A nested builder is put as its current tree and
+// recorded in nested.
 func (ev *evaluator) evalJSONPut(recv, key, val aval, loop int) {
 	o := recv.obj
 	if o == nil || o.kind != oJSONBuild {
@@ -855,15 +859,23 @@ func (ev *evaluator) evalJSONPut(recv, key, val aval, loop int) {
 	default:
 		vs = val.sigOf()
 	}
+	k, ok := key.constString()
+	if !ok || loop >= 0 {
+		o.tree = siglang.MergeObj(o.tree, &siglang.Obj{Pairs: []siglang.KV{{Dyn: true, Val: vs}}})
+		return
+	}
 	if o.pairs == nil {
 		o.pairs = map[string]aval{}
 	}
-	kv := siglang.KV{Dyn: true, Val: vs}
-	if k, ok := key.constString(); ok && loop < 0 {
-		kv = siglang.KV{Key: k, Val: vs}
-		o.pairs[k] = val
+	o.pairs[k] = val
+	pairs := append(make([]siglang.KV, 0, len(o.tree.Pairs)+1), o.tree.Pairs...)
+	i := slices.IndexFunc(pairs, func(kv siglang.KV) bool { return !kv.Dyn && kv.Key == k })
+	if i < 0 {
+		i = len(pairs)
+		pairs = append(pairs, siglang.KV{Key: k})
 	}
-	o.tree = siglang.MergeObj(o.tree, &siglang.Obj{Pairs: []siglang.KV{kv}})
+	pairs[i].Val = vs
+	o.tree = &siglang.Obj{Pairs: pairs}
 }
 
 // evalJSONGetLeaf handles getString/getInt/getBoolean on response trees.
