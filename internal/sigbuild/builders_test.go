@@ -183,36 +183,68 @@ func TestJSONObjectAndStringBuilderSemantics(t *testing.T) {
 	}
 }
 
-// TestCalleeWritesCallerObjects pins that an app method's writes to an
-// object it was passed reach the caller, straight-line and when the
-// callee forks: send builds a URI, hands its StringBuilder to addKey,
-// which appends to it, and sends the caller's builder.
+// TestCalleeWritesCallerObjects pins that a callee works on the objects
+// its caller passed: send builds a URI in a StringBuilder, runs call,
+// which calls the static helper, and sends the builder call returns. An
+// addKey helper appends to the builder it is given, straight-line or on
+// two branches; a touch helper adds to a list holding the builder, after
+// which the caller appends to the builder and sends the list's first
+// element, which in Java is that builder.
 func TestCalleeWritesCallerObjects(t *testing.T) {
+	const (
+		listInit = "java.util.ArrayList.<init>"
+		listAdd  = "java.util.ArrayList.add"
+		listGet  = "java.util.ArrayList.get"
+	)
+	addKey := func(b *ir.B, sb, c int) int {
+		b.InvokeStaticVoid("t.cw.V.helper", sb, c)
+		return sb
+	}
 	for _, tc := range []struct {
 		name   string
-		helper func(b *ir.B, sb, c int)
+		params []string // the helper's
+		helper func(b *ir.B)
+		call   func(b *ir.B, sb, c int) int
 		uri    string
 	}{
-		{name: "straight-line",
-			helper: func(b *ir.B, sb, c int) {
-				b.InvokeVoid(sbApp, sb, b.ConstStr("k="))
+		{name: "addKey straight-line",
+			params: []string{"java.lang.StringBuilder", "int"},
+			helper: func(b *ir.B) {
+				b.InvokeVoid(sbApp, b.Param(0), b.ConstStr("k="))
 			},
-			uri: `"https://h.example.com/q?k="`},
-		{name: "two branches",
-			helper: func(b *ir.B, sb, c int) {
-				b.IfZ(c, "else")
-				b.InvokeVoid(sbApp, sb, b.ConstStr("k="))
+			call: addKey,
+			uri:  `"https://h.example.com/q?k="`},
+		{name: "addKey on two branches",
+			params: []string{"java.lang.StringBuilder", "int"},
+			helper: func(b *ir.B) {
+				b.IfZ(b.Param(1), "else")
+				b.InvokeVoid(sbApp, b.Param(0), b.ConstStr("k="))
 				b.Goto("join")
 				b.Label("else")
-				b.InvokeVoid(sbApp, sb, b.ConstStr("j="))
+				b.InvokeVoid(sbApp, b.Param(0), b.ConstStr("j="))
 				b.Label("join")
 			},
-			uri: `("https://h.example.com/q?k=" ∨ "https://h.example.com/q?j=")`},
+			call: addKey,
+			uri:  `("https://h.example.com/q?k=" ∨ "https://h.example.com/q?j=")`},
+		{name: "touch keeps the list aliasing the builder",
+			params: []string{"java.util.ArrayList"},
+			helper: func(b *ir.B) {
+				b.InvokeVoid(listAdd, b.Param(0), b.ConstStr("a"))
+			},
+			call: func(b *ir.B, sb, c int) int {
+				l := b.New("java.util.ArrayList")
+				b.InvokeSpecial(listInit, l)
+				b.InvokeVoid(listAdd, l, sb)
+				b.InvokeStaticVoid("t.cw.V.helper", l)
+				b.InvokeVoid(sbApp, sb, b.ConstStr("x"))
+				return b.Invoke(listGet, l, b.ConstInt(0))
+			},
+			uri: `"https://h.example.com/q?x"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, c := newApp("t.cw", "t.cw.V")
-			h := ir.NewMethod(c, "addKey", true, []string{"java.lang.StringBuilder", "int"}, "void")
-			tc.helper(h, h.Param(0), h.Param(1))
+			h := ir.NewMethod(c, "helper", true, tc.params, "void")
+			tc.helper(h)
 			h.ReturnVoid()
 			h.Done()
 
@@ -220,9 +252,9 @@ func TestCalleeWritesCallerObjects(t *testing.T) {
 			sb := b.New("java.lang.StringBuilder")
 			b.InvokeSpecial(sbInit, sb)
 			b.InvokeVoid(sbApp, sb, b.ConstStr("https://h.example.com/q?"))
-			b.InvokeStaticVoid("t.cw.V.addKey", sb, b.Param(0))
+			sent := tc.call(b, sb, b.Param(0))
 			req := b.New("org.apache.http.client.methods.HttpGet")
-			b.InvokeSpecial(getInit, req, b.Invoke(sbStr, sb))
+			b.InvokeSpecial(getInit, req, b.Invoke(sbStr, sent))
 			execute(b, req)
 			b.ReturnVoid()
 			b.Done()
