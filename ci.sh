@@ -56,6 +56,14 @@ echo "== matcher equivalence fuzz"
 # which would spend the whole budget on one input instead of fuzzing.
 go test -run '^$' -fuzz '^FuzzSigVM$' -fuzztime 30s -fuzzminimizetime 1s ./internal/sigvm
 
+echo "== report JSON writer fuzz"
+# Ten seconds of FuzzReportJSON beyond its seeds: report.JSONOpts writes
+# the indented document in one pass, and its oracle marshals the former
+# struct shape with json.MarshalIndent; any package, app, URI literal,
+# header key, demarcation point or slice fraction on which their bytes
+# differ, or only one of them fails, fails the step.
+go test -run '^$' -fuzz '^FuzzReportJSON$' -fuzztime 10s -fuzzminimizetime 1s ./internal/report
+
 echo "== result cache smoke under -race"
 # End-to-end warm-path gate on the real binaries: analyze the same .apkb
 # twice into one cache directory; the second (warm) run must produce an

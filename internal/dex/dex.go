@@ -195,30 +195,35 @@ func decode(data []byte) (*ir.Program, error) {
 	}
 
 	r := &reader{data: payload}
-	n := r.count()
-	pool := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		pool = append(pool, r.rawstr())
-	}
-	r.pool = pool
+	r.readPool()
 
 	p := ir.NewProgram("")
 	p.Manifest.Package = r.str()
 	p.Manifest.AppName = r.str()
 	p.Manifest.Obfuscated = r.bool()
-	eps := r.count()
-	for i := uint64(0); i < eps; i++ {
-		ep := ir.EntryPoint{Method: r.str(), Kind: ir.EventKind(r.uvarint()), Label: r.str()}
-		p.Manifest.EntryPoints = append(p.Manifest.EntryPoints, ep)
+	if n := r.count(minEntryPoint); n > 0 {
+		p.Manifest.EntryPoints = make([]ir.EntryPoint, n)
 	}
-	res := r.count()
-	for i := uint64(0); i < res; i++ {
+	for i := range p.Manifest.EntryPoints {
+		ep := &p.Manifest.EntryPoints[i]
+		ep.Method, ep.Kind, ep.Label = r.str(), ir.EventKind(r.uvarint()), r.str()
+		if r.err != nil {
+			break
+		}
+	}
+	res := r.count(minResource)
+	for i := uint64(0); i < res && r.err == nil; i++ {
 		k := r.str()
 		p.Resources[k] = r.str()
 	}
-	nc := r.count()
-	for i := uint64(0); i < nc; i++ {
-		p.AddClass(decodeClass(r))
+	classes := make([]ir.Class, r.count(minClass))
+	for i := range classes {
+		c := &classes[i]
+		r.class(c)
+		if r.err != nil {
+			break
+		}
+		p.AddClass(c)
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("dex: truncated container: %w", r.err)
@@ -229,54 +234,115 @@ func decode(data []byte) (*ir.Program, error) {
 	return p, nil
 }
 
-func decodeClass(r *reader) *ir.Class {
-	c := &ir.Class{Name: r.str(), Super: r.str(), Library: r.bool()}
-	ni := r.count()
-	for i := uint64(0); i < ni; i++ {
-		c.Interfaces = append(c.Interfaces, r.str())
+// Minimum encoded sizes, in bytes, of the elements a count announces: one
+// byte per varint or pool index they hold. reader.count bounds each count
+// by the bytes left, so a hostile count fails before anything is sized
+// from it.
+const (
+	minPoolEntry  = 1  // length
+	minEntryPoint = 3  // method, kind, label
+	minResource   = 2  // key, value
+	minClass      = 6  // name, super, library, three counts
+	minName       = 1  // an interface or parameter type, one pool index
+	minField      = 3  // name, type, static
+	minMethod     = 6  // name, return, static, params, registers, instrs
+	minInstr      = 10 // op, dst, a, b, arg count, sym, str, int, target, kind
+	minArg        = 1  // one register
+)
+
+// A decoded program is built from a few shared allocations: one
+// []ir.Class per program, one []ir.Field and one []ir.Method per class (the
+// pointer slices point into them), one exact []ir.Instr per method, and the
+// Interfaces, Params and Args of many classes, methods and instructions
+// carved from the reader's backing arrays of these sizes.
+const (
+	strsChunk = 64  // strings per Interfaces and Params backing array
+	regsChunk = 256 // registers per Args backing array
+)
+
+// carve returns the next n elements of the backing array *buf as a slice
+// whose capacity ends at its length, so an append to it never writes
+// another slice's elements. When fewer than n are left, *buf is refilled
+// with max(n, chunk) fresh elements. n == 0 gives nil.
+func carve[T any](buf *[]T, n uint64, chunk int) []T {
+	if n == 0 {
+		return nil
 	}
-	nf := r.count()
-	for i := uint64(0); i < nf; i++ {
-		c.Fields = append(c.Fields, &ir.Field{Name: r.str(), Type: r.str(), Static: r.bool()})
+	if uint64(len(*buf)) < n {
+		*buf = make([]T, max(int(n), chunk))
 	}
-	nm := r.count()
-	for i := uint64(0); i < nm; i++ {
-		c.AddMethod(decodeMethod(r))
-	}
-	return c
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
 }
 
-func decodeMethod(r *reader) *ir.Method {
-	m := &ir.Method{Name: r.str(), Return: r.str(), Static: r.bool()}
-	np := r.count()
-	for i := uint64(0); i < np; i++ {
-		m.Params = append(m.Params, r.str())
+func (r *reader) class(c *ir.Class) {
+	c.Name, c.Super, c.Library = r.str(), r.str(), r.bool()
+	c.Interfaces = r.names()
+	if n := r.count(minField); n > 0 {
+		fields := make([]ir.Field, n)
+		c.Fields = make([]*ir.Field, n)
+		for i := range fields {
+			f := &fields[i]
+			f.Name, f.Type, f.Static = r.str(), r.str(), r.bool()
+			c.Fields[i] = f
+			if r.err != nil {
+				return
+			}
+		}
 	}
+	if n := r.count(minMethod); n > 0 {
+		methods := make([]ir.Method, n)
+		c.Methods = make([]*ir.Method, n)
+		for i := range methods {
+			m := &methods[i]
+			m.Class = c // Program.AddClass builds the ref
+			r.method(m)
+			c.Methods[i] = m
+			if r.err != nil {
+				return
+			}
+		}
+	}
+}
+
+func (r *reader) method(m *ir.Method) {
+	m.Name, m.Return, m.Static = r.str(), r.str(), r.bool()
+	m.Params = r.names()
 	m.Registers = int(r.uvarint())
-	ni := r.count()
-	m.Instrs = make([]ir.Instr, 0, ni)
-	for i := uint64(0); i < ni; i++ {
-		m.Instrs = append(m.Instrs, decodeInstr(r))
+	m.Instrs = make([]ir.Instr, r.count(minInstr))
+	for i := range m.Instrs {
+		r.instr(&m.Instrs[i])
+		if r.err != nil {
+			return
+		}
 	}
-	return m
 }
 
-func decodeInstr(r *reader) ir.Instr {
-	var in ir.Instr
+func (r *reader) instr(in *ir.Instr) {
 	in.Op = ir.Op(r.uvarint())
 	in.Dst = r.reg()
 	in.A = r.reg()
 	in.B = r.reg()
-	na := r.count()
-	for i := uint64(0); i < na; i++ {
-		in.Args = append(in.Args, r.reg())
+	in.Args = carve(&r.regs, r.count(minArg), regsChunk)
+	for i := 0; i < len(in.Args) && r.err == nil; i++ {
+		in.Args[i] = r.reg()
 	}
 	in.Sym = r.str()
 	in.Str = r.str()
 	in.Int = r.varint()
 	in.Target = int(r.varint())
 	in.Kind = ir.InvokeKind(r.uvarint())
-	return in
+}
+
+// names reads a counted list of pool strings: a class's interfaces or a
+// method's parameter types.
+func (r *reader) names() []string {
+	out := carve(&r.strs, r.count(minName), strsChunk)
+	for i := 0; i < len(out) && r.err == nil; i++ {
+		out[i] = r.str()
+	}
+	return out
 }
 
 // WriteFile encodes p and writes it to path.
@@ -368,6 +434,9 @@ type reader struct {
 	off  int
 	pool []string
 	err  error
+
+	strs []string // backing array for Interfaces and Params, see carve
+	regs []int    // backing array for Args
 }
 
 func (r *reader) fail(err error) {
@@ -376,9 +445,15 @@ func (r *reader) fail(err error) {
 	}
 }
 
+// uvarint and varint decode a one-byte value inline: nearly every register,
+// opcode, count and pool index in a container is one.
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
+	}
+	if r.off < len(r.data) && r.data[r.off] < 0x80 {
+		r.off++
+		return uint64(r.data[r.off-1])
 	}
 	v, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
@@ -393,6 +468,14 @@ func (r *reader) varint() int64 {
 	if r.err != nil {
 		return 0
 	}
+	if r.off < len(r.data) && r.data[r.off] < 0x80 {
+		b := r.data[r.off]
+		r.off++
+		if b&1 != 0 {
+			return ^int64(b >> 1)
+		}
+		return int64(b >> 1)
+	}
 	v, n := binary.Varint(r.data[r.off:])
 	if n <= 0 {
 		r.fail(io.ErrUnexpectedEOF)
@@ -405,16 +488,17 @@ func (r *reader) varint() int64 {
 func (r *reader) bool() bool { return r.uvarint() != 0 }
 
 // count reads an element count and rejects values that cannot possibly fit
-// in the remaining payload: every encoded element costs at least one byte,
-// so a count larger than the bytes left is corrupt. This bounds both
-// preallocation sizes and loop trip counts against hostile containers.
-func (r *reader) count() uint64 {
+// in the remaining payload: every element encodes in at least size bytes,
+// so a count of more elements than the bytes left can hold is corrupt.
+// This bounds both preallocation sizes and loop trip counts against
+// hostile containers.
+func (r *reader) count(size int) uint64 {
 	n := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(len(r.data)-r.off) {
-		r.fail(fmt.Errorf("count %d exceeds %d remaining payload bytes", n, len(r.data)-r.off))
+	if left := len(r.data) - r.off; n > uint64(left/size) {
+		r.fail(fmt.Errorf("count %d of elements of at least %d bytes exceeds %d remaining payload bytes", n, size, left))
 		return 0
 	}
 	return n
@@ -434,16 +518,30 @@ func (r *reader) str() string {
 	return r.pool[id]
 }
 
-func (r *reader) rawstr() string {
-	n := r.uvarint()
+// readPool reads the string pool into one string, of which every entry is
+// a substring. The first walk finds where the pool ends, the second slices
+// the entries out of the copy.
+func (r *reader) readPool() {
+	n := r.count(minPoolEntry)
+	start := r.off
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		if l := r.uvarint(); l > uint64(len(r.data)-r.off) {
+			r.fail(io.ErrUnexpectedEOF)
+		} else {
+			r.off += int(l)
+		}
+	}
 	if r.err != nil {
-		return ""
+		return
 	}
-	if r.off+int(n) > len(r.data) {
-		r.fail(io.ErrUnexpectedEOF)
-		return ""
+	raw := r.data[start:r.off]
+	all := string(raw)
+	r.pool = make([]string, n)
+	off := 0
+	for i := range r.pool {
+		l, k := binary.Uvarint(raw[off:]) // read once already, cannot fail
+		off += k
+		r.pool[i] = all[off : off+int(l)]
+		off += int(l)
 	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
 }

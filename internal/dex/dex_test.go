@@ -2,8 +2,11 @@ package dex
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,5 +270,40 @@ func TestStringPoolDeduplicates(t *testing.T) {
 	}
 	if len(data) > 5000 {
 		t.Fatalf("encoding is %d bytes; string pool not deduplicating", len(data))
+	}
+}
+
+// seal wraps payload in an .apkb header with an honest checksum.
+func seal(payload []byte) []byte {
+	out := append([]byte(nil), Magic[:]...)
+	out = binary.LittleEndian.AppendUint16(out, Version)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// hostileClassCount is a sealed container that declares 2^20 classes and
+// then holds 2^20 zero bytes: one empty pool string, an empty manifest,
+// and room for only 174 762 six-byte classes.
+func hostileClassCount() []byte {
+	payload := []byte{1, 0, 0, 0, 0, 0, 0}
+	payload = binary.AppendUvarint(payload, 1<<20)
+	return seal(append(payload, make([]byte, 1<<20)...))
+}
+
+// TestDecodeRejectsHostileCountCheaply checks that a count is bounded by
+// its element's minimum encoded size, not by one byte per element, and
+// that decoding stops at the first error: the container above fails at
+// its class count, before anything is sized from it.
+func TestDecodeRejectsHostileCountCheaply(t *testing.T) {
+	data := hostileClassCount()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "count 1048576 of elements of at least 6 bytes exceeds") {
+		t.Fatalf("Decode = %v, want the class count rejected", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("rejecting the container allocated %d bytes, want under 1 MiB", n)
 	}
 }

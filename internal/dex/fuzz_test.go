@@ -8,9 +8,10 @@ import (
 
 // FuzzDexDecode throws mutated .apkb containers at Decode. Corrupt input
 // must surface as an error, never a panic or a runaway allocation: the
-// decoder bounds every element count against the remaining payload (see
-// reader.count) precisely so that hostile containers cannot make it
-// preallocate gigabytes or spin on phantom elements.
+// decoder bounds every element count by the number of elements of its
+// minimum encoded size the remaining payload can hold (see reader.count)
+// precisely so that hostile containers cannot make it preallocate
+// gigabytes or spin on phantom elements.
 //
 // Most random mutations die at the CRC check without touching the decoder
 // body, so the target also re-seals the mutated payload with a fresh
@@ -29,6 +30,7 @@ func FuzzDexDecode(f *testing.F) {
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)-3] ^= 0xFF
 	f.Add(corrupt)
+	f.Add(hostileClassCount())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if p, err := Decode(data); err == nil {

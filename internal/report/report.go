@@ -7,11 +7,15 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
+	"unicode/utf8"
 
-	"extractocol/internal/budget"
 	"extractocol/internal/core"
 	"extractocol/internal/obs"
 	"extractocol/internal/siglang"
@@ -129,26 +133,7 @@ func depsFor(r *core.Report, id int) []txdep.Dep {
 	return out
 }
 
-// jsonTx is the machine-readable transaction shape.
-type jsonTx struct {
-	ID         int               `json:"id"`
-	Method     string            `json:"method"`
-	URIRegex   string            `json:"uri_regex"`
-	Headers    map[string]string `json:"headers,omitempty"`
-	BodyKind   string            `json:"body_kind,omitempty"`
-	BodyRegex  string            `json:"body_regex,omitempty"`
-	BodySchema string            `json:"body_schema,omitempty"`
-	RespKind   string            `json:"resp_kind,omitempty"`
-	RespKeys   []string          `json:"resp_keys,omitempty"`
-	RespSchema string            `json:"resp_schema,omitempty"`
-	RespDTD    string            `json:"resp_dtd,omitempty"`
-	Paired     bool              `json:"paired"`
-	Sinks      []string          `json:"sinks,omitempty"`
-	Sources    []string          `json:"sources,omitempty"`
-	DP         string            `json:"demarcation_point"`
-	Security   *SecurityInfo     `json:"security,omitempty"`
-}
-
+// jsonDep is the machine-readable dependency edge shape.
 type jsonDep struct {
 	From      int    `json:"from"`
 	To        int    `json:"to"`
@@ -157,79 +142,329 @@ type jsonDep struct {
 	Via       string `json:"via"`
 }
 
-type jsonReport struct {
-	Package       string              `json:"package"`
-	App           string              `json:"app"`
-	Transactions  []jsonTx            `json:"transactions"`
-	Deps          []jsonDep           `json:"dependencies,omitempty"`
-	Pairs         int                 `json:"pairs"`
-	SliceFraction float64             `json:"slice_fraction"`
-	DurationMS    int64               `json:"duration_ms"`
-	Profile       *obs.Profile        `json:"profile,omitempty"`
-	Diagnostics   []budget.Diagnostic `json:"diagnostics,omitempty"`
-}
-
 // JSON renders the report as indented JSON.
 func JSON(r *core.Report) ([]byte, error) {
 	return JSONOpts(r, Options{})
 }
 
+// jsonBufs keeps JSONOpts' render buffers between calls.
+var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // JSONOpts is JSON with optional report layers enabled. The zero Options
 // value renders exactly what JSON renders.
+//
+// The indented document is appended to a pooled buffer in one pass and
+// copied out at its exact length. Its bytes are those json.MarshalIndent
+// with an indent of two spaces makes of the struct shape that the package
+// tests keep as the oracle: members in the struct's order, empty optional
+// members left out, header keys sorted with a repeated key's last value
+// kept, an empty transaction list as null, strings escaped by
+// encoding/json's rules. The profile, the diagnostics and the security
+// verdicts go through json.MarshalIndent with their member's indentation
+// as prefix.
 func JSONOpts(r *core.Report, o Options) ([]byte, error) {
-	out := jsonReport{
-		Package:       r.Package,
-		App:           r.AppName,
-		Pairs:         r.PairCount(),
-		SliceFraction: r.SliceFraction,
-		DurationMS:    r.Duration.Milliseconds(),
-		Profile:       r.Profile,
-		Diagnostics:   r.Diagnostics,
+	bp := jsonBufs.Get().(*[]byte)
+	w := jsonWriter{b: (*bp)[:0]}
+	w.report(r, o)
+	var out []byte
+	if w.err == nil {
+		out = make([]byte, len(w.b))
+		copy(out, w.b)
 	}
-	for _, tx := range r.Transactions {
-		jt := jsonTx{
-			ID:       tx.ID,
-			Method:   tx.Request.Method,
-			URIRegex: tx.URIRegex(),
-			BodyKind: tx.Request.BodyKind,
-			Paired:   tx.Paired,
-			Sinks:    tx.Sinks,
-			Sources:  tx.Sources,
-			DP:       tx.DP,
+	*bp = w.b
+	jsonBufs.Put(bp)
+	return out, w.err
+}
+
+// jsonWriter appends one indented JSON document to b.
+type jsonWriter struct {
+	b     []byte
+	depth int  // nesting level of the members or elements being written
+	empty bool // the innermost open object or array has nothing in it yet
+	err   error
+}
+
+const jsonIndent = "                " // 2 spaces per level, deeper than report nests
+
+func (w *jsonWriter) report(r *core.Report, o Options) {
+	w.open('{')
+	w.key("package")
+	w.str(r.Package)
+	w.key("app")
+	w.str(r.AppName)
+	w.key("transactions")
+	if len(r.Transactions) == 0 {
+		w.b = append(w.b, "null"...)
+	} else {
+		w.open('[')
+		for _, tx := range r.Transactions {
+			w.next()
+			w.tx(tx, o)
 		}
-		if o.Security {
-			jt.Security = SecurityFor(tx)
+		w.close(']')
+	}
+	if len(r.Deps) > 0 {
+		w.key("dependencies")
+		w.open('[')
+		for _, d := range r.Deps {
+			w.next()
+			w.dep(d)
 		}
-		if len(tx.Request.Headers) > 0 {
-			jt.Headers = map[string]string{}
-			for _, h := range tx.Request.Headers {
-				jt.Headers[h.Key] = siglang.RegexBody(h.Val)
-			}
-		}
-		switch tx.Request.BodyKind {
+		w.close(']')
+	}
+	w.key("pairs")
+	w.int(int64(r.PairCount()))
+	w.key("slice_fraction")
+	w.float(r.SliceFraction)
+	w.key("duration_ms")
+	w.int(r.Duration.Milliseconds())
+	if r.Profile != nil {
+		w.key("profile")
+		w.marshal(r.Profile)
+	}
+	if len(r.Diagnostics) > 0 {
+		w.key("diagnostics")
+		w.marshal(r.Diagnostics)
+	}
+	w.close('}')
+}
+
+func (w *jsonWriter) tx(tx *core.Transaction, o Options) {
+	req := tx.Request
+	w.open('{')
+	w.key("id")
+	w.int(int64(tx.ID))
+	w.key("method")
+	w.str(req.Method)
+	w.key("uri_regex")
+	w.str(tx.URIRegex())
+	if len(req.Headers) > 0 {
+		w.key("headers")
+		w.headers(req.Headers)
+	}
+	w.optStr("body_kind", req.BodyKind)
+	switch req.BodyKind {
+	case "json":
+		w.optStr("body_schema", siglang.JSONSchema(req.Body))
+	case "":
+	default:
+		w.optStr("body_regex", siglang.Regex(req.Body))
+	}
+	if resp := tx.Response; resp != nil && resp.HasBody() {
+		w.optStr("resp_kind", resp.BodyKind)
+		switch resp.BodyKind {
 		case "json":
-			jt.BodySchema = siglang.JSONSchema(tx.Request.Body)
-		case "":
-		default:
-			jt.BodyRegex = siglang.Regex(tx.Request.Body)
+			doc := &siglang.JSON{Root: resp.JSON}
+			w.optStrs("resp_keys", siglang.Keywords(doc))
+			w.optStr("resp_schema", siglang.JSONSchema(doc))
+		case "xml":
+			doc := &siglang.XML{Root: resp.XML}
+			w.optStrs("resp_keys", siglang.Keywords(doc))
+			w.optStr("resp_dtd", siglang.DTD(doc))
 		}
-		if tx.Response != nil && tx.Response.HasBody() {
-			jt.RespKind = tx.Response.BodyKind
-			switch tx.Response.BodyKind {
-			case "json":
-				jt.RespKeys = siglang.Keywords(&siglang.JSON{Root: tx.Response.JSON})
-				jt.RespSchema = siglang.JSONSchema(&siglang.JSON{Root: tx.Response.JSON})
-			case "xml":
-				jt.RespKeys = siglang.Keywords(&siglang.XML{Root: tx.Response.XML})
-				jt.RespDTD = siglang.DTD(&siglang.XML{Root: tx.Response.XML})
+	}
+	w.key("paired")
+	w.b = strconv.AppendBool(w.b, tx.Paired)
+	w.optStrs("sinks", tx.Sinks)
+	w.optStrs("sources", tx.Sources)
+	w.key("demarcation_point")
+	w.str(tx.DP)
+	if o.Security {
+		if info := SecurityFor(tx); info != nil {
+			w.key("security")
+			w.marshal(info)
+		}
+	}
+	w.close('}')
+}
+
+// headers writes request headers as the map the struct shape held: keys
+// sorted, and a key sent twice keeps its last value.
+func (w *jsonWriter) headers(hs []siglang.KV) {
+	var buf [8]int
+	order := buf[:0]
+	for i := range hs {
+		order = append(order, i)
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(hs[a].Key, hs[b].Key) })
+	w.open('{')
+	for i, h := range order {
+		if i+1 < len(order) && hs[order[i+1]].Key == hs[h].Key {
+			continue
+		}
+		w.next()
+		w.b = appendJSONString(w.b, hs[h].Key)
+		w.b = append(w.b, ": "...)
+		w.str(siglang.RegexBody(hs[h].Val))
+	}
+	w.close('}')
+}
+
+func (w *jsonWriter) dep(d txdep.Dep) {
+	w.open('{')
+	w.key("from")
+	w.int(int64(d.From))
+	w.key("to")
+	w.int(int64(d.To))
+	w.optStr("from_field", d.FromField)
+	w.key("to_part")
+	w.str(d.ToPart)
+	w.key("via")
+	w.str(d.Via)
+	w.close('}')
+}
+
+// open starts an object or array one level deeper.
+func (w *jsonWriter) open(c byte) {
+	w.b = append(w.b, c)
+	w.depth++
+	w.empty = true
+}
+
+// close ends the innermost object or array; an empty one stays "{}" or
+// "[]" on one line.
+func (w *jsonWriter) close(c byte) {
+	w.depth--
+	if !w.empty {
+		w.newline()
+	}
+	w.b = append(w.b, c)
+	w.empty = false
+}
+
+// next starts a member or element on its own line.
+func (w *jsonWriter) next() {
+	if !w.empty {
+		w.b = append(w.b, ',')
+	}
+	w.empty = false
+	w.newline()
+}
+
+func (w *jsonWriter) newline() {
+	w.b = append(w.b, '\n')
+	w.b = append(w.b, jsonIndent[:2*w.depth]...)
+}
+
+// key starts a member whose name needs no escaping.
+func (w *jsonWriter) key(name string) {
+	w.next()
+	w.b = append(w.b, '"')
+	w.b = append(w.b, name...)
+	w.b = append(w.b, `": `...)
+}
+
+func (w *jsonWriter) str(s string) { w.b = appendJSONString(w.b, s) }
+
+func (w *jsonWriter) int(v int64) { w.b = strconv.AppendInt(w.b, v, 10) }
+
+// optStr and optStrs write a member that the struct shape marks omitempty.
+func (w *jsonWriter) optStr(name, s string) {
+	if s != "" {
+		w.key(name)
+		w.str(s)
+	}
+}
+
+func (w *jsonWriter) optStrs(name string, ss []string) {
+	if len(ss) == 0 {
+		return
+	}
+	w.key(name)
+	w.open('[')
+	for _, s := range ss {
+		w.next()
+		w.str(s)
+	}
+	w.close(']')
+}
+
+// float writes f as encoding/json does: 'f' format, or 'e' below 1e-6 and
+// from 1e21 up with the exponent's leading zero dropped. NaN and the
+// infinities have no JSON form and fail the document.
+func (w *jsonWriter) float(f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if w.err == nil {
+			w.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
+	if n := len(w.b); format == 'e' && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
+		w.b[n-2] = w.b[n-1]
+		w.b = w.b[:n-1]
+	}
+}
+
+// marshal writes v through json.MarshalIndent, indented to sit at the
+// current member.
+func (w *jsonWriter) marshal(v any) {
+	out, err := json.MarshalIndent(v, jsonIndent[:2*w.depth], "  ")
+	if err != nil {
+		if w.err == nil {
+			w.err = err
+		}
+		return
+	}
+	w.b = append(w.b, out...)
+}
+
+// appendJSONString appends s quoted by encoding/json's rules, HTML escaping
+// included: `"`, `\` and the control bytes are escaped (\b, \f, \n, \r and
+// \t by name), "<", ">" and "&" become \u003c, \u003e and \u0026, each byte
+// of invalid UTF-8 becomes \ufffd, and U+2028 and U+2029 are escaped.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
 			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
 		}
-		out.Transactions = append(out.Transactions, jt)
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
 	}
-	for _, d := range r.Deps {
-		out.Deps = append(out.Deps, jsonDep(d))
-	}
-	return json.MarshalIndent(out, "", "  ")
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // ProfileJSON renders just the per-phase observability breakdown of a

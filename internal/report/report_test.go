@@ -1,14 +1,20 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"extractocol/internal/budget"
 	"extractocol/internal/core"
 	"extractocol/internal/corpus"
+	"extractocol/internal/obs"
 	"extractocol/internal/sigbuild"
 	"extractocol/internal/siglang"
+	"extractocol/internal/txdep"
 )
 
 func rrReport(t *testing.T) *core.Report {
@@ -136,4 +142,245 @@ func TestRenderingLeavesSignaturesUnchanged(t *testing.T) {
 			t.Fatalf("%s rewrote the report's signatures:\nbefore %s\nafter  %s", r.name, before, after)
 		}
 	}
+}
+
+// jsonTx and jsonReport are the struct shape JSONOpts rendered through
+// json.MarshalIndent before it wrote the document in one pass. With
+// oracleJSON they are the oracle whose bytes JSONOpts must equal.
+type jsonTx struct {
+	ID         int               `json:"id"`
+	Method     string            `json:"method"`
+	URIRegex   string            `json:"uri_regex"`
+	Headers    map[string]string `json:"headers,omitempty"`
+	BodyKind   string            `json:"body_kind,omitempty"`
+	BodyRegex  string            `json:"body_regex,omitempty"`
+	BodySchema string            `json:"body_schema,omitempty"`
+	RespKind   string            `json:"resp_kind,omitempty"`
+	RespKeys   []string          `json:"resp_keys,omitempty"`
+	RespSchema string            `json:"resp_schema,omitempty"`
+	RespDTD    string            `json:"resp_dtd,omitempty"`
+	Paired     bool              `json:"paired"`
+	Sinks      []string          `json:"sinks,omitempty"`
+	Sources    []string          `json:"sources,omitempty"`
+	DP         string            `json:"demarcation_point"`
+	Security   *SecurityInfo     `json:"security,omitempty"`
+}
+
+type jsonReport struct {
+	Package       string              `json:"package"`
+	App           string              `json:"app"`
+	Transactions  []jsonTx            `json:"transactions"`
+	Deps          []jsonDep           `json:"dependencies,omitempty"`
+	Pairs         int                 `json:"pairs"`
+	SliceFraction float64             `json:"slice_fraction"`
+	DurationMS    int64               `json:"duration_ms"`
+	Profile       *obs.Profile        `json:"profile,omitempty"`
+	Diagnostics   []budget.Diagnostic `json:"diagnostics,omitempty"`
+}
+
+func oracleJSON(r *core.Report, o Options) ([]byte, error) {
+	out := jsonReport{
+		Package:       r.Package,
+		App:           r.AppName,
+		Pairs:         r.PairCount(),
+		SliceFraction: r.SliceFraction,
+		DurationMS:    r.Duration.Milliseconds(),
+		Profile:       r.Profile,
+		Diagnostics:   r.Diagnostics,
+	}
+	for _, tx := range r.Transactions {
+		jt := jsonTx{
+			ID:       tx.ID,
+			Method:   tx.Request.Method,
+			URIRegex: tx.URIRegex(),
+			BodyKind: tx.Request.BodyKind,
+			Paired:   tx.Paired,
+			Sinks:    tx.Sinks,
+			Sources:  tx.Sources,
+			DP:       tx.DP,
+		}
+		if o.Security {
+			jt.Security = SecurityFor(tx)
+		}
+		if len(tx.Request.Headers) > 0 {
+			jt.Headers = map[string]string{}
+			for _, h := range tx.Request.Headers {
+				jt.Headers[h.Key] = siglang.RegexBody(h.Val)
+			}
+		}
+		switch tx.Request.BodyKind {
+		case "json":
+			jt.BodySchema = siglang.JSONSchema(tx.Request.Body)
+		case "":
+		default:
+			jt.BodyRegex = siglang.Regex(tx.Request.Body)
+		}
+		if tx.Response != nil && tx.Response.HasBody() {
+			jt.RespKind = tx.Response.BodyKind
+			switch tx.Response.BodyKind {
+			case "json":
+				jt.RespKeys = siglang.Keywords(&siglang.JSON{Root: tx.Response.JSON})
+				jt.RespSchema = siglang.JSONSchema(&siglang.JSON{Root: tx.Response.JSON})
+			case "xml":
+				jt.RespKeys = siglang.Keywords(&siglang.XML{Root: tx.Response.XML})
+				jt.RespDTD = siglang.DTD(&siglang.XML{Root: tx.Response.XML})
+			}
+		}
+		out.Transactions = append(out.Transactions, jt)
+	}
+	for _, d := range r.Deps {
+		out.Deps = append(out.Deps, jsonDep(d))
+	}
+	return json.MarshalIndent(out, "", "  ")
+}
+
+// checkJSONMatchesOracle requires JSONOpts to render r byte for byte as
+// the oracle does, or both to fail.
+func checkJSONMatchesOracle(t *testing.T, name string, r *core.Report, o Options) {
+	t.Helper()
+	got, err := JSONOpts(r, o)
+	want, werr := oracleJSON(r, o)
+	switch {
+	case (err != nil) != (werr != nil):
+		t.Fatalf("%s: JSONOpts error %v, oracle error %v", name, err, werr)
+	case err != nil:
+		if err.Error() != werr.Error() {
+			t.Fatalf("%s: JSONOpts error %q, oracle error %q", name, err, werr)
+		}
+	case !bytes.Equal(got, want):
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s: JSONOpts differs from the oracle at byte %d:\ngot  %q\nwant %q",
+			name, i, got[max(0, i-40):min(len(got), i+40)], want[max(0, i-40):min(len(want), i+40)])
+	}
+}
+
+// Edge-case report shapes, as bits of edgeReport's flags.
+const (
+	edgeNoTx     = 1 << iota // no transactions: the list renders as null
+	edgeDiag                 // a degradation diagnostic
+	edgeSecurity             // render with the security lens
+	edgeProfile              // a phase profile
+)
+
+// edgeReport builds a two-transaction report whose strings come from the
+// arguments: the URI literal, the header key (sent twice, and as a body,
+// response and XML key) and the demarcation point end up in every string
+// member the JSON document has.
+func edgeReport(pkg, app, uri, header, dp string, frac float64, flags uint8) (*core.Report, Options) {
+	r := &core.Report{Package: pkg, AppName: app, SliceFraction: frac, Duration: 1500 * time.Microsecond}
+	if flags&edgeNoTx == 0 {
+		body := &siglang.Obj{}
+		body.Put(header, siglang.AnyString())
+		resp := &siglang.Obj{}
+		resp.Put(header, siglang.AnyInt())
+		resp.Put("items", &siglang.Arr{Elems: []siglang.Sig{siglang.Str(uri)}})
+		r.Transactions = []*core.Transaction{{
+			ID: 1,
+			DP: dp,
+			Request: &sigbuild.RequestSig{
+				Method: "POST",
+				URI:    siglang.Cat(siglang.Str(uri), siglang.AnyString()),
+				Headers: []siglang.KV{
+					{Key: header, Val: siglang.Str(uri)},
+					{Key: "Cookie", Val: siglang.AnyString()},
+					{Key: header, Val: siglang.Str(dp)},
+				},
+				BodyKind: "json",
+				Body:     &siglang.JSON{Root: body},
+			},
+			Response: &sigbuild.ResponseSig{BodyKind: "json", JSON: resp},
+			Paired:   true,
+			Sinks:    []string{dp, header},
+			Sources:  []string{uri},
+		}, {
+			ID: 2,
+			DP: dp,
+			Request: &sigbuild.RequestSig{
+				Method:   "GET",
+				URI:      siglang.Str(uri),
+				BodyKind: "query",
+				Body:     siglang.Cat(siglang.Str(header+"="), siglang.AnyInt()),
+			},
+			Response: &sigbuild.ResponseSig{BodyKind: "xml", XML: &siglang.Elem{
+				Tag:      "feed",
+				Children: []*siglang.Elem{{Tag: "entry", Attrs: []siglang.KV{{Key: header, Val: siglang.Str(dp)}}}},
+			}},
+		}}
+		r.Deps = []txdep.Dep{
+			{From: 1, To: 2, FromField: header, ToPart: "uri", Via: dp},
+			{From: 1, To: 2, ToPart: "header " + header, Via: uri},
+		}
+	}
+	if flags&edgeDiag != 0 {
+		r.Diagnostics = []budget.Diagnostic{{Phase: "slice", Kind: "budget", Site: dp, Detail: uri}}
+	}
+	if flags&edgeProfile != 0 {
+		r.Profile = &obs.Profile{TotalNS: 1500000, Phases: []obs.PhaseProfile{{Name: "slice", DurationNS: 900000}},
+			Counters: map[string]int64{header: 3}}
+	}
+	return r, Options{Security: flags&edgeSecurity != 0}
+}
+
+// jsonEdgeCases are the strings and fractions on which JSON encoding has
+// rules of its own: HTML escaping, control bytes, invalid UTF-8, the JSONP
+// line separators, and floats at the 'f'/'e' boundaries or without a JSON
+// form.
+var jsonEdgeCases = []struct {
+	pkg, app, uri, header, dp string
+	frac                      float64
+	flags                     uint8
+}{
+	{"com.example", "Example", "https://api.example.com/v1?a=1&b=<2>", "Authorization", "execute", 0.25, 0},
+	{"p\x00\x01\x1f\x7f", "tab\tnl\nbs\bff\fcr\r", `q"uote\back`, "X-Api-Key", "dp", 1, edgeSecurity},
+	{"bad\xff\xfeutf8", "\xc3", "http://h.example.com/\xe2\x80", "passwd", "\xed\xa0\x80", 0.5, edgeSecurity | edgeDiag},
+	{"sep\u2028line\u2029para", "\u00e9\U0001F600", "https://x.example.com/\u2028", "email", "d\u2029p", 0, edgeProfile},
+	{"nan", "a", "u", "k", "d", math.NaN(), 0},
+	{"inf", "a", "u", "k", "d", math.Inf(1), 0},
+	{"-inf", "a", "u", "k", "d", math.Inf(-1), edgeNoTx},
+	{"tiny", "a", "u", "k", "d", 1e-7, 0},
+	{"huge", "a", "u", "k", "d", 1e21, 0},
+	{"edges", "a", "u", "k", "d", 1e-6, edgeDiag},
+	{"neg", "a", "u", "k", "d", -123456.789e-30, 0},
+	{"negzero", "a", "u", "k", "d", math.Copysign(0, -1), 0},
+	{"notx", "a", "u", "k", "d", 0.1, edgeNoTx},
+	{"all", "<a&b>", "http://u.example.com/?x=<y>", "session_id", "d&p", 0.333, edgeNoTx | edgeDiag | edgeSecurity | edgeProfile},
+	{"all-tx", "<a&b>", "http://u.example.com/?x=<y>", "session_id", "d&p", 0.333, edgeDiag | edgeSecurity | edgeProfile},
+	{"", "", "", "", "", 0, 0},
+}
+
+// TestJSONMatchesOracle holds the one-pass JSON writer to the struct-shape
+// oracle over the corpus, a generated corpus and the edge cases, with the
+// security lens on and off. Corpus reports carry their phase profile, so
+// the profile member is compared too.
+func TestJSONMatchesOracle(t *testing.T) {
+	for _, a := range append(corpus.Apps(), corpus.Rand(1729, 100)...) {
+		rep, err := core.Analyze(a.Prog, core.NewOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", a.Spec.Name, err)
+		}
+		for _, o := range []Options{{}, {Security: true}} {
+			checkJSONMatchesOracle(t, a.Spec.Name, rep, o)
+		}
+	}
+	for _, c := range jsonEdgeCases {
+		for _, sec := range []uint8{0, edgeSecurity} {
+			rep, o := edgeReport(c.pkg, c.app, c.uri, c.header, c.dp, c.frac, c.flags|sec)
+			checkJSONMatchesOracle(t, c.pkg, rep, o)
+		}
+	}
+}
+
+// FuzzReportJSON renders hand-built reports with arbitrary strings and
+// slice fractions through the one-pass writer and through the oracle.
+func FuzzReportJSON(f *testing.F) {
+	for _, c := range jsonEdgeCases {
+		f.Add(c.pkg, c.app, c.uri, c.header, c.dp, c.frac, c.flags)
+	}
+	f.Fuzz(func(t *testing.T, pkg, app, uri, header, dp string, frac float64, flags uint8) {
+		rep, o := edgeReport(pkg, app, uri, header, dp, frac, flags)
+		checkJSONMatchesOracle(t, "fuzz", rep, o)
+	})
 }

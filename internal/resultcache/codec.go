@@ -137,7 +137,7 @@ func DecodeReport(data []byte) (rep *core.Report, err error) {
 		return nil, ErrBadChecksum
 	}
 
-	d := &decoder{data: payload}
+	d := &decoder{data: payload, text: string(payload)}
 	r := &core.Report{}
 	r.Package = d.str()
 	r.AppName = d.str()
@@ -397,6 +397,7 @@ func (e *encoder) elem(el *siglang.Elem) {
 
 type decoder struct {
 	data  []byte
+	text  string // data as one string; every decoded string is a substring
 	off   int
 	depth int
 	err   error
@@ -456,7 +457,7 @@ func (d *decoder) str() string {
 	if d.err != nil {
 		return ""
 	}
-	s := string(d.data[d.off : d.off+int(n)])
+	s := d.text[d.off : d.off+int(n)]
 	d.off += int(n)
 	return s
 }

@@ -187,9 +187,9 @@ func TestJSONObjectAndStringBuilderSemantics(t *testing.T) {
 // its caller passed: send builds a URI in a StringBuilder, runs call,
 // which calls the static helper, and sends the builder call returns. An
 // addKey helper appends to the builder it is given, straight-line or on
-// two branches; a touch helper adds to a list holding the builder, after
-// which the caller appends to the builder and sends the list's first
-// element, which in Java is that builder.
+// two branches; a helper adds to a list holding the builder, straight-line
+// or on two branches, after which the caller appends to the builder and
+// sends the list's first element, which in Java is that builder.
 func TestCalleeWritesCallerObjects(t *testing.T) {
 	const (
 		listInit = "java.util.ArrayList.<init>"
@@ -236,6 +236,25 @@ func TestCalleeWritesCallerObjects(t *testing.T) {
 				b.InvokeSpecial(listInit, l)
 				b.InvokeVoid(listAdd, l, sb)
 				b.InvokeStaticVoid("t.cw.V.helper", l)
+				b.InvokeVoid(sbApp, sb, b.ConstStr("x"))
+				return b.Invoke(listGet, l, b.ConstInt(0))
+			},
+			uri: `"https://h.example.com/q?x"`},
+		{name: "branch keeps the list aliasing the builder",
+			params: []string{"java.util.ArrayList", "int"},
+			helper: func(b *ir.B) {
+				b.IfZ(b.Param(1), "else")
+				b.InvokeVoid(listAdd, b.Param(0), b.ConstStr("a"))
+				b.Goto("join")
+				b.Label("else")
+				b.InvokeVoid(listAdd, b.Param(0), b.ConstStr("b"))
+				b.Label("join")
+			},
+			call: func(b *ir.B, sb, c int) int {
+				l := b.New("java.util.ArrayList")
+				b.InvokeSpecial(listInit, l)
+				b.InvokeVoid(listAdd, l, sb)
+				b.InvokeStaticVoid("t.cw.V.helper", l, c)
 				b.InvokeVoid(sbApp, sb, b.ConstStr("x"))
 				return b.Invoke(listGet, l, b.ConstInt(0))
 			},

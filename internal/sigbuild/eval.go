@@ -236,46 +236,37 @@ func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 
 // syncBack copies the exit-time state of objects the caller passed in over
 // the caller's originals, so mutations performed on branch-local copies
-// remain visible after the call returns.
+// remain visible after the call returns. The copied state still refers to
+// the callee's copies of the caller's sub-objects, so those references are
+// pointed back at the originals, matched by allocation site: a write the
+// caller later makes through its own register then shows wherever the
+// object is held, as it would in Java.
 func syncBack(args []aval, exit env) {
 	if exit == nil {
 		return
 	}
 	byAlloc := map[int]*aobj{}
 	seen := map[*aobj]bool{}
-	var collect func(v aval)
-	collect = func(v aval) {
+	var collect func(v *aval)
+	collect = func(v *aval) {
 		o := v.obj
 		if o == nil || o.shared() || o.allocID == 0 || seen[o] {
 			return
 		}
 		seen[o] = true
 		byAlloc[o.allocID] = o
-		if o.body != nil {
-			collect(aval{obj: o.body})
-		}
-		if o.request != nil {
-			collect(aval{obj: o.request})
-		}
-		for _, el := range o.elems {
-			collect(el)
-		}
-		for _, pv := range o.pairs {
-			collect(pv)
-		}
-		collect(o.key)
-		collect(o.val)
+		o.refs(collect)
 	}
-	for _, a := range args {
-		collect(a)
+	for i := range args {
+		collect(&args[i])
 	}
 	if len(byAlloc) == 0 {
 		return
 	}
 	applied := map[int]bool{}
 	visited := map[*aobj]bool{}
-	var apply func(v aval)
-	apply = func(v aval) {
+	var apply func(v *aval)
+	apply = func(v *aval) {
 		o := v.obj
 		if o == nil || o.shared() || visited[o] {
 			return
@@ -285,24 +276,53 @@ func syncBack(args []aval, exit env) {
 			applied[o.allocID] = true
 			*orig = *o
 		}
-		if o.body != nil {
-			apply(aval{obj: o.body})
-		}
-		if o.request != nil {
-			apply(aval{obj: o.request})
-		}
-		for _, el := range o.elems {
-			apply(el)
-		}
-		for _, pv := range o.pairs {
-			apply(pv)
-		}
-		apply(o.key)
-		apply(o.val)
+		o.refs(apply)
 	}
 	for _, v := range exit {
-		apply(v)
+		apply(&v)
 	}
+	redirected := map[*aobj]bool{}
+	var redirect func(v *aval)
+	redirect = func(v *aval) {
+		o := v.obj
+		if o == nil || o.shared() {
+			return
+		}
+		if orig, ok := byAlloc[o.allocID]; ok {
+			v.obj, o = orig, orig
+		}
+		if redirected[o] {
+			return
+		}
+		redirected[o] = true
+		o.refs(redirect)
+	}
+	for _, o := range byAlloc {
+		redirect(&aval{obj: o})
+	}
+}
+
+// refs calls f on each object reference o holds that syncBack follows, and
+// keeps the object f leaves in it.
+func (o *aobj) refs(f func(v *aval)) {
+	for _, p := range [...]**aobj{&o.body, &o.request} {
+		if *p != nil {
+			v := aval{obj: *p}
+			f(&v)
+			*p = v.obj
+		}
+	}
+	for i := range o.elems {
+		f(&o.elems[i])
+	}
+	for k, pv := range o.pairs {
+		was := pv.obj
+		if f(&pv); pv.obj != was {
+			o.pairs[k] = pv
+		}
+	}
+	f(&o.key)
+	f(&o.val)
 }
 
 // evalInstr applies one instruction's semantics to the environment.
