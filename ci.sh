@@ -64,6 +64,15 @@ echo "== report JSON writer fuzz"
 # differ, or only one of them fails, fails the step.
 go test -run '^$' -fuzz '^FuzzReportJSON$' -fuzztime 10s -fuzzminimizetime 1s ./internal/report
 
+echo "== container and cache entry decoder fuzz"
+# Ten seconds each of FuzzDexDecode and FuzzResultCacheCodec beyond their
+# seeds: both decoders read through internal/wire's one reader, so a hole
+# in its bounds or canonical-form checks shows in either. Re-sealed
+# mutations must fail cleanly, a decoded container must re-encode, and a
+# decoded cache entry must re-encode to the same bytes.
+go test -run '^$' -fuzz '^FuzzDexDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dex
+go test -run '^$' -fuzz '^FuzzResultCacheCodec$' -fuzztime 10s -fuzzminimizetime 1s ./internal/resultcache
+
 echo "== result cache smoke under -race"
 # End-to-end warm-path gate on the real binaries: analyze the same .apkb
 # twice into one cache directory; the second (warm) run must produce an

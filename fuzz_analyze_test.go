@@ -7,8 +7,6 @@
 package extractocol
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 	"time"
 
@@ -16,6 +14,7 @@ import (
 	"extractocol/internal/corpus"
 	"extractocol/internal/dex"
 	"extractocol/internal/obs"
+	"extractocol/internal/wire"
 )
 
 func FuzzAnalyzeDecoded(f *testing.F) {
@@ -34,13 +33,10 @@ func FuzzAnalyzeDecoded(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Re-seal the mutated payload so it reaches the section parsers
 		// instead of dying at the checksum (same trick as FuzzDexDecode).
-		if len(data) < 10 {
+		if len(data) < wire.HeaderLen {
 			return
 		}
-		sealed := append([]byte(nil), data...)
-		copy(sealed[:4], dex.Magic[:])
-		binary.LittleEndian.PutUint16(sealed[4:6], dex.Version)
-		binary.LittleEndian.PutUint32(sealed[6:10], crc32.ChecksumIEEE(sealed[10:]))
+		sealed := wire.Seal(dex.Magic, dex.Version, data[wire.HeaderLen:])
 
 		prog, err := dex.Decode(sealed)
 		if err != nil {

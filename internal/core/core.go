@@ -28,8 +28,8 @@ import (
 	"extractocol/internal/txdep"
 )
 
-// defaultModel is the semantic model of an Options without one. Analysis
-// only reads it, so one copy serves every call.
+// defaultModel is the semantic model of every analysis. Analysis only
+// reads it, so one copy serves every call.
 var defaultModel = sync.OnceValue(semmodel.Default)
 
 // Options configures an analysis run.
@@ -46,11 +46,6 @@ type Options struct {
 	// points become analysis roots, closing the coverage gap of Table 1's
 	// rows where manual fuzzing beats the analyzer.
 	ModelIntents bool
-	// Model overrides the semantic model; nil uses semmodel.Default(),
-	// built once per process and shared by every Analyze call, since
-	// analysis only looks entries up. A model must not change while an
-	// Analyze call reads it.
-	Model *semmodel.Model
 
 	// Deadline bounds the wall-clock time of one Analyze call; 0 means
 	// unlimited. On exhaustion in-flight loops stop at their next budget
@@ -389,10 +384,7 @@ func Analyze(p *ir.Program, opts Options) (rep *Report, err error) {
 		return nil, fmt.Errorf("core: invalid program: %w", verr)
 	}
 
-	model := opts.Model
-	if model == nil {
-		model = defaultModel()
-	}
+	model := defaultModel()
 	endCallgraph := col.Phase(obs.PhaseCallgraph)
 	cg := callgraph.Build(p, model)
 	endCallgraph()

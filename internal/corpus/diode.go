@@ -1,9 +1,6 @@
 package corpus
 
 import (
-	"fmt"
-	"strings"
-
 	"extractocol/internal/httpsim"
 	"extractocol/internal/ir"
 )
@@ -217,23 +214,4 @@ func DiodeFigure3URIs() []string {
 		"http://www.reddit.com/r/golang/new.json?&",
 		"http://www.reddit.com/r/golang/new.json?&count=25&after=t3_abc&",
 	}
-}
-
-// diodeInput supplies the runtime user input for Diode's refresh handler:
-// subreddit name, sort order and search query.
-func diodeInput(method string, param int, typ string) any {
-	if strings.HasSuffix(method, "onClickRefresh") {
-		switch param {
-		case 0:
-			return "golang"
-		case 1:
-			return "new"
-		default:
-			return "static analysis"
-		}
-	}
-	if typ == "int" {
-		return int64(param + 1)
-	}
-	return fmt.Sprintf("input%d", param)
 }

@@ -1,30 +1,23 @@
 // Package dex serializes ir.Program values into the .apkb binary container
 // and parses them back. The container is the analog of an Android APK/DEX
 // file: it is the *only* input the analyzer consumes, keeping Extractocol's
-// "application binary as sole input" property. The format uses a shared
-// string pool (like DEX), little-endian fixed-width section headers, and a
-// CRC32 checksum over the payload.
+// "application binary as sole input" property. It is sealed and encoded in
+// the format of package wire under the magic "APKB", and uses a shared
+// string pool, as DEX does.
 //
-// Layout:
-//
-//	magic "APKB" | u16 version | u32 crc32(payload) | payload
-//
-// The payload is: string pool, manifest, resources, classes. All strings
-// are pool indices; all integers are varint-encoded except the header.
+// The payload is: string pool, manifest, resources, classes. The pool is a
+// count of length-prefixed strings; everywhere else a string is a pool
+// index.
 package dex
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sort"
 
 	"extractocol/internal/budget"
 	"extractocol/internal/ir"
+	"extractocol/internal/wire"
 )
 
 // Magic identifies .apkb containers.
@@ -33,27 +26,18 @@ var Magic = [4]byte{'A', 'P', 'K', 'B'}
 // Version is the current container format version.
 const Version uint16 = 2
 
-// Errors returned by Decode.
-var (
-	ErrBadMagic    = errors.New("dex: bad magic (not an .apkb container)")
-	ErrBadVersion  = errors.New("dex: unsupported container version")
-	ErrBadChecksum = errors.New("dex: payload checksum mismatch")
-)
-
 // Encode serializes p into the .apkb container format.
 func Encode(p *ir.Program) ([]byte, error) {
-	var pool stringPool
-	var body bytes.Buffer
-	w := &writer{w: &body, pool: &pool}
+	w := &writer{}
 
 	// Manifest.
 	w.str(p.Manifest.Package)
 	w.str(p.Manifest.AppName)
-	w.bool(p.Manifest.Obfuscated)
-	w.uvarint(uint64(len(p.Manifest.EntryPoints)))
+	w.Bool(p.Manifest.Obfuscated)
+	w.Uvarint(uint64(len(p.Manifest.EntryPoints)))
 	for _, ep := range p.Manifest.EntryPoints {
 		w.str(ep.Method)
-		w.uvarint(uint64(ep.Kind))
+		w.Uvarint(uint64(ep.Kind))
 		w.str(ep.Label)
 	}
 
@@ -63,7 +47,7 @@ func Encode(p *ir.Program) ([]byte, error) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w.uvarint(uint64(len(keys)))
+	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		w.str(k)
 		w.str(p.Resources[k])
@@ -71,54 +55,35 @@ func Encode(p *ir.Program) ([]byte, error) {
 
 	// Classes.
 	classes := p.Classes()
-	w.uvarint(uint64(len(classes)))
+	w.Uvarint(uint64(len(classes)))
 	for _, c := range classes {
 		encodeClass(w, c)
 	}
-	if w.err != nil {
-		return nil, w.err
-	}
 
-	// Assemble: header, pool, body.
-	var out bytes.Buffer
-	out.Write(Magic[:])
-	var verBuf [2]byte
-	binary.LittleEndian.PutUint16(verBuf[:], Version)
-	out.Write(verBuf[:])
-
-	var payload bytes.Buffer
-	pw := &writer{w: &payload}
-	pw.uvarint(uint64(len(pool.strs)))
-	for _, s := range pool.strs {
-		pw.rawstr(s)
+	// The pool goes first in the payload, but is complete only now.
+	var pool wire.Writer
+	pool.Uvarint(uint64(len(w.pool.strs)))
+	for _, s := range w.pool.strs {
+		pool.String(s)
 	}
-	if pw.err != nil {
-		return nil, pw.err
-	}
-	payload.Write(body.Bytes())
-
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(payload.Bytes()))
-	out.Write(crcBuf[:])
-	out.Write(payload.Bytes())
-	return out.Bytes(), nil
+	return wire.Seal(Magic, Version, pool.Bytes(), w.Bytes()), nil
 }
 
 func encodeClass(w *writer, c *ir.Class) {
 	w.str(c.Name)
 	w.str(c.Super)
-	w.bool(c.Library)
-	w.uvarint(uint64(len(c.Interfaces)))
+	w.Bool(c.Library)
+	w.Uvarint(uint64(len(c.Interfaces)))
 	for _, i := range c.Interfaces {
 		w.str(i)
 	}
-	w.uvarint(uint64(len(c.Fields)))
+	w.Uvarint(uint64(len(c.Fields)))
 	for _, f := range c.Fields {
 		w.str(f.Name)
 		w.str(f.Type)
-		w.bool(f.Static)
+		w.Bool(f.Static)
 	}
-	w.uvarint(uint64(len(c.Methods)))
+	w.Uvarint(uint64(len(c.Methods)))
 	for _, m := range c.Methods {
 		encodeMethod(w, m)
 	}
@@ -127,32 +92,32 @@ func encodeClass(w *writer, c *ir.Class) {
 func encodeMethod(w *writer, m *ir.Method) {
 	w.str(m.Name)
 	w.str(m.Return)
-	w.bool(m.Static)
-	w.uvarint(uint64(len(m.Params)))
+	w.Bool(m.Static)
+	w.Uvarint(uint64(len(m.Params)))
 	for _, p := range m.Params {
 		w.str(p)
 	}
-	w.uvarint(uint64(m.Registers))
-	w.uvarint(uint64(len(m.Instrs)))
+	w.Uvarint(uint64(m.Registers))
+	w.Uvarint(uint64(len(m.Instrs)))
 	for i := range m.Instrs {
 		encodeInstr(w, &m.Instrs[i])
 	}
 }
 
 func encodeInstr(w *writer, in *ir.Instr) {
-	w.uvarint(uint64(in.Op))
+	w.Uvarint(uint64(in.Op))
 	w.reg(in.Dst)
 	w.reg(in.A)
 	w.reg(in.B)
-	w.uvarint(uint64(len(in.Args)))
+	w.Uvarint(uint64(len(in.Args)))
 	for _, a := range in.Args {
 		w.reg(a)
 	}
 	w.str(in.Sym)
 	w.str(in.Str)
-	w.varint(in.Int)
-	w.varint(int64(in.Target))
-	w.uvarint(uint64(in.Kind))
+	w.Varint(in.Int)
+	w.Varint(int64(in.Target))
+	w.Uvarint(uint64(in.Kind))
 }
 
 // Decode parses an .apkb container produced by Encode. The returned program
@@ -179,54 +144,43 @@ func DecodeFaults(data []byte, inj *budget.FaultInjector) (p *ir.Program, err er
 }
 
 func decode(data []byte) (*ir.Program, error) {
-	if len(data) < 10 {
-		return nil, ErrBadMagic
+	payload, err := wire.Unseal(data, Magic, Version)
+	if err != nil {
+		return nil, fmt.Errorf("dex: %w", err)
 	}
-	if !bytes.Equal(data[:4], Magic[:]) {
-		return nil, ErrBadMagic
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
-		return nil, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, v, Version)
-	}
-	wantCRC := binary.LittleEndian.Uint32(data[6:10])
-	payload := data[10:]
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, ErrBadChecksum
-	}
-
-	r := &reader{data: payload}
-	r.readPool()
+	r := &reader{Reader: wire.NewReader(payload)}
+	r.readPool(payload)
 
 	p := ir.NewProgram("")
 	p.Manifest.Package = r.str()
 	p.Manifest.AppName = r.str()
-	p.Manifest.Obfuscated = r.bool()
-	if n := r.count(minEntryPoint); n > 0 {
+	p.Manifest.Obfuscated = r.Bool()
+	if n := r.Count(minEntryPoint); n > 0 {
 		p.Manifest.EntryPoints = make([]ir.EntryPoint, n)
 	}
 	for i := range p.Manifest.EntryPoints {
 		ep := &p.Manifest.EntryPoints[i]
-		ep.Method, ep.Kind, ep.Label = r.str(), ir.EventKind(r.uvarint()), r.str()
-		if r.err != nil {
+		ep.Method, ep.Kind, ep.Label = r.str(), ir.EventKind(r.Uvarint()), r.str()
+		if r.Err() != nil {
 			break
 		}
 	}
-	res := r.count(minResource)
-	for i := uint64(0); i < res && r.err == nil; i++ {
+	res := r.Count(minResource)
+	for i := uint64(0); i < res && r.Err() == nil; i++ {
 		k := r.str()
 		p.Resources[k] = r.str()
 	}
-	classes := make([]ir.Class, r.count(minClass))
+	classes := make([]ir.Class, r.Count(minClass))
 	for i := range classes {
 		c := &classes[i]
 		r.class(c)
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
 		p.AddClass(c)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("dex: truncated container: %w", r.err)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dex: truncated container: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("dex: invalid program: %w", err)
@@ -235,9 +189,9 @@ func decode(data []byte) (*ir.Program, error) {
 }
 
 // Minimum encoded sizes, in bytes, of the elements a count announces: one
-// byte per varint or pool index they hold. reader.count bounds each count
-// by the bytes left, so a hostile count fails before anything is sized
-// from it.
+// byte per varint, bool or pool index they hold. wire.Reader.Count bounds
+// each count by the bytes left, so a hostile count fails before anything
+// is sized from it.
 const (
 	minPoolEntry  = 1  // length
 	minEntryPoint = 3  // method, kind, label
@@ -277,21 +231,21 @@ func carve[T any](buf *[]T, n uint64, chunk int) []T {
 }
 
 func (r *reader) class(c *ir.Class) {
-	c.Name, c.Super, c.Library = r.str(), r.str(), r.bool()
+	c.Name, c.Super, c.Library = r.str(), r.str(), r.Bool()
 	c.Interfaces = r.names()
-	if n := r.count(minField); n > 0 {
+	if n := r.Count(minField); n > 0 {
 		fields := make([]ir.Field, n)
 		c.Fields = make([]*ir.Field, n)
 		for i := range fields {
 			f := &fields[i]
-			f.Name, f.Type, f.Static = r.str(), r.str(), r.bool()
+			f.Name, f.Type, f.Static = r.str(), r.str(), r.Bool()
 			c.Fields[i] = f
-			if r.err != nil {
+			if r.Err() != nil {
 				return
 			}
 		}
 	}
-	if n := r.count(minMethod); n > 0 {
+	if n := r.Count(minMethod); n > 0 {
 		methods := make([]ir.Method, n)
 		c.Methods = make([]*ir.Method, n)
 		for i := range methods {
@@ -299,7 +253,7 @@ func (r *reader) class(c *ir.Class) {
 			m.Class = c // Program.AddClass builds the ref
 			r.method(m)
 			c.Methods[i] = m
-			if r.err != nil {
+			if r.Err() != nil {
 				return
 			}
 		}
@@ -307,39 +261,39 @@ func (r *reader) class(c *ir.Class) {
 }
 
 func (r *reader) method(m *ir.Method) {
-	m.Name, m.Return, m.Static = r.str(), r.str(), r.bool()
+	m.Name, m.Return, m.Static = r.str(), r.str(), r.Bool()
 	m.Params = r.names()
-	m.Registers = int(r.uvarint())
-	m.Instrs = make([]ir.Instr, r.count(minInstr))
+	m.Registers = int(r.Uvarint())
+	m.Instrs = make([]ir.Instr, r.Count(minInstr))
 	for i := range m.Instrs {
 		r.instr(&m.Instrs[i])
-		if r.err != nil {
+		if r.Err() != nil {
 			return
 		}
 	}
 }
 
 func (r *reader) instr(in *ir.Instr) {
-	in.Op = ir.Op(r.uvarint())
+	in.Op = ir.Op(r.Uvarint())
 	in.Dst = r.reg()
 	in.A = r.reg()
 	in.B = r.reg()
-	in.Args = carve(&r.regs, r.count(minArg), regsChunk)
-	for i := 0; i < len(in.Args) && r.err == nil; i++ {
+	in.Args = carve(&r.regs, r.Count(minArg), regsChunk)
+	for i := 0; i < len(in.Args) && r.Err() == nil; i++ {
 		in.Args[i] = r.reg()
 	}
 	in.Sym = r.str()
 	in.Str = r.str()
-	in.Int = r.varint()
-	in.Target = int(r.varint())
-	in.Kind = ir.InvokeKind(r.uvarint())
+	in.Int = r.Varint()
+	in.Target = int(r.Varint())
+	in.Kind = ir.InvokeKind(r.Uvarint())
 }
 
 // names reads a counted list of pool strings: a class's interfaces or a
 // method's parameter types.
 func (r *reader) names() []string {
-	out := carve(&r.strs, r.count(minName), strsChunk)
-	for i := 0; i < len(out) && r.err == nil; i++ {
+	out := carve(&r.strs, r.Count(minName), strsChunk)
+	for i := 0; i < len(out) && r.Err() == nil; i++ {
 		out[i] = r.str()
 	}
 	return out
@@ -363,7 +317,7 @@ func ReadFile(path string) (*ir.Program, error) {
 	return Decode(data)
 }
 
-// ---- low-level encoding helpers ----
+// ---- string pool and registers ----
 
 type stringPool struct {
 	strs  []string
@@ -384,164 +338,56 @@ func (p *stringPool) id(s string) uint64 {
 }
 
 type writer struct {
-	w    io.Writer
-	pool *stringPool
-	err  error
-	buf  [binary.MaxVarintLen64]byte
-}
-
-func (w *writer) write(b []byte) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.Write(b)
-}
-
-func (w *writer) uvarint(v uint64) {
-	n := binary.PutUvarint(w.buf[:], v)
-	w.write(w.buf[:n])
-}
-
-func (w *writer) varint(v int64) {
-	n := binary.PutVarint(w.buf[:], v)
-	w.write(w.buf[:n])
-}
-
-func (w *writer) bool(b bool) {
-	if b {
-		w.uvarint(1)
-	} else {
-		w.uvarint(0)
-	}
-}
-
-// reg encodes a register index, mapping ir.NoReg to 0.
-func (w *writer) reg(r int) {
-	w.varint(int64(r))
+	wire.Writer
+	pool stringPool
 }
 
 // str interns s in the pool and writes its index.
-func (w *writer) str(s string) { w.uvarint(w.pool.id(s)) }
+func (w *writer) str(s string) { w.Uvarint(w.pool.id(s)) }
 
-// rawstr writes a length-prefixed string (pool entries only).
-func (w *writer) rawstr(s string) {
-	w.uvarint(uint64(len(s)))
-	w.write([]byte(s))
-}
+// reg writes a register index; ir.NoReg is negative, hence signed.
+func (w *writer) reg(r int) { w.Varint(int64(r)) }
 
 type reader struct {
-	data []byte
-	off  int
+	wire.Reader
 	pool []string
-	err  error
 
 	strs []string // backing array for Interfaces and Params, see carve
 	regs []int    // backing array for Args
 }
 
-func (r *reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
-// uvarint and varint decode a one-byte value inline: nearly every register,
-// opcode, count and pool index in a container is one.
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off < len(r.data) && r.data[r.off] < 0x80 {
-		r.off++
-		return uint64(r.data[r.off-1])
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail(io.ErrUnexpectedEOF)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off < len(r.data) && r.data[r.off] < 0x80 {
-		b := r.data[r.off]
-		r.off++
-		if b&1 != 0 {
-			return ^int64(b >> 1)
-		}
-		return int64(b >> 1)
-	}
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		r.fail(io.ErrUnexpectedEOF)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) bool() bool { return r.uvarint() != 0 }
-
-// count reads an element count and rejects values that cannot possibly fit
-// in the remaining payload: every element encodes in at least size bytes,
-// so a count of more elements than the bytes left can hold is corrupt.
-// This bounds both preallocation sizes and loop trip counts against
-// hostile containers.
-func (r *reader) count(size int) uint64 {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if left := len(r.data) - r.off; n > uint64(left/size) {
-		r.fail(fmt.Errorf("count %d of elements of at least %d bytes exceeds %d remaining payload bytes", n, size, left))
-		return 0
-	}
-	return n
-}
-
-func (r *reader) reg() int { return int(r.varint()) }
+func (r *reader) reg() int { return int(r.Varint()) }
 
 func (r *reader) str() string {
-	id := r.uvarint()
-	if r.err != nil {
+	id := r.Uvarint()
+	if r.Err() != nil {
 		return ""
 	}
 	if id >= uint64(len(r.pool)) {
-		r.fail(fmt.Errorf("string pool index %d out of range", id))
+		r.Fail(fmt.Errorf("string pool index %d out of range", id))
 		return ""
 	}
 	return r.pool[id]
 }
 
-// readPool reads the string pool into one string, of which every entry is
-// a substring. The first walk finds where the pool ends, the second slices
-// the entries out of the copy.
-func (r *reader) readPool() {
-	n := r.count(minPoolEntry)
-	start := r.off
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		if l := r.uvarint(); l > uint64(len(r.data)-r.off) {
-			r.fail(io.ErrUnexpectedEOF)
-		} else {
-			r.off += int(l)
-		}
+// readPool reads the string pool at the start of payload into one string,
+// of which every entry is a substring. The first walk finds where the pool
+// ends, the second slices the entries out of the copy.
+func (r *reader) readPool(payload []byte) {
+	n := r.Count(minPoolEntry)
+	start := r.Offset()
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		r.Span()
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return
 	}
-	raw := r.data[start:r.off]
+	raw := payload[start:r.Offset()]
 	all := string(raw)
 	r.pool = make([]string, n)
-	off := 0
+	walk := wire.NewReader(raw) // read once already, cannot fail
 	for i := range r.pool {
-		l, k := binary.Uvarint(raw[off:]) // read once already, cannot fail
-		off += k
-		r.pool[i] = all[off : off+int(l)]
-		off += int(l)
+		s, e := walk.Span()
+		r.pool[i] = all[s:e]
 	}
 }

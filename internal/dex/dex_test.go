@@ -3,7 +3,6 @@ package dex
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -12,6 +11,7 @@ import (
 	"testing/quick"
 
 	"extractocol/internal/ir"
+	"extractocol/internal/wire"
 )
 
 func sampleProgram() *ir.Program {
@@ -273,21 +273,13 @@ func TestStringPoolDeduplicates(t *testing.T) {
 	}
 }
 
-// seal wraps payload in an .apkb header with an honest checksum.
-func seal(payload []byte) []byte {
-	out := append([]byte(nil), Magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
-}
-
 // hostileClassCount is a sealed container that declares 2^20 classes and
 // then holds 2^20 zero bytes: one empty pool string, an empty manifest,
 // and room for only 174 762 six-byte classes.
 func hostileClassCount() []byte {
 	payload := []byte{1, 0, 0, 0, 0, 0, 0}
 	payload = binary.AppendUvarint(payload, 1<<20)
-	return seal(append(payload, make([]byte, 1<<20)...))
+	return wire.Seal(Magic, Version, payload, make([]byte, 1<<20))
 }
 
 // TestDecodeRejectsHostileCountCheaply checks that a count is bounded by

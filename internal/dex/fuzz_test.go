@@ -1,15 +1,15 @@
 package dex
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
+
+	"extractocol/internal/wire"
 )
 
 // FuzzDexDecode throws mutated .apkb containers at Decode. Corrupt input
 // must surface as an error, never a panic or a runaway allocation: the
 // decoder bounds every element count by the number of elements of its
-// minimum encoded size the remaining payload can hold (see reader.count)
+// minimum encoded size the remaining payload can hold (wire.Reader.Count)
 // precisely so that hostile containers cannot make it preallocate
 // gigabytes or spin on phantom elements.
 //
@@ -42,13 +42,10 @@ func FuzzDexDecode(f *testing.F) {
 
 		// Re-seal: keep the mutated payload but make the header honest,
 		// so the mutation reaches the section parsers.
-		if len(data) < 10 {
+		if len(data) < wire.HeaderLen {
 			return
 		}
-		sealed := append([]byte(nil), data...)
-		copy(sealed[:4], Magic[:])
-		binary.LittleEndian.PutUint16(sealed[4:6], Version)
-		binary.LittleEndian.PutUint32(sealed[6:10], crc32.ChecksumIEEE(sealed[10:]))
+		sealed := wire.Seal(Magic, Version, data[wire.HeaderLen:])
 		if p, err := Decode(sealed); err == nil {
 			if _, err := Encode(p); err != nil {
 				t.Fatalf("decoded program fails to re-encode: %v", err)

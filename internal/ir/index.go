@@ -285,24 +285,6 @@ func (x *Index) StmtID(id uint32, idx int) uint32 {
 	return x.stmtBase[id] + uint32(idx)
 }
 
-// StmtOf resolves a ref + instruction index to a dense statement ID.
-func (x *Index) StmtOf(ref string, idx int) (uint32, bool) {
-	id, ok := x.ids[ref]
-	if !ok {
-		return 0, false
-	}
-	return x.stmtBase[id] + uint32(idx), true
-}
-
-// StmtAt resolves a dense statement ID back to its method and instruction
-// index.
-func (x *Index) StmtAt(stmt uint32) (*Method, int) {
-	// First method whose range ends beyond stmt; empty methods share their
-	// successor's base and are skipped naturally.
-	i := sort.Search(len(x.methods), func(i int) bool { return x.stmtBase[i+1] > stmt })
-	return x.methods[i], int(stmt - x.stmtBase[i])
-}
-
 // RegSlot returns the dense register slot of register reg in method id —
 // the worklist dedup address of a local taint fact.
 func (x *Index) RegSlot(id uint32, reg int) uint32 {

@@ -199,12 +199,8 @@ func HashBytes(data []byte) string {
 // (time- and fault-dependent degradation is never cached — see core's
 // clean-runs-only store policy). The deterministic step budgets DO
 // participate, because a truncating budget changes which transactions
-// survive. A custom semantic model makes the options non-cacheable (second
-// return false): two distinct models would collide on one fingerprint.
-func Fingerprint(opts core.Options) (string, bool) {
-	if opts.Model != nil {
-		return "", false
-	}
+// survive.
+func Fingerprint(opts core.Options) string {
 	var b strings.Builder
 	b.WriteString("fp1")
 	b.WriteString("|hops=")
@@ -219,20 +215,14 @@ func Fingerprint(opts core.Options) (string, bool) {
 	b.WriteString(strconv.FormatInt(opts.MaxFixpointIters, 10))
 	b.WriteString("|explain=")
 	b.WriteString(strconv.FormatBool(opts.Explain))
-	return b.String(), true
+	return b.String()
 }
 
 // KeyFor combines a container hash (HashBytes), the options fingerprint
-// and the codec version into the content address of one cache entry. It
-// returns "" when the options are not cacheable; core.Analyze treats an
-// empty key as cache-off.
+// and the codec version into the content address of one cache entry.
 func KeyFor(apkbHash string, opts core.Options) string {
-	fp, ok := Fingerprint(opts)
-	if !ok {
-		return ""
-	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00codec=%d", apkbHash, fp, CodecVersion)
+	fmt.Fprintf(h, "%s\x00%s\x00codec=%d", apkbHash, Fingerprint(opts), CodecVersion)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

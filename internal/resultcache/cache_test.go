@@ -1,8 +1,11 @@
 package resultcache
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +14,8 @@ import (
 	"extractocol/internal/corpus"
 	"extractocol/internal/obs"
 	"extractocol/internal/report"
-	"extractocol/internal/semmodel"
+	"extractocol/internal/sigbuild"
+	"extractocol/internal/wire"
 )
 
 // cleanReport analyzes a corpus app and strips the run-local fields the
@@ -85,6 +89,83 @@ func TestCodecRoundTripsCorpusReports(t *testing.T) {
 		if string(enc2) != string(enc) {
 			t.Errorf("%s (explain=%v): re-encoding is not byte-identical", tc.app, tc.explain)
 		}
+	}
+}
+
+// hostileHeaderCount is a sealed entry whose first request declares 2^20
+// headers and then holds 2^20 zero bytes: room for only 349 525 headers of
+// at least 3 bytes.
+func hostileHeaderCount() []byte {
+	var w wire.Writer
+	w.String("") // package
+	w.String("") // app name
+	w.Float64(0) // slice fraction
+	w.Uvarint(0) // DP count
+	w.Uvarint(1) // one transaction
+	w.Varint(0)  // id
+	for i := 0; i < 5; i++ {
+		w.String("") // dp, dp ref, entry method, entry kind, entry label
+	}
+	w.Bool(true)       // it has a request
+	w.String("")       // method
+	w.Byte(tagNil)     // URI
+	w.Uvarint(1 << 20) // headers
+	return wire.Seal(codecMagic, CodecVersion, w.Bytes(), make([]byte, 1<<20))
+}
+
+// TestDecodeReportRejectsHostileCountCheaply checks that every count of a
+// cache entry is bounded by its element's minimum encoded size, not by one
+// byte per element: the entry above fails at its header count, having
+// allocated little more than the one copy of its payload.
+func TestDecodeReportRejectsHostileCountCheaply(t *testing.T) {
+	data := hostileHeaderCount()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeReport(data)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "count 1048576 of elements of at least 3 bytes exceeds") {
+		t.Fatalf("DecodeReport = %v, want the header count rejected", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 2<<20 {
+		t.Fatalf("rejecting the entry allocated %d bytes, want under 2 MiB", n)
+	}
+}
+
+// TestDecodeReportRejectsNonCanonical checks that the decoder accepts only
+// the bytes the encoder writes, so an entry that decodes re-encodes to
+// itself: each case below would decode, under a lenient reader, to a
+// report whose encoding differs from the entry.
+func TestDecodeReportRejectsNonCanonical(t *testing.T) {
+	enc, err := EncodeReport(&core.Report{Transactions: []*core.Transaction{{
+		Response: &sigbuild.ResponseSig{BodyKind: "json", WriteOrigins: map[string]string{"a": "v", "b": "v"}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := enc[wire.HeaderLen:]
+	origins := []byte{2, 1, 'a', 1, 'v', 1, 'b', 1, 'v'}
+	for _, tc := range []struct {
+		name, want string
+		from, to   []byte
+	}{
+		// Package, app name, slice fraction, then the DP count 0.
+		{"long varint", "not in its shortest form", payload[:11], append(payload[:10:10], 0x80, 0x00)},
+		// The body kind, then the absent JSON body.
+		{"bool byte 2", "bool byte 2", []byte{4, 'j', 's', 'o', 'n', 0}, []byte{4, 'j', 's', 'o', 'n', 2}},
+		{"unsorted map", `map key "a" after "b"`, origins, []byte{2, 1, 'b', 1, 'v', 1, 'a', 1, 'v'}},
+		{"repeated map key", `map key "a" after "a"`, origins, []byte{2, 1, 'a', 1, 'v', 1, 'a', 1, 'v'}},
+	} {
+		bad := bytes.Replace(payload, tc.from, tc.to, 1)
+		if bytes.Equal(bad, payload) {
+			t.Fatalf("%s: the entry has no %v", tc.name, tc.from)
+		}
+		_, err := DecodeReport(wire.Seal(codecMagic, CodecVersion, bad))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeReport = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := DecodeReport(enc); err != nil {
+		t.Fatalf("the unmodified entry: %v", err)
 	}
 }
 
@@ -406,14 +487,10 @@ func TestAnalyzeRecomputesOnCorruptEntry(t *testing.T) {
 }
 
 // TestKeySensitivity pins the invalidation matrix: a changed binary or any
-// changed report-affecting option moves the key; excluded fields do not;
-// a custom model disables caching.
+// changed report-affecting option moves the key; excluded fields do not.
 func TestKeySensitivity(t *testing.T) {
 	opts := core.NewOptions()
 	base := KeyFor("aa", opts)
-	if base == "" {
-		t.Fatal("default options must be cacheable")
-	}
 	if KeyFor("ab", opts) == base {
 		t.Error("binary hash change kept the key")
 	}
@@ -421,8 +498,8 @@ func TestKeySensitivity(t *testing.T) {
 	// every on-disk entry, stays valid only while this string is unchanged
 	// (a deliberate change must bump CodecVersion instead).
 	const defaultFP = "fp1|hops=1|scope=|intents=false|slicesteps=0|fixiters=0|explain=false"
-	if fp, ok := Fingerprint(opts); !ok || fp != defaultFP {
-		t.Errorf("Fingerprint(NewOptions()) = %q, %v; want %q, true", fp, ok, defaultFP)
+	if fp := Fingerprint(opts); fp != defaultFP {
+		t.Errorf("Fingerprint(NewOptions()) = %q, want %q", fp, defaultFP)
 	}
 
 	mutations := map[string]func(*core.Options){
@@ -456,11 +533,5 @@ func TestKeySensitivity(t *testing.T) {
 		if KeyFor("aa", o) != base {
 			t.Errorf("%s change moved the key", name)
 		}
-	}
-
-	custom := core.NewOptions()
-	custom.Model = semmodel.Default()
-	if KeyFor("aa", custom) != "" {
-		t.Error("custom model must disable caching")
 	}
 }

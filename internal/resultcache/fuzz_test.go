@@ -8,12 +8,11 @@ package resultcache
 // entries without re-validating them against the pipeline).
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"extractocol/internal/core"
 	"extractocol/internal/corpus"
+	"extractocol/internal/wire"
 )
 
 func FuzzResultCacheCodec(f *testing.F) {
@@ -43,6 +42,7 @@ func FuzzResultCacheCodec(f *testing.F) {
 		}
 		f.Add(enc)
 	}
+	f.Add(hostileHeaderCount())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw mutation first: must reject or accept cleanly, never panic.
@@ -52,13 +52,10 @@ func FuzzResultCacheCodec(f *testing.F) {
 
 		// Re-seal the payload so mutations reach the structure decoding
 		// behind the checksum, not just the envelope check.
-		if len(data) < 10 {
+		if len(data) < wire.HeaderLen {
 			return
 		}
-		sealed := append([]byte(nil), data...)
-		copy(sealed[:4], codecMagic[:])
-		binary.LittleEndian.PutUint16(sealed[4:6], CodecVersion)
-		binary.LittleEndian.PutUint32(sealed[6:10], crc32.ChecksumIEEE(sealed[10:]))
+		sealed := wire.Seal(codecMagic, CodecVersion, data[wire.HeaderLen:])
 		if rep, err := DecodeReport(sealed); err == nil {
 			roundTrip(t, rep, sealed)
 		}

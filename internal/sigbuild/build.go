@@ -72,24 +72,7 @@ func (r *ResponseSig) HasBody() bool {
 // transaction by abstractly interpreting its slices.
 func Build(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 	tx *slice.Transaction) (*RequestSig, *ResponseSig, error) {
-	return BuildObs(p, model, cg, tx, nil)
-}
-
-// BuildObs is Build with workload counters: methods abstractly interpreted
-// are recorded in stats when non-nil. The shard is unsynchronized and must
-// be owned by the calling goroutine.
-func BuildObs(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
-	tx *slice.Transaction, stats *obs.Shard) (*RequestSig, *ResponseSig, error) {
-	return BuildBudgeted(p, model, cg, tx, stats, nil)
-}
-
-// BuildBudgeted is BuildObs under a budget: the interpreter checks one step
-// per instruction and stops with a *budget.Exceeded error once a deadline
-// or iteration limit trips, leaving the transaction without a signature
-// (the orchestrator records the diagnostic). A nil budget is unlimited.
-func BuildBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
-	tx *slice.Transaction, stats *obs.Shard, bud *budget.Budget) (*RequestSig, *ResponseSig, error) {
-	req, resp, _, err := BuildTraced(p, model, cg, tx, stats, bud)
+	req, resp, _, err := BuildTraced(p, model, cg, tx, nil, nil)
 	return req, resp, err
 }
 
@@ -107,7 +90,13 @@ type BuildInfo struct {
 	PrePassMethods int
 }
 
-// BuildTraced is BuildBudgeted plus the BuildInfo provenance record. The
+// BuildTraced is Build with workload counters, a budget and the BuildInfo
+// provenance record. Methods abstractly interpreted are counted in stats
+// when non-nil; the shard is unsynchronized and must be owned by the
+// calling goroutine. The interpreter checks one budget step per
+// instruction and stops with a *budget.Exceeded error once a deadline or
+// iteration limit trips, leaving the transaction without a signature (the
+// orchestrator records the diagnostic); a nil budget is unlimited. The
 // record is a value — computing it costs two counters, so it is always
 // returned and callers discard it when the explain layer is off.
 func BuildTraced(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,

@@ -48,7 +48,7 @@ type evaluator struct {
 	methods int
 
 	// cg, when non-nil, supplies memoized per-method register types
-	// (BuildObs sets it); nil falls back to direct inference.
+	// (BuildTraced sets it); nil falls back to direct inference.
 	cg *callgraph.Graph
 
 	// ck bounds the interpretation (one Step per instruction); truncated
