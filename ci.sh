@@ -64,6 +64,17 @@ echo "== report JSON writer fuzz"
 # differ, or only one of them fails, fails the step.
 go test -run '^$' -fuzz '^FuzzReportJSON$' -fuzztime 10s -fuzzminimizetime 1s ./internal/report
 
+echo "== report text and signature renderer fuzz"
+# Ten seconds each of FuzzReportText and FuzzSiglangCanon beyond their
+# seeds: report.TextOpts and siglang's append renderers write into the
+# caller's buffer in one pass, and the renderers they replaced (fmt.Fprintf
+# per line, strings.Builder per signature) stay in the package tests as
+# their oracles. Text must equal its oracle on the edge-case report shapes
+# with arbitrary strings; every signature the parser accepts must render
+# to the oracle's canonical form, regex, schema, DTD and keywords.
+go test -run '^$' -fuzz '^FuzzReportText$' -fuzztime 10s -fuzzminimizetime 1s ./internal/report
+go test -run '^$' -fuzz '^FuzzSiglangCanon$' -fuzztime 10s -fuzzminimizetime 1s ./internal/siglang
+
 echo "== container and cache entry decoder fuzz"
 # Ten seconds each of FuzzDexDecode and FuzzResultCacheCodec beyond their
 # seeds: both decoders read through internal/wire's one reader, so a hole

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -203,20 +204,20 @@ func (t *Transaction) URIRegex() string { return siglang.Regex(t.Request.URI) }
 // constants, so they remain distinct per demarcation-point site, matching
 // how the paper counts them.
 func (t *Transaction) Key() string {
-	var b strings.Builder
-	b.WriteString(t.Request.Method)
-	b.WriteString("|")
-	uriCanon := siglang.Canon(t.Request.URI)
-	b.WriteString(uriCanon)
-	if !strings.Contains(uriCanon, `"`) {
-		b.WriteString("|")
-		b.WriteString(t.DP)
+	var buf [256]byte
+	b := append(buf[:0], t.Request.Method...)
+	b = append(b, '|')
+	uri := len(b)
+	b = siglang.AppendCanon(b, t.Request.URI)
+	if bytes.IndexByte(b[uri:], '"') < 0 {
+		b = append(b, '|')
+		b = append(b, t.DP...)
 	}
-	b.WriteString("|")
-	b.WriteString(t.Request.BodyKind)
-	b.WriteString("|")
-	b.WriteString(siglang.Canon(t.Request.Body))
-	return b.String()
+	b = append(b, '|')
+	b = append(b, t.Request.BodyKind...)
+	b = append(b, '|')
+	b = siglang.AppendCanon(b, t.Request.Body)
+	return string(b)
 }
 
 // Report is the complete analysis output for one application.

@@ -66,7 +66,10 @@ func ExplainText(r *core.Report) string {
 		}
 		b.WriteString("\n")
 		seen := map[string]bool{}
-		for _, d := range depsFor(r, tx.ID) {
+		for _, d := range r.Deps {
+			if d.To != tx.ID {
+				continue
+			}
 			line := "    depends: " + d.Explain() + "\n"
 			if seen[line] {
 				continue
@@ -106,8 +109,10 @@ func ExplainJSON(r *core.Report) ([]byte, error) {
 			Entries:  tx.Entries,
 			Evidence: tx.Evidence,
 		}
-		for _, d := range depsFor(r, tx.ID) {
-			et.Deps = append(et.Deps, jsonDep(d))
+		for _, d := range r.Deps {
+			if d.To == tx.ID {
+				et.Deps = append(et.Deps, jsonDep(d))
+			}
 		}
 		doc.Transactions = append(doc.Transactions, et)
 	}

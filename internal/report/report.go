@@ -5,6 +5,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -16,6 +17,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"extractocol/internal/budget"
 	"extractocol/internal/core"
 	"extractocol/internal/obs"
 	"extractocol/internal/siglang"
@@ -29,108 +31,146 @@ func Text(r *core.Report) string {
 
 // TextOpts is Text with optional report layers enabled. The zero Options
 // value renders exactly what Text renders.
+//
+// The text is appended to a pooled buffer in one pass, every signature
+// rendered in place, and copied out as a string.
 func TextOpts(r *core.Report, o Options) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extractocol report for %s (%s)\n", r.AppName, r.Package)
-	fmt.Fprintf(&b, "  transactions: %d   pairs: %d   dependencies: %d\n",
-		len(r.Transactions), r.PairCount(), len(r.Deps))
-	fmt.Fprintf(&b, "  slice fraction: %.1f%%   analysis time: %s\n",
-		r.SliceFraction*100, r.Duration.Round(1000000))
+	w := newWriter()
+	w.text(r, o)
+	s := string(w.b)
+	w.free()
+	return s
+}
+
+func (w *writer) text(r *core.Report, o Options) {
+	w.add("Extractocol report for ", r.AppName, " (", r.Package, ")\n  transactions: ")
+	w.int(int64(len(r.Transactions)))
+	w.add("   pairs: ")
+	w.int(int64(r.PairCount()))
+	w.add("   dependencies: ")
+	w.int(int64(len(r.Deps)))
+	w.add("\n  slice fraction: ")
+	w.b = strconv.AppendFloat(w.b, r.SliceFraction*100, 'f', 1, 64)
+	w.add("%   analysis time: ", r.Duration.Round(time.Millisecond).String(), "\n")
 	if r.Profile != nil && len(r.Profile.Phases) > 0 {
-		b.WriteString("  phases:")
+		w.add("  phases:")
 		for _, ph := range r.Profile.Phases {
-			fmt.Fprintf(&b, " %s=%s", ph.Name, time.Duration(ph.DurationNS).Round(time.Microsecond))
+			w.add(" ", ph.Name, "=", time.Duration(ph.DurationNS).Round(time.Microsecond).String())
 		}
-		b.WriteString("\n")
+		w.add("\n")
 	}
 	// Degradation events only appear when something was dropped, so healthy
 	// runs render byte-identically with or without budgets configured.
 	if len(r.Diagnostics) > 0 {
-		fmt.Fprintf(&b, "  diagnostics: %d degradation event(s)\n", len(r.Diagnostics))
+		w.add("  diagnostics: ")
+		w.int(int64(len(r.Diagnostics)))
+		w.add(" degradation event(s)\n")
 		for _, d := range r.Diagnostics {
-			fmt.Fprintf(&b, "    %s\n", d)
+			w.add("    ", d.String(), "\n")
 		}
 	}
-	b.WriteString("\n")
-
+	w.add("\n")
 	for _, tx := range r.Transactions {
-		fmt.Fprintf(&b, "#%d %s %s\n", tx.ID, tx.Request.Method, siglang.RegexBody(tx.Request.URI))
-		if len(tx.Request.Headers) > 0 {
-			for _, h := range tx.Request.Headers {
-				fmt.Fprintf(&b, "    header %s: %s\n", h.Key, siglang.RegexBody(h.Val))
-			}
-		}
-		if tx.Request.BodyKind != "" {
-			fmt.Fprintf(&b, "    body (%s): %s\n", tx.Request.BodyKind, bodyText(tx.Request.Body))
-		}
-		if tx.Response != nil && tx.Response.HasBody() {
-			fmt.Fprintf(&b, "    response (%s): %s\n", tx.Response.BodyKind, respText(tx))
-			switch {
-			case tx.SharedHandler:
-				b.WriteString("    pairing: shared response handler (many-to-one)\n")
-			case tx.OneToOne && tx.FlowConfirmed:
-				b.WriteString("    pairing: one-to-one (flow-confirmed)\n")
-			case tx.OneToOne:
-				b.WriteString("    pairing: one-to-one\n")
-			}
-		}
-		if len(tx.Sinks) > 0 {
-			fmt.Fprintf(&b, "    response goes to: %s\n", strings.Join(tx.Sinks, ", "))
-		}
-		if len(tx.Sources) > 0 {
-			fmt.Fprintf(&b, "    request data from: %s\n", strings.Join(tx.Sources, ", "))
-		}
-		if o.Security {
-			if info := SecurityFor(tx); info != nil {
-				fmt.Fprintf(&b, "    security: %s\n", securityLine(info))
-			}
-		}
-		seen := map[string]bool{}
-		for _, d := range depsFor(r, tx.ID) {
-			line := fmt.Sprintf("    uses tx #%d's %s for %s\n", d.From, field(d.FromField), d.ToPart)
-			if seen[line] {
-				continue
-			}
-			seen[line] = true
-			b.WriteString(line)
-		}
-	}
-	return b.String()
-}
-
-func field(f string) string {
-	if f == "" {
-		return "response"
-	}
-	return "response field " + f
-}
-
-func bodyText(s siglang.Sig) string {
-	if j, ok := s.(*siglang.JSON); ok {
-		return siglang.JSONSchema(j)
-	}
-	return siglang.RegexBody(s)
-}
-
-func respText(tx *core.Transaction) string {
-	switch tx.Response.BodyKind {
-	case "json":
-		return "keys " + strings.Join(siglang.Keywords(&siglang.JSON{Root: tx.Response.JSON}), ", ")
-	case "xml":
-		return "tags " + strings.Join(siglang.Keywords(&siglang.XML{Root: tx.Response.XML}), ", ")
-	default:
-		return "raw"
+		w.textTx(r, tx, o)
 	}
 }
 
-func depsFor(r *core.Report, id int) []txdep.Dep {
-	var out []txdep.Dep
+func (w *writer) textTx(r *core.Report, tx *core.Transaction, o Options) {
+	req := tx.Request
+	w.add("#")
+	w.int(int64(tx.ID))
+	w.add(" ", req.Method, " ")
+	w.b = siglang.AppendRegexBody(w.b, req.URI)
+	w.add("\n")
+	for _, h := range req.Headers {
+		w.add("    header ", h.Key, ": ")
+		w.b = siglang.AppendRegexBody(w.b, h.Val)
+		w.add("\n")
+	}
+	if req.BodyKind != "" {
+		w.add("    body (", req.BodyKind, "): ")
+		if j, ok := req.Body.(*siglang.JSON); ok {
+			w.b = siglang.AppendJSONSchema(w.b, j)
+		} else {
+			w.b = siglang.AppendRegexBody(w.b, req.Body)
+		}
+		w.add("\n")
+	}
+	if resp := tx.Response; resp != nil && resp.HasBody() {
+		w.add("    response (", resp.BodyKind, "): ")
+		switch resp.BodyKind {
+		case "json":
+			w.strs = siglang.AppendKeywords(w.strs[:0], &siglang.JSON{Root: resp.JSON})
+			w.add("keys ")
+			w.join(w.strs)
+		case "xml":
+			w.strs = siglang.AppendKeywords(w.strs[:0], &siglang.XML{Root: resp.XML})
+			w.add("tags ")
+			w.join(w.strs)
+		default:
+			w.add("raw")
+		}
+		w.add("\n")
+		switch {
+		case tx.SharedHandler:
+			w.add("    pairing: shared response handler (many-to-one)\n")
+		case tx.OneToOne && tx.FlowConfirmed:
+			w.add("    pairing: one-to-one (flow-confirmed)\n")
+		case tx.OneToOne:
+			w.add("    pairing: one-to-one\n")
+		}
+	}
+	if len(tx.Sinks) > 0 {
+		w.add("    response goes to: ")
+		w.join(tx.Sinks)
+		w.add("\n")
+	}
+	if len(tx.Sources) > 0 {
+		w.add("    request data from: ")
+		w.join(tx.Sources)
+		w.add("\n")
+	}
+	if o.Security {
+		if info := SecurityFor(tx); info != nil {
+			w.add("    security: ", securityLine(info), "\n")
+		}
+	}
+	// One line per dependency feeding this transaction, each distinct
+	// line once: a line equal to one already kept is taken back.
+	var buf [8]int
+	ends := buf[:0] // where each kept line ends
+	first := len(w.b)
 	for _, d := range r.Deps {
-		if d.To == id {
-			out = append(out, d)
+		if d.To != tx.ID {
+			continue
 		}
+		at := len(w.b)
+		w.add("    uses tx #")
+		w.int(int64(d.From))
+		w.add("'s response")
+		if d.FromField != "" {
+			w.add(" field ", d.FromField)
+		}
+		w.add(" for ", d.ToPart, "\n")
+		if w.repeats(first, ends, at) {
+			w.b = w.b[:at]
+			continue
+		}
+		ends = append(ends, len(w.b))
 	}
-	return out
+}
+
+// repeats reports whether the line from at to the end of w.b equals one
+// of the lines that start at first and end at ends, one after another.
+func (w *writer) repeats(first int, ends []int, at int) bool {
+	line := w.b[at:]
+	for _, end := range ends {
+		if bytes.Equal(w.b[first:end], line) {
+			return true
+		}
+		first = end
+	}
+	return false
 }
 
 // jsonDep is the machine-readable dependency edge shape.
@@ -147,9 +187,6 @@ func JSON(r *core.Report) ([]byte, error) {
 	return JSONOpts(r, Options{})
 }
 
-// jsonBufs keeps JSONOpts' render buffers between calls.
-var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // JSONOpts is JSON with optional report layers enabled. The zero Options
 // value renders exactly what JSON renders.
 //
@@ -160,33 +197,92 @@ var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
 // members left out, header keys sorted with a repeated key's last value
 // kept, an empty transaction list as null, strings escaped by
 // encoding/json's rules. The profile, the diagnostics and the security
-// verdicts go through json.MarshalIndent with their member's indentation
-// as prefix.
+// verdicts are written the same way, as json.MarshalIndent writes
+// obs.Profile, budget.Diagnostic and SecurityInfo. Each signature string
+// is rendered into one reused scratch buffer and quoted from there.
 func JSONOpts(r *core.Report, o Options) ([]byte, error) {
-	bp := jsonBufs.Get().(*[]byte)
-	w := jsonWriter{b: (*bp)[:0]}
+	w := newWriter()
 	w.report(r, o)
+	return w.done()
+}
+
+// ProfileJSON renders just the per-phase observability breakdown of a
+// report as indented JSON — the payload behind the -profile CLI flag.
+func ProfileJSON(r *core.Report) ([]byte, error) {
+	w := newWriter()
+	w.open('{')
+	w.key("package")
+	w.str(r.Package)
+	w.key("app")
+	w.str(r.AppName)
+	w.key("duration_ms")
+	w.int(r.Duration.Milliseconds())
+	w.key("profile")
+	w.profile(r.Profile)
+	w.close('}')
+	return w.done()
+}
+
+// writers keeps render buffers between calls.
+var writers = sync.Pool{New: func() any { return new(writer) }}
+
+// writer appends one rendered document to b: the text report, or an
+// indented JSON document.
+type writer struct {
+	b       []byte
+	scratch []byte   // one signature string, before it is quoted into b
+	strs    []string // keywords, or a map's keys in order
+	depth   int      // nesting level of the JSON members or elements being written
+	empty   bool     // the innermost open JSON object or array has nothing in it yet
+	err     error
+}
+
+func newWriter() *writer {
+	w := writers.Get().(*writer)
+	w.b, w.scratch = w.b[:0], w.scratch[:0]
+	w.depth, w.empty, w.err = 0, false, nil
+	return w
+}
+
+// free returns w to the pool, keeping no report's strings alive.
+func (w *writer) free() {
+	clear(w.strs[:cap(w.strs)])
+	writers.Put(w)
+}
+
+// done copies the JSON document out at its exact length, or returns the
+// first error, and frees w.
+func (w *writer) done() ([]byte, error) {
 	var out []byte
-	if w.err == nil {
+	err := w.err
+	if err == nil {
 		out = make([]byte, len(w.b))
 		copy(out, w.b)
 	}
-	*bp = w.b
-	jsonBufs.Put(bp)
-	return out, w.err
+	w.free()
+	return out, err
 }
 
-// jsonWriter appends one indented JSON document to b.
-type jsonWriter struct {
-	b     []byte
-	depth int  // nesting level of the members or elements being written
-	empty bool // the innermost open object or array has nothing in it yet
-	err   error
+// add appends text verbatim.
+func (w *writer) add(parts ...string) {
+	for _, s := range parts {
+		w.b = append(w.b, s...)
+	}
+}
+
+// join appends ss separated by ", ".
+func (w *writer) join(ss []string) {
+	for i, s := range ss {
+		if i > 0 {
+			w.b = append(w.b, ", "...)
+		}
+		w.b = append(w.b, s...)
+	}
 }
 
 const jsonIndent = "                " // 2 spaces per level, deeper than report nests
 
-func (w *jsonWriter) report(r *core.Report, o Options) {
+func (w *writer) report(r *core.Report, o Options) {
 	w.open('{')
 	w.key("package")
 	w.str(r.Package)
@@ -194,7 +290,7 @@ func (w *jsonWriter) report(r *core.Report, o Options) {
 	w.str(r.AppName)
 	w.key("transactions")
 	if len(r.Transactions) == 0 {
-		w.b = append(w.b, "null"...)
+		w.null()
 	} else {
 		w.open('[')
 		for _, tx := range r.Transactions {
@@ -220,16 +316,21 @@ func (w *jsonWriter) report(r *core.Report, o Options) {
 	w.int(r.Duration.Milliseconds())
 	if r.Profile != nil {
 		w.key("profile")
-		w.marshal(r.Profile)
+		w.profile(r.Profile)
 	}
 	if len(r.Diagnostics) > 0 {
 		w.key("diagnostics")
-		w.marshal(r.Diagnostics)
+		w.open('[')
+		for _, d := range r.Diagnostics {
+			w.next()
+			w.diagnostic(d)
+		}
+		w.close(']')
 	}
 	w.close('}')
 }
 
-func (w *jsonWriter) tx(tx *core.Transaction, o Options) {
+func (w *writer) tx(tx *core.Transaction, o Options) {
 	req := tx.Request
 	w.open('{')
 	w.key("id")
@@ -237,7 +338,8 @@ func (w *jsonWriter) tx(tx *core.Transaction, o Options) {
 	w.key("method")
 	w.str(req.Method)
 	w.key("uri_regex")
-	w.str(tx.URIRegex())
+	w.scratch = siglang.AppendRegex(w.scratch[:0], req.URI)
+	w.quoteScratch()
 	if len(req.Headers) > 0 {
 		w.key("headers")
 		w.headers(req.Headers)
@@ -245,22 +347,28 @@ func (w *jsonWriter) tx(tx *core.Transaction, o Options) {
 	w.optStr("body_kind", req.BodyKind)
 	switch req.BodyKind {
 	case "json":
-		w.optStr("body_schema", siglang.JSONSchema(req.Body))
+		w.scratch = siglang.AppendJSONSchema(w.scratch[:0], req.Body)
+		w.optScratch("body_schema")
 	case "":
 	default:
-		w.optStr("body_regex", siglang.Regex(req.Body))
+		w.scratch = siglang.AppendRegex(w.scratch[:0], req.Body)
+		w.optScratch("body_regex")
 	}
 	if resp := tx.Response; resp != nil && resp.HasBody() {
 		w.optStr("resp_kind", resp.BodyKind)
 		switch resp.BodyKind {
 		case "json":
 			doc := &siglang.JSON{Root: resp.JSON}
-			w.optStrs("resp_keys", siglang.Keywords(doc))
-			w.optStr("resp_schema", siglang.JSONSchema(doc))
+			w.strs = siglang.AppendKeywords(w.strs[:0], doc)
+			w.optStrs("resp_keys", w.strs)
+			w.scratch = siglang.AppendJSONSchema(w.scratch[:0], doc)
+			w.optScratch("resp_schema")
 		case "xml":
 			doc := &siglang.XML{Root: resp.XML}
-			w.optStrs("resp_keys", siglang.Keywords(doc))
-			w.optStr("resp_dtd", siglang.DTD(doc))
+			w.strs = siglang.AppendKeywords(w.strs[:0], doc)
+			w.optStrs("resp_keys", w.strs)
+			w.scratch = siglang.AppendDTD(w.scratch[:0], doc)
+			w.optScratch("resp_dtd")
 		}
 	}
 	w.key("paired")
@@ -272,7 +380,7 @@ func (w *jsonWriter) tx(tx *core.Transaction, o Options) {
 	if o.Security {
 		if info := SecurityFor(tx); info != nil {
 			w.key("security")
-			w.marshal(info)
+			w.security(info)
 		}
 	}
 	w.close('}')
@@ -280,7 +388,7 @@ func (w *jsonWriter) tx(tx *core.Transaction, o Options) {
 
 // headers writes request headers as the map the struct shape held: keys
 // sorted, and a key sent twice keeps its last value.
-func (w *jsonWriter) headers(hs []siglang.KV) {
+func (w *writer) headers(hs []siglang.KV) {
 	var buf [8]int
 	order := buf[:0]
 	for i := range hs {
@@ -293,14 +401,15 @@ func (w *jsonWriter) headers(hs []siglang.KV) {
 			continue
 		}
 		w.next()
-		w.b = appendJSONString(w.b, hs[h].Key)
+		w.str(hs[h].Key)
 		w.b = append(w.b, ": "...)
-		w.str(siglang.RegexBody(hs[h].Val))
+		w.scratch = siglang.AppendRegexBody(w.scratch[:0], hs[h].Val)
+		w.quoteScratch()
 	}
 	w.close('}')
 }
 
-func (w *jsonWriter) dep(d txdep.Dep) {
+func (w *writer) dep(d txdep.Dep) {
 	w.open('{')
 	w.key("from")
 	w.int(int64(d.From))
@@ -314,8 +423,135 @@ func (w *jsonWriter) dep(d txdep.Dep) {
 	w.close('}')
 }
 
+// profile writes p as json.MarshalIndent writes an *obs.Profile: map
+// members sorted by key and left out when empty, a nil phase list or
+// histogram as null.
+func (w *writer) profile(p *obs.Profile) {
+	if p == nil {
+		w.null()
+		return
+	}
+	w.open('{')
+	w.key("total_ns")
+	w.int(p.TotalNS)
+	w.key("phases")
+	if p.Phases == nil {
+		w.null()
+	} else {
+		w.open('[')
+		for _, ph := range p.Phases {
+			w.next()
+			w.open('{')
+			w.key("name")
+			w.str(ph.Name)
+			w.key("duration_ns")
+			w.int(ph.DurationNS)
+			w.close('}')
+		}
+		w.close(']')
+	}
+	if len(p.Counters) > 0 {
+		w.key("counters")
+		w.open('{')
+		for _, k := range sortedKeys(w, p.Counters) {
+			w.mapKey(k)
+			w.int(p.Counters[k])
+		}
+		w.close('}')
+	}
+	if len(p.Gauges) > 0 {
+		w.key("gauges")
+		w.open('{')
+		for _, k := range sortedKeys(w, p.Gauges) {
+			w.mapKey(k)
+			w.float(p.Gauges[k])
+		}
+		w.close('}')
+	}
+	if len(p.Hists) > 0 {
+		w.key("hists")
+		w.open('{')
+		for _, k := range sortedKeys(w, p.Hists) {
+			w.mapKey(k)
+			w.hist(p.Hists[k])
+		}
+		w.close('}')
+	}
+	w.close('}')
+}
+
+func (w *writer) hist(h *obs.HistSnapshot) {
+	if h == nil {
+		w.null()
+		return
+	}
+	w.open('{')
+	w.key("count")
+	w.int(h.Count)
+	w.key("sum_ns")
+	w.int(h.SumNS)
+	w.key("max_ns")
+	w.int(h.MaxNS)
+	w.key("p50_ns")
+	w.int(h.P50NS)
+	w.key("p90_ns")
+	w.int(h.P90NS)
+	w.key("p99_ns")
+	w.int(h.P99NS)
+	if len(h.Buckets) > 0 {
+		w.key("buckets")
+		w.open('[')
+		for _, bk := range h.Buckets {
+			w.next()
+			w.open('{')
+			w.key("i")
+			w.int(int64(bk.Idx))
+			w.key("n")
+			w.int(bk.N)
+			w.close('}')
+		}
+		w.close(']')
+	}
+	w.close('}')
+}
+
+// sortedKeys returns m's keys in order, in w.strs.
+func sortedKeys[V any](w *writer, m map[string]V) []string {
+	w.strs = w.strs[:0]
+	for k := range m {
+		w.strs = append(w.strs, k)
+	}
+	slices.Sort(w.strs)
+	return w.strs
+}
+
+func (w *writer) diagnostic(d budget.Diagnostic) {
+	w.open('{')
+	w.key("phase")
+	w.str(d.Phase)
+	w.key("kind")
+	w.str(d.Kind)
+	w.key("site")
+	w.str(d.Site)
+	w.optStr("detail", d.Detail)
+	w.optStrs("flight", d.Flight)
+	w.close('}')
+}
+
+func (w *writer) security(info *SecurityInfo) {
+	w.open('{')
+	w.optStr("scheme", info.Scheme)
+	if info.Cleartext {
+		w.key("cleartext")
+		w.b = append(w.b, "true"...)
+	}
+	w.optStrs("credential_keys", info.CredentialKeys)
+	w.optStrs("pii_keys", info.PIIKeys)
+	w.close('}')
+}
+
 // open starts an object or array one level deeper.
-func (w *jsonWriter) open(c byte) {
+func (w *writer) open(c byte) {
 	w.b = append(w.b, c)
 	w.depth++
 	w.empty = true
@@ -323,7 +559,7 @@ func (w *jsonWriter) open(c byte) {
 
 // close ends the innermost object or array; an empty one stays "{}" or
 // "[]" on one line.
-func (w *jsonWriter) close(c byte) {
+func (w *writer) close(c byte) {
 	w.depth--
 	if !w.empty {
 		w.newline()
@@ -333,7 +569,7 @@ func (w *jsonWriter) close(c byte) {
 }
 
 // next starts a member or element on its own line.
-func (w *jsonWriter) next() {
+func (w *writer) next() {
 	if !w.empty {
 		w.b = append(w.b, ',')
 	}
@@ -341,32 +577,52 @@ func (w *jsonWriter) next() {
 	w.newline()
 }
 
-func (w *jsonWriter) newline() {
+func (w *writer) newline() {
 	w.b = append(w.b, '\n')
 	w.b = append(w.b, jsonIndent[:2*w.depth]...)
 }
 
 // key starts a member whose name needs no escaping.
-func (w *jsonWriter) key(name string) {
+func (w *writer) key(name string) {
 	w.next()
 	w.b = append(w.b, '"')
 	w.b = append(w.b, name...)
 	w.b = append(w.b, `": `...)
 }
 
-func (w *jsonWriter) str(s string) { w.b = appendJSONString(w.b, s) }
+// mapKey starts a member named by a map key, which is escaped.
+func (w *writer) mapKey(k string) {
+	w.next()
+	w.str(k)
+	w.b = append(w.b, ": "...)
+}
 
-func (w *jsonWriter) int(v int64) { w.b = strconv.AppendInt(w.b, v, 10) }
+func (w *writer) null() { w.b = append(w.b, "null"...) }
 
-// optStr and optStrs write a member that the struct shape marks omitempty.
-func (w *jsonWriter) optStr(name, s string) {
+func (w *writer) str(s string) { w.b = appendJSONString(w.b, s) }
+
+// quoteScratch writes the signature string rendered into w.scratch.
+func (w *writer) quoteScratch() { w.b = appendJSONString(w.b, w.scratch) }
+
+func (w *writer) int(v int64) { w.b = strconv.AppendInt(w.b, v, 10) }
+
+// optStr, optScratch and optStrs write a member that the struct shape
+// marks omitempty.
+func (w *writer) optStr(name, s string) {
 	if s != "" {
 		w.key(name)
 		w.str(s)
 	}
 }
 
-func (w *jsonWriter) optStrs(name string, ss []string) {
+func (w *writer) optScratch(name string) {
+	if len(w.scratch) > 0 {
+		w.key(name)
+		w.quoteScratch()
+	}
+}
+
+func (w *writer) optStrs(name string, ss []string) {
 	if len(ss) == 0 {
 		return
 	}
@@ -382,7 +638,7 @@ func (w *jsonWriter) optStrs(name string, ss []string) {
 // float writes f as encoding/json does: 'f' format, or 'e' below 1e-6 and
 // from 1e21 up with the exponent's leading zero dropped. NaN and the
 // infinities have no JSON form and fail the document.
-func (w *jsonWriter) float(f float64) {
+func (w *writer) float(f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		if w.err == nil {
 			w.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
@@ -400,24 +656,11 @@ func (w *jsonWriter) float(f float64) {
 	}
 }
 
-// marshal writes v through json.MarshalIndent, indented to sit at the
-// current member.
-func (w *jsonWriter) marshal(v any) {
-	out, err := json.MarshalIndent(v, jsonIndent[:2*w.depth], "  ")
-	if err != nil {
-		if w.err == nil {
-			w.err = err
-		}
-		return
-	}
-	w.b = append(w.b, out...)
-}
-
 // appendJSONString appends s quoted by encoding/json's rules, HTML escaping
 // included: `"`, `\` and the control bytes are escaped (\b, \f, \n, \r and
 // \t by name), "<", ">" and "&" become \u003c, \u003e and \u0026, each byte
 // of invalid UTF-8 becomes \ufffd, and U+2028 and U+2029 are escaped.
-func appendJSONString(b []byte, s string) []byte {
+func appendJSONString[S string | []byte](b []byte, s S) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0
@@ -448,7 +691,8 @@ func appendJSONString(b []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		// Only a few bytes are converted, so the string stays on the stack.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(len(s), i+utf8.UTFMax)]))
 		switch {
 		case r == utf8.RuneError && size == 1:
 			b = append(b, s[start:i]...)
@@ -465,23 +709,6 @@ func appendJSONString(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
-}
-
-// ProfileJSON renders just the per-phase observability breakdown of a
-// report as indented JSON — the payload behind the -profile CLI flag.
-func ProfileJSON(r *core.Report) ([]byte, error) {
-	type profileDoc struct {
-		Package    string       `json:"package"`
-		App        string       `json:"app"`
-		DurationMS int64        `json:"duration_ms"`
-		Profile    *obs.Profile `json:"profile"`
-	}
-	return json.MarshalIndent(profileDoc{
-		Package:    r.Package,
-		App:        r.AppName,
-		DurationMS: r.Duration.Milliseconds(),
-		Profile:    r.Profile,
-	}, "", "  ")
 }
 
 // DOT renders the inter-transaction dependency graph in Graphviz format,

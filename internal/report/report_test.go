@@ -3,7 +3,9 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -318,8 +320,17 @@ func edgeReport(pkg, app, uri, header, dp string, frac float64, flags uint8) (*c
 		r.Diagnostics = []budget.Diagnostic{{Phase: "slice", Kind: "budget", Site: dp, Detail: uri}}
 	}
 	if flags&edgeProfile != 0 {
-		r.Profile = &obs.Profile{TotalNS: 1500000, Phases: []obs.PhaseProfile{{Name: "slice", DurationNS: 900000}},
-			Counters: map[string]int64{header: 3}}
+		r.Profile = &obs.Profile{
+			TotalNS:  1500000,
+			Phases:   []obs.PhaseProfile{{Name: "slice", DurationNS: 900000}, {Name: dp, DurationNS: 1234567}},
+			Counters: map[string]int64{header: 3, "a": -1},
+			Gauges:   map[string]float64{header: frac, "z": 0.5},
+			Hists: map[string]*obs.HistSnapshot{
+				header: {Count: 2, SumNS: 10, MaxNS: 7, P50NS: 3, P90NS: 7, P99NS: 7, Buckets: []obs.HistBucket{{Idx: 1, N: 2}}},
+				"nil":  nil,
+				"zero": {},
+			},
+		}
 	}
 	return r, Options{Security: flags&edgeSecurity != 0}
 }
@@ -383,4 +394,250 @@ func FuzzReportJSON(f *testing.F) {
 		rep, o := edgeReport(pkg, app, uri, header, dp, frac, flags)
 		checkJSONMatchesOracle(t, "fuzz", rep, o)
 	})
+}
+
+// oracleText is TextOpts as it was before it appended in one pass:
+// fmt.Fprintf per line into a strings.Builder. TextOpts must equal it
+// byte for byte.
+func oracleText(r *core.Report, o Options) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Extractocol report for %s (%s)\n", r.AppName, r.Package)
+	fmt.Fprintf(&b, "  transactions: %d   pairs: %d   dependencies: %d\n",
+		len(r.Transactions), r.PairCount(), len(r.Deps))
+	fmt.Fprintf(&b, "  slice fraction: %.1f%%   analysis time: %s\n",
+		r.SliceFraction*100, r.Duration.Round(1000000))
+	if r.Profile != nil && len(r.Profile.Phases) > 0 {
+		b.WriteString("  phases:")
+		for _, ph := range r.Profile.Phases {
+			fmt.Fprintf(&b, " %s=%s", ph.Name, time.Duration(ph.DurationNS).Round(time.Microsecond))
+		}
+		b.WriteString("\n")
+	}
+	if len(r.Diagnostics) > 0 {
+		fmt.Fprintf(&b, "  diagnostics: %d degradation event(s)\n", len(r.Diagnostics))
+		for _, d := range r.Diagnostics {
+			fmt.Fprintf(&b, "    %s\n", d)
+		}
+	}
+	b.WriteString("\n")
+
+	for _, tx := range r.Transactions {
+		fmt.Fprintf(&b, "#%d %s %s\n", tx.ID, tx.Request.Method, siglang.RegexBody(tx.Request.URI))
+		if len(tx.Request.Headers) > 0 {
+			for _, h := range tx.Request.Headers {
+				fmt.Fprintf(&b, "    header %s: %s\n", h.Key, siglang.RegexBody(h.Val))
+			}
+		}
+		if tx.Request.BodyKind != "" {
+			fmt.Fprintf(&b, "    body (%s): %s\n", tx.Request.BodyKind, bodyText(tx.Request.Body))
+		}
+		if tx.Response != nil && tx.Response.HasBody() {
+			fmt.Fprintf(&b, "    response (%s): %s\n", tx.Response.BodyKind, respText(tx))
+			switch {
+			case tx.SharedHandler:
+				b.WriteString("    pairing: shared response handler (many-to-one)\n")
+			case tx.OneToOne && tx.FlowConfirmed:
+				b.WriteString("    pairing: one-to-one (flow-confirmed)\n")
+			case tx.OneToOne:
+				b.WriteString("    pairing: one-to-one\n")
+			}
+		}
+		if len(tx.Sinks) > 0 {
+			fmt.Fprintf(&b, "    response goes to: %s\n", strings.Join(tx.Sinks, ", "))
+		}
+		if len(tx.Sources) > 0 {
+			fmt.Fprintf(&b, "    request data from: %s\n", strings.Join(tx.Sources, ", "))
+		}
+		if o.Security {
+			if info := SecurityFor(tx); info != nil {
+				fmt.Fprintf(&b, "    security: %s\n", securityLine(info))
+			}
+		}
+		seen := map[string]bool{}
+		for _, d := range depsFor(r, tx.ID) {
+			line := fmt.Sprintf("    uses tx #%d's %s for %s\n", d.From, field(d.FromField), d.ToPart)
+			if seen[line] {
+				continue
+			}
+			seen[line] = true
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
+func field(f string) string {
+	if f == "" {
+		return "response"
+	}
+	return "response field " + f
+}
+
+func bodyText(s siglang.Sig) string {
+	if j, ok := s.(*siglang.JSON); ok {
+		return siglang.JSONSchema(j)
+	}
+	return siglang.RegexBody(s)
+}
+
+func respText(tx *core.Transaction) string {
+	switch tx.Response.BodyKind {
+	case "json":
+		return "keys " + strings.Join(siglang.Keywords(&siglang.JSON{Root: tx.Response.JSON}), ", ")
+	case "xml":
+		return "tags " + strings.Join(siglang.Keywords(&siglang.XML{Root: tx.Response.XML}), ", ")
+	default:
+		return "raw"
+	}
+}
+
+func depsFor(r *core.Report, id int) []txdep.Dep {
+	var out []txdep.Dep
+	for _, d := range r.Deps {
+		if d.To == id {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// checkTextMatchesOracle requires TextOpts to render r byte for byte as
+// the oracle does.
+func checkTextMatchesOracle(t *testing.T, name string, r *core.Report, o Options) {
+	t.Helper()
+	if got, want := TextOpts(r, o), oracleText(r, o); got != want {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s: TextOpts differs from the oracle at byte %d:\ngot  %q\nwant %q",
+			name, i, got[max(0, i-40):min(len(got), i+40)], want[max(0, i-40):min(len(want), i+40)])
+	}
+}
+
+// TestTextMatchesOracle holds the one-pass text renderer to the
+// fmt.Fprintf oracle over the corpus with its phase profiles, a generated
+// corpus and the edge cases, with the security lens on and off, and over
+// reports whose dependency lines repeat.
+func TestTextMatchesOracle(t *testing.T) {
+	for _, a := range append(corpus.Apps(), corpus.Rand(1729, 100)...) {
+		rep, err := core.Analyze(a.Prog, core.NewOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", a.Spec.Name, err)
+		}
+		for _, o := range []Options{{}, {Security: true}} {
+			checkTextMatchesOracle(t, a.Spec.Name, rep, o)
+		}
+	}
+	for _, c := range jsonEdgeCases {
+		for _, sec := range []uint8{0, edgeSecurity} {
+			rep, o := edgeReport(c.pkg, c.app, c.uri, c.header, c.dp, c.frac, c.flags|sec)
+			checkTextMatchesOracle(t, c.pkg, rep, o)
+		}
+	}
+	// Dependency lines are written once each: the same edge twice, and two
+	// edges whose field and part render to the same line.
+	rep, o := edgeReport("dup", "a", "u", "k", "d", 0.5, 0)
+	rep.Deps = append(rep.Deps,
+		txdep.Dep{From: 1, To: 2, FromField: "k", ToPart: "uri", Via: "other"},
+		txdep.Dep{From: 1, To: 2, FromField: "a for b", ToPart: "c"},
+		txdep.Dep{From: 1, To: 2, FromField: "a", ToPart: "b for c"},
+		txdep.Dep{From: 1, To: 2, FromField: "x\n    uses tx #1's response", ToPart: "y"},
+		txdep.Dep{From: 1, To: 2, ToPart: "y"},
+		txdep.Dep{From: 2, To: 1, ToPart: "uri"},
+		txdep.Dep{From: 2, To: 1, ToPart: "uri"},
+	)
+	checkTextMatchesOracle(t, "dup", rep, o)
+	if text := TextOpts(rep, o); strings.Count(text, "uses tx #1's response field k for uri") != 1 {
+		t.Fatalf("a repeated dependency line is written %d times:\n%s",
+			strings.Count(text, "uses tx #1's response field k for uri"), text)
+	}
+}
+
+// FuzzReportText renders the edge-case report shapes with arbitrary
+// strings and slice fractions through the one-pass text renderer and
+// through the oracle.
+func FuzzReportText(f *testing.F) {
+	for _, c := range jsonEdgeCases {
+		f.Add(c.pkg, c.app, c.uri, c.header, c.dp, c.frac, c.flags)
+	}
+	f.Fuzz(func(t *testing.T, pkg, app, uri, header, dp string, frac float64, flags uint8) {
+		rep, o := edgeReport(pkg, app, uri, header, dp, frac, flags)
+		checkTextMatchesOracle(t, "fuzz", rep, o)
+	})
+}
+
+// oracleProfileJSON is ProfileJSON as it was: json.MarshalIndent of a
+// struct shape.
+func oracleProfileJSON(r *core.Report) ([]byte, error) {
+	type profileDoc struct {
+		Package    string       `json:"package"`
+		App        string       `json:"app"`
+		DurationMS int64        `json:"duration_ms"`
+		Profile    *obs.Profile `json:"profile"`
+	}
+	return json.MarshalIndent(profileDoc{
+		Package:    r.Package,
+		App:        r.AppName,
+		DurationMS: r.Duration.Milliseconds(),
+		Profile:    r.Profile,
+	}, "", "  ")
+}
+
+// TestProfileJSONMatchesOracle holds ProfileJSON to the struct-shape
+// oracle on the corpus reports' profiles, on none, on an empty one and on
+// the edge-case profiles.
+func TestProfileJSONMatchesOracle(t *testing.T) {
+	var reps []*core.Report
+	for _, a := range corpus.Apps() {
+		rep, err := core.Analyze(a.Prog, core.NewOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", a.Spec.Name, err)
+		}
+		reps = append(reps, rep)
+	}
+	reps = append(reps,
+		&core.Report{Package: "none"},
+		&core.Report{Package: "empty", Profile: &obs.Profile{}},
+		&core.Report{Package: "empty-phases", Profile: &obs.Profile{Phases: []obs.PhaseProfile{}}})
+	for _, c := range jsonEdgeCases {
+		rep, _ := edgeReport(c.pkg, c.app, c.uri, c.header, c.dp, c.frac, c.flags|edgeProfile)
+		reps = append(reps, rep)
+	}
+	for _, rep := range reps {
+		got, err := ProfileJSON(rep)
+		want, werr := oracleProfileJSON(rep)
+		switch {
+		case (err != nil) != (werr != nil):
+			t.Fatalf("%s: ProfileJSON error %v, oracle error %v", rep.Package, err, werr)
+		case err != nil:
+			if err.Error() != werr.Error() {
+				t.Fatalf("%s: ProfileJSON error %q, oracle error %q", rep.Package, err, werr)
+			}
+		case !bytes.Equal(got, want):
+			t.Fatalf("%s: ProfileJSON differs from the oracle:\ngot  %s\nwant %s", rep.Package, got, want)
+		}
+	}
+}
+
+// TestWriterKnowsEveryMember pins the members of the types the JSON
+// writer renders by hand, which the struct-shape oracle marshals by
+// reflection: a member added to one of them must be written by the
+// writer too, and then counted here.
+func TestWriterKnowsEveryMember(t *testing.T) {
+	for _, c := range []struct {
+		v       any
+		members int
+	}{
+		{obs.Profile{}, 5},
+		{obs.PhaseProfile{}, 2},
+		{obs.HistSnapshot{}, 7},
+		{obs.HistBucket{}, 2},
+		{budget.Diagnostic{}, 5},
+		{SecurityInfo{}, 4},
+	} {
+		if n := reflect.TypeOf(c.v).NumField(); n != c.members {
+			t.Errorf("%T has %d members; the JSON writer writes %d", c.v, n, c.members)
+		}
+	}
 }

@@ -115,9 +115,6 @@ func (c *Cache) DrainContention() (lockWaitNS, sameKeyRaces, installRetries int6
 	return c.lockWaitNS.Swap(0), c.sameKeyRaces.Swap(0), c.installRetries.Swap(0)
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // path maps a cache key to its entry file.
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".report")

@@ -112,9 +112,10 @@ func TestParseDepthLimit(t *testing.T) {
 // FuzzSiglangCanon checks the parser/renderer contract: any input the
 // parser accepts must render to a canonical form that re-parses to the
 // same canonical form (Parse∘Canon is a fixed point), and no input —
-// however malformed — may panic or overflow the stack.
+// however malformed — may panic or overflow the stack. Every append
+// renderer must also equal its oracle on what the parser accepts.
 func FuzzSiglangCanon(f *testing.F) {
-	for _, sig := range corpusSigs() {
+	for _, sig := range oracleSigs() {
 		f.Add(Canon(sig))
 	}
 	f.Add("obj{")
@@ -134,5 +135,6 @@ func FuzzSiglangCanon(f *testing.F) {
 		if c2 := Canon(sig2); c2 != c1 {
 			t.Fatalf("canonical form is not a fixed point:\n in  %q\n c1  %q\n c2  %q", s, c1, c2)
 		}
+		checkRenderersMatchOracle(t, sig, []Sig{sig2, nil, Str(c1), AnyString()})
 	})
 }

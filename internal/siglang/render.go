@@ -1,8 +1,8 @@
 package siglang
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -10,183 +10,184 @@ import (
 // document. Unknown leaves become {"type": "..."} entries; objects list
 // their properties; open arrays carry an "items" entry.
 func JSONSchema(s Sig) string {
-	var b strings.Builder
-	writeSchema(s, &b)
-	return b.String()
+	var buf [256]byte
+	return string(AppendJSONSchema(buf[:0], s))
 }
 
-func writeSchema(s Sig, b *strings.Builder) {
+// AppendJSONSchema appends the JSONSchema document of s to b.
+func AppendJSONSchema(b []byte, s Sig) []byte {
 	switch v := s.(type) {
 	case nil:
-		b.WriteString(`{"type":"any"}`)
+		b = append(b, `{"type":"any"}`...)
 	case *JSON:
-		writeSchema(v.Root, b)
+		b = AppendJSONSchema(b, v.Root)
 	case *Lit:
 		if v.Num {
-			fmt.Fprintf(b, `{"type":"number","const":%s}`, v.Val)
+			b = append(b, `{"type":"number","const":`...)
+			b = append(b, v.Val...)
 		} else {
-			fmt.Fprintf(b, `{"type":"string","const":%q}`, v.Val)
+			b = append(b, `{"type":"string","const":`...)
+			b = strconv.AppendQuote(b, v.Val)
 		}
+		b = append(b, '}')
 	case *Unknown:
 		switch v.Type {
 		case VInt:
-			b.WriteString(`{"type":"number"}`)
+			b = append(b, `{"type":"number"}`...)
 		case VBool:
-			b.WriteString(`{"type":"boolean"}`)
+			b = append(b, `{"type":"boolean"}`...)
 		case VString:
-			b.WriteString(`{"type":"string"}`)
+			b = append(b, `{"type":"string"}`...)
 		default:
-			b.WriteString(`{"type":"any"}`)
+			b = append(b, `{"type":"any"}`...)
 		}
 	case *Obj:
-		b.WriteString(`{"type":"object","properties":{`)
+		b = append(b, `{"type":"object","properties":{`...)
 		first := true
 		for _, kv := range v.Pairs {
 			if kv.Dyn {
 				continue
 			}
 			if !first {
-				b.WriteString(",")
+				b = append(b, ',')
 			}
 			first = false
-			fmt.Fprintf(b, "%q:", kv.Key)
-			writeSchema(kv.Val, b)
+			b = strconv.AppendQuote(b, kv.Key)
+			b = append(b, ':')
+			b = AppendJSONSchema(b, kv.Val)
 		}
-		b.WriteString("}")
+		b = append(b, '}')
 		for _, kv := range v.Pairs {
 			if kv.Dyn {
-				b.WriteString(`,"additionalProperties":`)
-				writeSchema(kv.Val, b)
+				b = append(b, `,"additionalProperties":`...)
+				b = AppendJSONSchema(b, kv.Val)
 				break
 			}
 		}
-		b.WriteString("}")
+		b = append(b, '}')
 	case *Arr:
-		b.WriteString(`{"type":"array","items":`)
+		b = append(b, `{"type":"array","items":`...)
 		var item Sig
 		for _, e := range v.Elems {
 			item = Merge(item, e)
 		}
-		writeSchema(item, b)
-		b.WriteString("}")
+		b = AppendJSONSchema(b, item)
+		b = append(b, '}')
 	case *Or:
-		b.WriteString(`{"anyOf":[`)
+		b = append(b, `{"anyOf":[`...)
 		for i, a := range v.Alts {
 			if i > 0 {
-				b.WriteString(",")
+				b = append(b, ',')
 			}
-			writeSchema(a, b)
+			b = AppendJSONSchema(b, a)
 		}
-		b.WriteString("]}")
+		b = append(b, "]}"...)
 	case *Concat, *Rep:
 		// Text-shaped signature inside a JSON position: describe as string.
-		fmt.Fprintf(b, `{"type":"string","pattern":%q}`, RegexBody(s))
+		b = append(b, `{"type":"string","pattern":`...)
+		b = strconv.AppendQuote(b, RegexBody(s))
+		b = append(b, '}')
 	case *XML:
-		fmt.Fprintf(b, `{"type":"string","media":"text/xml"}`)
+		b = append(b, `{"type":"string","media":"text/xml"}`...)
 	}
+	return b
 }
 
 // DTD renders an XML signature tree as a Document Type Definition, the
 // alternative representation the paper mentions for XML bodies.
 func DTD(x *XML) string {
-	if x == nil || x.Root == nil {
-		return ""
-	}
-	var b strings.Builder
-	seen := map[string]bool{}
-	writeDTD(x.Root, &b, seen)
-	return strings.TrimRight(b.String(), "\n")
+	var buf [256]byte
+	return string(AppendDTD(buf[:0], x))
 }
 
-func writeDTD(e *Elem, b *strings.Builder, seen map[string]bool) {
-	if e == nil || seen[e.Tag] {
-		return
+// AppendDTD appends the DTD of x to b: an element declaration for each
+// tag, the first time it appears in a depth-first walk, followed by the
+// tag's attribute list if it has attributes, one declaration per line and
+// no newline after the last. It appends nothing for an empty tree.
+func AppendDTD(b []byte, x *XML) []byte {
+	if x == nil || x.Root == nil {
+		return b
 	}
-	seen[e.Tag] = true
-	if len(e.Children) == 0 {
-		if e.Text != nil {
-			fmt.Fprintf(b, "<!ELEMENT %s (#PCDATA)>\n", e.Tag)
-		} else {
-			fmt.Fprintf(b, "<!ELEMENT %s EMPTY>\n", e.Tag)
+	var buf [16]string
+	b, _ = appendDTD(b, x.Root, buf[:0])
+	return b[:len(b)-1]
+}
+
+func appendDTD(b []byte, e *Elem, seen []string) ([]byte, []string) {
+	if e == nil || slices.Contains(seen, e.Tag) {
+		return b, seen
+	}
+	seen = append(seen, e.Tag)
+	b = append(b, "<!ELEMENT "...)
+	b = append(b, e.Tag...)
+	switch {
+	case len(e.Children) > 0:
+		b = append(b, " ("...)
+		for i, c := range e.Children {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, c.Tag...)
 		}
-	} else {
-		names := make([]string, 0, len(e.Children))
-		for _, c := range e.Children {
-			names = append(names, c.Tag)
-		}
-		fmt.Fprintf(b, "<!ELEMENT %s (%s)>\n", e.Tag, strings.Join(names, ", "))
+		b = append(b, ")>\n"...)
+	case e.Text != nil:
+		b = append(b, " (#PCDATA)>\n"...)
+	default:
+		b = append(b, " EMPTY>\n"...)
 	}
 	if len(e.Attrs) > 0 {
-		attrs := make([]string, 0, len(e.Attrs))
-		for _, a := range e.Attrs {
-			attrs = append(attrs, fmt.Sprintf("%s CDATA #IMPLIED", a.Key))
+		var buf [8]int
+		order := buf[:0]
+		for i := range e.Attrs {
+			order = append(order, i)
 		}
-		sort.Strings(attrs)
-		fmt.Fprintf(b, "<!ATTLIST %s %s>\n", e.Tag, strings.Join(attrs, " "))
+		slices.SortFunc(order, func(i, j int) int { return compareAttrDecls(e.Attrs[i].Key, e.Attrs[j].Key) })
+		b = append(b, "<!ATTLIST "...)
+		b = append(b, e.Tag...)
+		for _, i := range order {
+			b = append(b, ' ')
+			b = append(b, e.Attrs[i].Key...)
+			b = append(b, attrDecl...)
+		}
+		b = append(b, ">\n"...)
 	}
 	for _, c := range e.Children {
-		writeDTD(c, b, seen)
+		b, seen = appendDTD(b, c, seen)
 	}
+	return b, seen
 }
 
-// Pretty renders a human-oriented multi-line description of a signature,
-// used by the CLI report output.
-func Pretty(s Sig) string {
-	var b strings.Builder
-	writePretty(s, &b, 0)
-	return b.String()
+// attrDecl follows each attribute name in an attribute list.
+const attrDecl = " CDATA #IMPLIED"
+
+// compareAttrDecls orders attribute names a and b as their declarations
+// a+attrDecl and b+attrDecl compare, without building them. Where one
+// name is a proper prefix of the other, the shorter name's attrDecl is
+// compared with the longer name's rest followed by attrDecl.
+func compareAttrDecls(a, b string) int {
+	n := min(len(a), len(b))
+	if c := strings.Compare(a[:n], b[:n]); c != 0 || len(a) == len(b) {
+		return c
+	}
+	if len(a) < len(b) {
+		return compareDeclWithRest(b[n:])
+	}
+	return -compareDeclWithRest(a[n:])
 }
 
-func writePretty(s Sig, b *strings.Builder, depth int) {
-	ind := strings.Repeat("  ", depth)
-	switch v := s.(type) {
-	case nil:
-		b.WriteString(ind + "*\n")
-	case *Lit, *Unknown, *Concat, *Rep, *Or:
-		b.WriteString(ind + RegexBody(s) + "\n")
-	case *JSON:
-		b.WriteString(ind + "JSON\n")
-		writePretty(v.Root, b, depth+1)
-	case *Obj:
-		for _, kv := range v.Pairs {
-			key := kv.Key
-			if kv.Dyn {
-				key = "<dynamic>"
-			}
-			switch val := kv.Val.(type) {
-			case *Obj, *Arr, *JSON:
-				b.WriteString(ind + key + ":\n")
-				writePretty(val, b, depth+1)
-			default:
-				b.WriteString(ind + key + ": " + RegexBody(kv.Val) + "\n")
-			}
+// compareDeclWithRest compares attrDecl with rest+attrDecl; rest is not
+// empty, so the second is the longer.
+func compareDeclWithRest(rest string) int {
+	for i := 0; i < len(attrDecl); i++ {
+		var c byte
+		if i < len(rest) {
+			c = rest[i]
+		} else {
+			c = attrDecl[i-len(rest)]
 		}
-	case *Arr:
-		b.WriteString(ind + "[\n")
-		for _, e := range v.Elems {
-			writePretty(e, b, depth+1)
+		if attrDecl[i] != c {
+			return int(attrDecl[i]) - int(c)
 		}
-		if v.Open {
-			b.WriteString(ind + "  ...\n")
-		}
-		b.WriteString(ind + "]\n")
-	case *XML:
-		b.WriteString(ind + "XML\n")
-		writePrettyElem(v.Root, b, depth+1)
 	}
-}
-
-func writePrettyElem(e *Elem, b *strings.Builder, depth int) {
-	if e == nil {
-		return
-	}
-	ind := strings.Repeat("  ", depth)
-	b.WriteString(ind + "<" + e.Tag)
-	for _, a := range e.Attrs {
-		b.WriteString(" " + a.Key)
-	}
-	b.WriteString(">\n")
-	for _, c := range e.Children {
-		writePrettyElem(c, b, depth+1)
-	}
+	return -1
 }

@@ -23,9 +23,10 @@
 package siglang
 
 import (
-	"fmt"
+	"bytes"
 	"regexp"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -58,8 +59,6 @@ func (v VType) String() string {
 // Sig is a node in the signature language.
 type Sig interface {
 	isSig()
-	// write renders the canonical textual form into b.
-	write(b *strings.Builder)
 }
 
 // Lit is a constant term (string or numeric literal).
@@ -219,141 +218,140 @@ func Repeat(s Sig) Sig {
 	return &Rep{Body: s}
 }
 
-// Equal reports structural equality of two signatures.
+// Equal reports structural equality of two signatures: equal canonical
+// forms, rendered into stack buffers.
 func Equal(a, b Sig) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	return Canon(a) == Canon(b)
+	if a == b {
+		return true
+	}
+	var ab, bb [128]byte
+	return bytes.Equal(AppendCanon(ab[:0], a), AppendCanon(bb[:0], b))
 }
 
 // Canon returns the canonical textual form, usable as a map key.
 func Canon(s Sig) string {
+	var buf [128]byte
+	return string(AppendCanon(buf[:0], s))
+}
+
+// AppendCanon appends the canonical textual form of s to b: the grammar's
+// notation, with string literals and object keys quoted as strconv.Quote
+// quotes them. Parse reads it back.
+func AppendCanon(b []byte, s Sig) []byte { return appendCanon(b, s) }
+
+// appendCanon renders a signature, or an XML element passed as an *Elem.
+// Elements are rendered here and not by a function of their own: when
+// two functions that each call themselves also call each other, the
+// compiler moves every caller's buffer to the heap, and Equal and
+// core's transaction keys render into stack buffers.
+func appendCanon(b []byte, n any) []byte {
+	switch v := n.(type) {
+	case nil:
+		return append(b, "<nil>"...)
+	case *Lit:
+		if !v.Num {
+			return strconv.AppendQuote(b, v.Val)
+		}
+		b = append(b, "num("...)
+		b = append(b, v.Val...)
+		return append(b, ')')
+	case *Unknown:
+		b = append(b, '?')
+		return append(b, v.Type.String()...)
+	case *Concat:
+		b = append(b, "concat("...)
+		for i, p := range v.Parts {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendCanon(b, p)
+		}
+		return append(b, ')')
+	case *Rep:
+		b = append(b, "rep{"...)
+		b = appendCanon(b, v.Body)
+		return append(b, '}')
+	case *Or:
+		b = append(b, '(')
+		for i, a := range v.Alts {
+			if i > 0 {
+				b = append(b, " ∨ "...)
+			}
+			b = appendCanon(b, a)
+		}
+		return append(b, ')')
+	case *Obj:
+		b = append(b, "obj{"...)
+		for i, kv := range v.Pairs {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			if kv.Dyn {
+				b = append(b, "?key"...)
+			} else {
+				b = strconv.AppendQuote(b, kv.Key)
+			}
+			b = append(b, ": "...)
+			b = appendCanonOrAny(b, kv.Val)
+		}
+		return append(b, '}')
+	case *Arr:
+		b = append(b, "array["...)
+		for i, e := range v.Elems {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendCanon(b, e)
+		}
+		if v.Open {
+			b = append(b, "..."...)
+		}
+		return append(b, ']')
+	case *JSON:
+		b = append(b, "json("...)
+		b = appendCanonOrAny(b, v.Root)
+		return append(b, ')')
+	case *XML:
+		b = append(b, "xml("...)
+		b = appendCanon(b, v.Root)
+		return append(b, ')')
+	case *Elem:
+		if v == nil {
+			return append(b, "?elem"...)
+		}
+		b = append(b, '<')
+		b = append(b, v.Tag...)
+		for _, a := range v.Attrs {
+			b = append(b, ' ')
+			b = append(b, a.Key...)
+			b = append(b, '=')
+			b = appendCanonOrAny(b, a.Val)
+		}
+		b = append(b, '>')
+		for _, c := range v.Children {
+			b = appendCanon(b, c)
+		}
+		if v.Text != nil {
+			b = appendCanon(b, v.Text)
+		}
+		b = append(b, "</"...)
+		b = append(b, v.Tag...)
+		return append(b, '>')
+	}
+	return b
+}
+
+// appendCanonOrAny renders a missing value, object value or JSON root, as
+// the wildcard it stands for.
+func appendCanonOrAny(b []byte, s Sig) []byte {
 	if s == nil {
-		return "<nil>"
+		return append(b, "?any"...)
 	}
-	var b strings.Builder
-	s.write(&b)
-	return b.String()
+	return appendCanon(b, s)
 }
-
-func (l *Lit) write(b *strings.Builder) {
-	if l.Num {
-		fmt.Fprintf(b, "num(%s)", l.Val)
-	} else {
-		fmt.Fprintf(b, "%q", l.Val)
-	}
-}
-
-func (u *Unknown) write(b *strings.Builder) {
-	fmt.Fprintf(b, "?%s", u.Type)
-}
-
-func (c *Concat) write(b *strings.Builder) {
-	b.WriteString("concat(")
-	for i, p := range c.Parts {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		p.write(b)
-	}
-	b.WriteString(")")
-}
-
-func (r *Rep) write(b *strings.Builder) {
-	b.WriteString("rep{")
-	r.Body.write(b)
-	b.WriteString("}")
-}
-
-func (o *Or) write(b *strings.Builder) {
-	b.WriteString("(")
-	for i, a := range o.Alts {
-		if i > 0 {
-			b.WriteString(" ∨ ")
-		}
-		a.write(b)
-	}
-	b.WriteString(")")
-}
-
-func (o *Obj) write(b *strings.Builder) {
-	b.WriteString("obj{")
-	for i, kv := range o.Pairs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		if kv.Dyn {
-			b.WriteString("?key")
-		} else {
-			fmt.Fprintf(b, "%q", kv.Key)
-		}
-		b.WriteString(": ")
-		if kv.Val == nil {
-			b.WriteString("?any")
-		} else {
-			kv.Val.write(b)
-		}
-	}
-	b.WriteString("}")
-}
-
-func (a *Arr) write(b *strings.Builder) {
-	b.WriteString("array[")
-	for i, e := range a.Elems {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		e.write(b)
-	}
-	if a.Open {
-		b.WriteString("...")
-	}
-	b.WriteString("]")
-}
-
-func (j *JSON) write(b *strings.Builder) {
-	b.WriteString("json(")
-	if j.Root == nil {
-		b.WriteString("?any")
-	} else {
-		j.Root.write(b)
-	}
-	b.WriteString(")")
-}
-
-func (x *XML) write(b *strings.Builder) {
-	b.WriteString("xml(")
-	writeElem(b, x.Root)
-	b.WriteString(")")
-}
-
-func writeElem(b *strings.Builder, e *Elem) {
-	if e == nil {
-		b.WriteString("?elem")
-		return
-	}
-	fmt.Fprintf(b, "<%s", e.Tag)
-	for _, a := range e.Attrs {
-		fmt.Fprintf(b, " %s=", a.Key)
-		if a.Val == nil {
-			b.WriteString("?any")
-		} else {
-			a.Val.write(b)
-		}
-	}
-	b.WriteString(">")
-	for _, c := range e.Children {
-		writeElem(b, c)
-	}
-	if e.Text != nil {
-		e.Text.write(b)
-	}
-	fmt.Fprintf(b, "</%s>", e.Tag)
-}
-
-// String implements fmt.Stringer-style rendering for diagnostics.
-func String(s Sig) string { return Canon(s) }
 
 // ---- Object helpers ----
 
@@ -456,74 +454,73 @@ func Merge(a, b Sig) Sig {
 
 // Keywords returns the constant keywords carried by a signature: JSON keys,
 // XML tags and attribute names, and query-string keys in literal text
-// (substrings of the form "key=" or "&key="). The paper counts these to
-// quantify signature quality (Fig. 7).
-func Keywords(s Sig) []string {
-	set := map[string]bool{}
-	collectKeywords(s, set)
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// (substrings of the form "key=" or "&key="), sorted and without
+// duplicates. The paper counts these to quantify signature quality
+// (Fig. 7).
+func Keywords(s Sig) []string { return AppendKeywords(nil, s) }
+
+// AppendKeywords appends the keywords of s to dst, sorted and without
+// duplicates, and leaves dst's own elements as they are.
+func AppendKeywords(dst []string, s Sig) []string {
+	n := len(dst)
+	dst = collectKeywords(dst, s)
+	kw := dst[n:]
+	slices.Sort(kw)
+	return dst[:n+len(slices.Compact(kw))]
 }
 
-func collectKeywords(s Sig, set map[string]bool) {
+func collectKeywords(dst []string, s Sig) []string {
 	switch v := s.(type) {
-	case nil:
 	case *Lit:
-		for _, k := range queryKeys(v.Val) {
-			set[k] = true
-		}
-	case *Unknown:
+		dst = appendQueryKeys(dst, v.Val)
 	case *Concat:
 		for _, p := range v.Parts {
-			collectKeywords(p, set)
+			dst = collectKeywords(dst, p)
 		}
 	case *Rep:
-		collectKeywords(v.Body, set)
+		dst = collectKeywords(dst, v.Body)
 	case *Or:
 		for _, a := range v.Alts {
-			collectKeywords(a, set)
+			dst = collectKeywords(dst, a)
 		}
 	case *Obj:
 		for _, kv := range v.Pairs {
 			if !kv.Dyn {
-				set[kv.Key] = true
+				dst = append(dst, kv.Key)
 			}
-			collectKeywords(kv.Val, set)
+			dst = collectKeywords(dst, kv.Val)
 		}
 	case *Arr:
 		for _, e := range v.Elems {
-			collectKeywords(e, set)
+			dst = collectKeywords(dst, e)
 		}
 	case *JSON:
-		collectKeywords(v.Root, set)
+		dst = collectKeywords(dst, v.Root)
 	case *XML:
-		collectElemKeywords(v.Root, set)
+		dst = collectElemKeywords(dst, v.Root)
 	}
+	return dst
 }
 
-func collectElemKeywords(e *Elem, set map[string]bool) {
+func collectElemKeywords(dst []string, e *Elem) []string {
 	if e == nil {
-		return
+		return dst
 	}
-	set[e.Tag] = true
+	dst = append(dst, e.Tag)
 	for _, a := range e.Attrs {
-		set[a.Key] = true
-		collectKeywords(a.Val, set)
+		dst = append(dst, a.Key)
+		dst = collectKeywords(dst, a.Val)
 	}
 	for _, c := range e.Children {
-		collectElemKeywords(c, set)
+		dst = collectElemKeywords(dst, c)
 	}
-	collectKeywords(e.Text, set)
+	return collectKeywords(dst, e.Text)
 }
 
-// queryKeys extracts query-string style keys ("a=1&b=2" → a, b) from a
-// literal fragment. A fragment like "count=" contributes "count".
-func queryKeys(s string) []string {
-	var out []string
+// appendQueryKeys appends the query-string style keys of a literal
+// fragment ("a=1&b=2" → a, b). A fragment like "count=" contributes
+// "count".
+func appendQueryKeys(dst []string, s string) []string {
 	i := 0
 	for i < len(s) {
 		j := strings.IndexByte(s[i:], '=')
@@ -537,11 +534,11 @@ func queryKeys(s string) []string {
 			k--
 		}
 		if k < j {
-			out = append(out, s[k:j])
+			dst = append(dst, s[k:j])
 		}
 		i = j + 1
 	}
-	return out
+	return dst
 }
 
 func isKeyByte(b byte) bool {
@@ -553,11 +550,8 @@ func isKeyByte(b byte) bool {
 
 // Regex renders the signature as an anchored regular expression string.
 func Regex(s Sig) string {
-	var b strings.Builder
-	b.WriteString("^")
-	writeRegex(s, &b)
-	b.WriteString("$")
-	return b.String()
+	var buf [128]byte
+	return string(AppendRegex(buf[:0], s))
 }
 
 // Compile renders and compiles the signature's regular expression.
@@ -567,46 +561,71 @@ func Compile(s Sig) (*regexp.Regexp, error) {
 
 // RegexBody renders the un-anchored regular expression fragment.
 func RegexBody(s Sig) string {
-	var b strings.Builder
-	writeRegex(s, &b)
-	return b.String()
+	var buf [128]byte
+	return string(AppendRegexBody(buf[:0], s))
 }
 
-func writeRegex(s Sig, b *strings.Builder) {
+// AppendRegex appends the anchored regular expression of s to b.
+func AppendRegex(b []byte, s Sig) []byte {
+	b = append(b, '^')
+	b = AppendRegexBody(b, s)
+	return append(b, '$')
+}
+
+// AppendRegexBody appends the un-anchored regular expression fragment of
+// s to b: literals with their metacharacters escaped as regexp.QuoteMeta
+// escapes them, typed unknowns as their wildcard class, repetition as a
+// starred group and disjunction as an alternation group.
+func AppendRegexBody(b []byte, s Sig) []byte {
 	switch v := s.(type) {
 	case nil:
-		b.WriteString(".*")
+		b = append(b, ".*"...)
 	case *Lit:
-		b.WriteString(regexp.QuoteMeta(v.Val))
+		b = appendQuoteMeta(b, v.Val)
 	case *Unknown:
 		switch v.Type {
 		case VInt:
-			b.WriteString("[0-9]+")
+			b = append(b, "[0-9]+"...)
 		case VBool:
-			b.WriteString("(?:true|false)")
+			b = append(b, "(?:true|false)"...)
 		default:
-			b.WriteString(".*")
+			b = append(b, ".*"...)
 		}
 	case *Concat:
 		for _, p := range v.Parts {
-			writeRegex(p, b)
+			b = AppendRegexBody(b, p)
 		}
 	case *Rep:
-		b.WriteString("(?:")
-		writeRegex(v.Body, b)
-		b.WriteString(")*")
+		b = append(b, "(?:"...)
+		b = AppendRegexBody(b, v.Body)
+		b = append(b, ")*"...)
 	case *Or:
-		b.WriteString("(?:")
+		b = append(b, "(?:"...)
 		for i, a := range v.Alts {
 			if i > 0 {
-				b.WriteString("|")
+				b = append(b, '|')
 			}
-			writeRegex(a, b)
+			b = AppendRegexBody(b, a)
 		}
-		b.WriteString(")")
+		b = append(b, ')')
 	case *JSON, *Obj, *Arr, *XML:
 		// Structured strings embedded in text positions match loosely;
 		// structural bodies are matched by the JSON and XML matchers instead.
-		b.WriteString(".*")
+		b = append(b, ".*"...)
 	}
+	return b
+}
+
+// appendQuoteMeta appends s with a backslash before each byte that
+// regexp.QuoteMeta escapes.
+func appendQuoteMeta(b []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if strings.IndexByte(`\.+*?()|[]{}^$`, s[i]) >= 0 {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\')
+			start = i
+		}
+	}
+	return append(b, s[start:]...)
 }

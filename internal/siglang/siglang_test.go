@@ -261,20 +261,3 @@ func TestCanonStableForMapKeys(t *testing.T) {
 		t.Fatal("Equal is false for equal sigs")
 	}
 }
-
-func TestPrettyDoesNotPanic(t *testing.T) {
-	o := &Obj{}
-	o.Put("a", AnyString())
-	o.PutDyn(AnyInt())
-	sigs := []Sig{
-		Str("x"), AnyInt(), Cat(Str("a"), AnyString()),
-		&JSON{Root: o}, &Arr{Elems: []Sig{AnyInt()}, Open: true},
-		&XML{Root: &Elem{Tag: "r", Children: []*Elem{{Tag: "c"}}}},
-		Disjoin(Str("a"), Str("b")), Repeat(Str("z")),
-	}
-	for _, s := range sigs {
-		if Pretty(s) == "" && s != nil {
-			t.Errorf("empty pretty for %s", Canon(s))
-		}
-	}
-}
