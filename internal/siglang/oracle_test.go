@@ -1,6 +1,7 @@
 package siglang
 
 import (
+	"encoding/json"
 	"fmt"
 	"regexp"
 	"sort"
@@ -10,7 +11,9 @@ import (
 
 // The strings.Builder renderers below are what the package rendered with
 // before its renderers appended to a caller's []byte. They are the oracle
-// the append renderers must equal byte for byte.
+// the append renderers must equal byte for byte. The schema oracle quotes
+// with appendJSONQuote, as JSONSchema does since it quotes by JSON's rules
+// instead of Go's %q.
 
 func oracleCanon(s Sig) string {
 	if s == nil {
@@ -184,7 +187,7 @@ func oracleWriteSchema(s Sig, b *strings.Builder) {
 		if v.Num {
 			fmt.Fprintf(b, `{"type":"number","const":%s}`, v.Val)
 		} else {
-			fmt.Fprintf(b, `{"type":"string","const":%q}`, v.Val)
+			fmt.Fprintf(b, `{"type":"string","const":%s}`, appendJSONQuote(nil, v.Val))
 		}
 	case *Unknown:
 		switch v.Type {
@@ -208,7 +211,7 @@ func oracleWriteSchema(s Sig, b *strings.Builder) {
 				b.WriteString(",")
 			}
 			first = false
-			fmt.Fprintf(b, "%q:", kv.Key)
+			fmt.Fprintf(b, "%s:", appendJSONQuote(nil, kv.Key))
 			oracleWriteSchema(kv.Val, b)
 		}
 		b.WriteString("}")
@@ -238,7 +241,7 @@ func oracleWriteSchema(s Sig, b *strings.Builder) {
 		}
 		b.WriteString("]}")
 	case *Concat, *Rep:
-		fmt.Fprintf(b, `{"type":"string","pattern":%q}`, oracleRegexBody(s))
+		fmt.Fprintf(b, `{"type":"string","pattern":%s}`, appendJSONQuote(nil, oracleRegexBody(s)))
 	case *XML:
 		fmt.Fprintf(b, `{"type":"string","media":"text/xml"}`)
 	}
@@ -366,6 +369,43 @@ func oracleQueryKeys(s string) []string {
 	return out
 }
 
+// numsValid reports whether every numeric literal in s is a JSON value by
+// itself. JSONSchema writes numeric constants as they are, which is
+// valid JSON for what the analysis makes (strconv.FormatInt) but not for
+// every text the parser accepts between "num(" and ")".
+func numsValid(s Sig) bool {
+	valid := true
+	var walk func(s Sig)
+	walk = func(s Sig) {
+		switch v := s.(type) {
+		case *Lit:
+			valid = valid && (!v.Num || json.Valid([]byte(v.Val)))
+		case *Concat:
+			for _, p := range v.Parts {
+				walk(p)
+			}
+		case *Rep:
+			walk(v.Body)
+		case *Or:
+			for _, a := range v.Alts {
+				walk(a)
+			}
+		case *Obj:
+			for _, kv := range v.Pairs {
+				walk(kv.Val)
+			}
+		case *Arr:
+			for _, e := range v.Elems {
+				walk(e)
+			}
+		case *JSON:
+			walk(v.Root)
+		}
+	}
+	walk(s)
+	return valid
+}
+
 // rendered runs f and reports its result, or that it panicked: a tree
 // that one renderer cannot render (an XML child that is nil reaches DTD's
 // child list) must make the other panic too.
@@ -422,6 +462,8 @@ func checkRenderersMatchOracle(t *testing.T, s Sig, others []Sig) {
 	}
 	if got, want := JSONSchema(s), oracleJSONSchema(s); got != want {
 		t.Fatalf("JSONSchema(%s) = %q, want %q", oracleCanon(s), got, want)
+	} else if !json.Valid([]byte(got)) && numsValid(s) {
+		t.Fatalf("JSONSchema(%s) = %q is not valid JSON", oracleCanon(s), got)
 	}
 	want := oracleKeywords(s)
 	if got := Keywords(s); strings.Join(got, "\x00") != strings.Join(want, "\x00") || len(got) != len(want) {

@@ -4,11 +4,16 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // JSONSchema renders a JSON signature tree as a compact JSON-Schema-like
 // document. Unknown leaves become {"type": "..."} entries; objects list
-// their properties; open arrays carry an "items" entry.
+// their properties; open arrays carry an "items" entry. Keys, string
+// constants and patterns are quoted by appendJSONQuote, so the document is
+// valid JSON whatever bytes they hold. Numeric constants are written as
+// they are; the analysis makes them with strconv.FormatInt.
 func JSONSchema(s Sig) string {
 	var buf [256]byte
 	return string(AppendJSONSchema(buf[:0], s))
@@ -27,7 +32,7 @@ func AppendJSONSchema(b []byte, s Sig) []byte {
 			b = append(b, v.Val...)
 		} else {
 			b = append(b, `{"type":"string","const":`...)
-			b = strconv.AppendQuote(b, v.Val)
+			b = appendJSONQuote(b, v.Val)
 		}
 		b = append(b, '}')
 	case *Unknown:
@@ -52,7 +57,7 @@ func AppendJSONSchema(b []byte, s Sig) []byte {
 				b = append(b, ',')
 			}
 			first = false
-			b = strconv.AppendQuote(b, kv.Key)
+			b = appendJSONQuote(b, kv.Key)
 			b = append(b, ':')
 			b = AppendJSONSchema(b, kv.Val)
 		}
@@ -84,13 +89,75 @@ func AppendJSONSchema(b []byte, s Sig) []byte {
 		b = append(b, "]}"...)
 	case *Concat, *Rep:
 		// Text-shaped signature inside a JSON position: describe as string.
+		// The pattern is rendered after the document and quoted from there,
+		// and the quoted copy is moved down over it.
 		b = append(b, `{"type":"string","pattern":`...)
-		b = strconv.AppendQuote(b, RegexBody(s))
+		n := len(b)
+		b = AppendRegexBody(b, s)
+		m := len(b)
+		b = appendJSONQuote(b, b[n:m])
+		b = append(b[:n], b[m:]...)
 		b = append(b, '}')
 	case *XML:
 		b = append(b, `{"type":"string","media":"text/xml"}`...)
 	}
 	return b
+}
+
+// appendJSONQuote appends s as a JSON string literal. Wherever
+// strconv.Quote's output is valid JSON, these are its bytes. Where it is
+// not, JSON's escapes stand in for Go's: \u00hh for a control byte that
+// strconv writes as \a, \v or \xhh and for DEL, a UTF-16 surrogate pair of
+// \uhhhh escapes for a rune it writes as \Uhhhhhhhh, and \ufffd for each
+// byte of invalid UTF-8, which a JSON string cannot carry.
+func appendJSONQuote[S string | []byte](b []byte, s S) []byte {
+	b = append(b, '"')
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			i++
+			switch {
+			case c == '"' || c == '\\':
+				b = append(b, '\\', c)
+			case c >= ' ' && c != 0x7f:
+				b = append(b, c)
+			case c == '\b':
+				b = append(b, `\b`...)
+			case c == '\f':
+				b = append(b, `\f`...)
+			case c == '\n':
+				b = append(b, `\n`...)
+			case c == '\r':
+				b = append(b, `\r`...)
+			case c == '\t':
+				b = append(b, `\t`...)
+			default:
+				b = appendJSONEscape(b, rune(c))
+			}
+			continue
+		}
+		// Only a few bytes are converted, so the string stays on the stack.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(len(s), i+utf8.UTFMax)]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = appendJSONEscape(b, utf8.RuneError)
+		case strconv.IsPrint(r):
+			b = append(b, s[i:i+size]...)
+		case r < 0x10000:
+			b = appendJSONEscape(b, r)
+		default:
+			hi, lo := utf16.EncodeRune(r)
+			b = appendJSONEscape(appendJSONEscape(b, hi), lo)
+		}
+		i += size
+	}
+	return append(b, '"')
+}
+
+// appendJSONEscape appends the \uhhhh escape of a rune below U+10000, in
+// lower-case hex as strconv writes it.
+func appendJSONEscape(b []byte, r rune) []byte {
+	const hex = "0123456789abcdef"
+	return append(b, '\\', 'u', hex[r>>12&0xF], hex[r>>8&0xF], hex[r>>4&0xF], hex[r&0xF])
 }
 
 // DTD renders an XML signature tree as a Document Type Definition, the
