@@ -450,32 +450,30 @@ func (w *writer) profile(p *obs.Profile) {
 		}
 		w.close(']')
 	}
-	if len(p.Counters) > 0 {
-		w.key("counters")
-		w.open('{')
-		for _, k := range sortedKeys(w, p.Counters) {
-			w.mapKey(k)
-			w.int(p.Counters[k])
-		}
-		w.close('}')
+	writeMap(w, "counters", p.Counters, w.int)
+	writeMap(w, "gauges", p.Gauges, w.float)
+	writeMap(w, "hists", p.Hists, w.hist)
+	w.close('}')
+}
+
+// writeMap writes m as a member the struct shape marks omitempty, keys
+// escaped and in order as encoding/json writes a map.
+func writeMap[V any](w *writer, name string, m map[string]V, val func(V)) {
+	if len(m) == 0 {
+		return
 	}
-	if len(p.Gauges) > 0 {
-		w.key("gauges")
-		w.open('{')
-		for _, k := range sortedKeys(w, p.Gauges) {
-			w.mapKey(k)
-			w.float(p.Gauges[k])
-		}
-		w.close('}')
+	w.strs = w.strs[:0]
+	for k := range m {
+		w.strs = append(w.strs, k)
 	}
-	if len(p.Hists) > 0 {
-		w.key("hists")
-		w.open('{')
-		for _, k := range sortedKeys(w, p.Hists) {
-			w.mapKey(k)
-			w.hist(p.Hists[k])
-		}
-		w.close('}')
+	slices.Sort(w.strs)
+	w.key(name)
+	w.open('{')
+	for _, k := range w.strs {
+		w.next()
+		w.str(k)
+		w.b = append(w.b, ": "...)
+		val(m[k])
 	}
 	w.close('}')
 }
@@ -513,16 +511,6 @@ func (w *writer) hist(h *obs.HistSnapshot) {
 		w.close(']')
 	}
 	w.close('}')
-}
-
-// sortedKeys returns m's keys in order, in w.strs.
-func sortedKeys[V any](w *writer, m map[string]V) []string {
-	w.strs = w.strs[:0]
-	for k := range m {
-		w.strs = append(w.strs, k)
-	}
-	slices.Sort(w.strs)
-	return w.strs
 }
 
 func (w *writer) diagnostic(d budget.Diagnostic) {
@@ -588,13 +576,6 @@ func (w *writer) key(name string) {
 	w.b = append(w.b, '"')
 	w.b = append(w.b, name...)
 	w.b = append(w.b, `": `...)
-}
-
-// mapKey starts a member named by a map key, which is escaped.
-func (w *writer) mapKey(k string) {
-	w.next()
-	w.str(k)
-	w.b = append(w.b, ": "...)
 }
 
 func (w *writer) null() { w.b = append(w.b, "null"...) }

@@ -483,8 +483,9 @@ func checkRenderersMatchOracle(t *testing.T, s Sig, others []Sig) {
 
 // oracleSigs are corpusSigs plus the shapes whose renderings have rules of
 // their own: regex metacharacters, query keys, repeated keywords,
-// attributes whose declarations sort unlike their keys, a repeated tag,
-// and a literal long enough to outgrow a stack buffer.
+// attributes whose declarations sort unlike their keys, a repeated tag, a
+// literal long enough to outgrow a stack buffer, and a numeric literal
+// that is no JSON number.
 func oracleSigs() []Sig {
 	long := strings.Repeat("https://api.example.com/v1/items?", 20)
 	return append(corpusSigs(),
@@ -508,6 +509,7 @@ func oracleSigs() []Sig {
 			},
 		}},
 		&XML{Root: &Elem{Tag: "r", Children: []*Elem{{Tag: "c"}, nil}}},
+		&JSON{Root: &Arr{Elems: []Sig{Num(""), Num("1e3")}}},
 	)
 }
 

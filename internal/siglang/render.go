@@ -1,9 +1,9 @@
 package siglang
 
 import (
+	"cmp"
 	"slices"
 	"strconv"
-	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -228,33 +228,27 @@ func appendDTD(b []byte, e *Elem, seen []string) ([]byte, []string) {
 const attrDecl = " CDATA #IMPLIED"
 
 // compareAttrDecls orders attribute names a and b as their declarations
-// a+attrDecl and b+attrDecl compare, without building them. Where one
-// name is a proper prefix of the other, the shorter name's attrDecl is
-// compared with the longer name's rest followed by attrDecl.
+// a+attrDecl and b+attrDecl compare, without building them.
 func compareAttrDecls(a, b string) int {
-	n := min(len(a), len(b))
-	if c := strings.Compare(a[:n], b[:n]); c != 0 || len(a) == len(b) {
-		return c
+	for i := 0; ; i++ {
+		ca, inA := declByte(a, i)
+		cb, inB := declByte(b, i)
+		switch {
+		case !inA || !inB:
+			return cmp.Compare(len(a), len(b))
+		case ca != cb:
+			return cmp.Compare(ca, cb)
+		}
 	}
-	if len(a) < len(b) {
-		return compareDeclWithRest(b[n:])
-	}
-	return -compareDeclWithRest(a[n:])
 }
 
-// compareDeclWithRest compares attrDecl with rest+attrDecl; rest is not
-// empty, so the second is the longer.
-func compareDeclWithRest(rest string) int {
-	for i := 0; i < len(attrDecl); i++ {
-		var c byte
-		if i < len(rest) {
-			c = rest[i]
-		} else {
-			c = attrDecl[i-len(rest)]
-		}
-		if attrDecl[i] != c {
-			return int(attrDecl[i]) - int(c)
-		}
+// declByte returns byte i of name+attrDecl, if it has one.
+func declByte(name string, i int) (byte, bool) {
+	if i < len(name) {
+		return name[i], true
 	}
-	return -1
+	if i -= len(name); i < len(attrDecl) {
+		return attrDecl[i], true
+	}
+	return 0, false
 }

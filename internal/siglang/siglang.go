@@ -243,10 +243,10 @@ func Canon(s Sig) string {
 func AppendCanon(b []byte, s Sig) []byte { return appendCanon(b, s) }
 
 // appendCanon renders a signature, or an XML element passed as an *Elem.
-// Elements are rendered here and not by a function of their own: when
-// two functions that each call themselves also call each other, the
-// compiler moves every caller's buffer to the heap, and Equal and
-// core's transaction keys render into stack buffers.
+// Elements are rendered here, not by a function of their own, because the
+// compiler moves a caller's buffer to the heap when two functions that
+// each call themselves also call each other; Equal and core's transaction
+// keys render into stack buffers.
 func appendCanon(b []byte, n any) []byte {
 	switch v := n.(type) {
 	case nil:
