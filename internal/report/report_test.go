@@ -242,19 +242,26 @@ func checkJSONMatchesOracle(t *testing.T, name string, r *core.Report, o Options
 	t.Helper()
 	got, err := JSONOpts(r, o)
 	want, werr := oracleJSON(r, o)
+	checkSameOutput(t, name, got, err, want, werr)
+}
+
+// checkSameOutput requires a renderer and its oracle to give equal bytes,
+// or the same error.
+func checkSameOutput(t *testing.T, name string, got []byte, err error, want []byte, werr error) {
+	t.Helper()
 	switch {
 	case (err != nil) != (werr != nil):
-		t.Fatalf("%s: JSONOpts error %v, oracle error %v", name, err, werr)
+		t.Fatalf("%s: error %v, oracle error %v", name, err, werr)
 	case err != nil:
 		if err.Error() != werr.Error() {
-			t.Fatalf("%s: JSONOpts error %q, oracle error %q", name, err, werr)
+			t.Fatalf("%s: error %q, oracle error %q", name, err, werr)
 		}
 	case !bytes.Equal(got, want):
 		i := 0
 		for i < len(got) && i < len(want) && got[i] == want[i] {
 			i++
 		}
-		t.Fatalf("%s: JSONOpts differs from the oracle at byte %d:\ngot  %q\nwant %q",
+		t.Fatalf("%s: differs from the oracle at byte %d:\ngot  %q\nwant %q",
 			name, i, got[max(0, i-40):min(len(got), i+40)], want[max(0, i-40):min(len(want), i+40)])
 	}
 }
@@ -505,14 +512,7 @@ func depsFor(r *core.Report, id int) []txdep.Dep {
 // the oracle does.
 func checkTextMatchesOracle(t *testing.T, name string, r *core.Report, o Options) {
 	t.Helper()
-	if got, want := TextOpts(r, o), oracleText(r, o); got != want {
-		i := 0
-		for i < len(got) && i < len(want) && got[i] == want[i] {
-			i++
-		}
-		t.Fatalf("%s: TextOpts differs from the oracle at byte %d:\ngot  %q\nwant %q",
-			name, i, got[max(0, i-40):min(len(got), i+40)], want[max(0, i-40):min(len(want), i+40)])
-	}
+	checkSameOutput(t, name, []byte(TextOpts(r, o)), nil, []byte(oracleText(r, o)), nil)
 }
 
 // TestTextMatchesOracle holds the one-pass text renderer to the
@@ -607,16 +607,7 @@ func TestProfileJSONMatchesOracle(t *testing.T) {
 	for _, rep := range reps {
 		got, err := ProfileJSON(rep)
 		want, werr := oracleProfileJSON(rep)
-		switch {
-		case (err != nil) != (werr != nil):
-			t.Fatalf("%s: ProfileJSON error %v, oracle error %v", rep.Package, err, werr)
-		case err != nil:
-			if err.Error() != werr.Error() {
-				t.Fatalf("%s: ProfileJSON error %q, oracle error %q", rep.Package, err, werr)
-			}
-		case !bytes.Equal(got, want):
-			t.Fatalf("%s: ProfileJSON differs from the oracle:\ngot  %s\nwant %s", rep.Package, got, want)
-		}
+		checkSameOutput(t, rep.Package, got, err, want, werr)
 	}
 }
 
