@@ -6,6 +6,7 @@
 package extractocol
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -38,9 +39,18 @@ var (
 	fixtureErr  error
 )
 
+// runCorpus evaluates the whole corpus and reports the first app error.
+func runCorpus() ([]*evaluate.AppResult, error) {
+	results, stats, err := evaluate.RunAllConfig(evaluate.RunConfig{})
+	if err == nil && len(stats.Errors) > 0 {
+		err = fmt.Errorf("%s: %s", stats.Errors[0].App, stats.Errors[0].Err)
+	}
+	return results, err
+}
+
 func corpusResults(b *testing.B) []*evaluate.AppResult {
 	b.Helper()
-	fixtureOnce.Do(func() { fixture, fixtureErr = evaluate.RunAll() })
+	fixtureOnce.Do(func() { fixture, fixtureErr = runCorpus() })
 	if fixtureErr != nil {
 		b.Fatal(fixtureErr)
 	}
@@ -51,7 +61,7 @@ func corpusResults(b *testing.B) []*evaluate.AppResult {
 
 func BenchmarkTable1_FullCorpus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := evaluate.RunAll()
+		results, err := runCorpus()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -198,7 +208,12 @@ func BenchmarkAnalyzeOpenSource(b *testing.B) {
 }
 
 func BenchmarkAnalyzeClosedSource(b *testing.B) {
-	apps := corpus.ClosedSource()
+	var apps []*corpus.App
+	for _, app := range corpus.Apps() {
+		if !app.Spec.OpenSource {
+			apps = append(apps, app)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		app := apps[i%len(apps)]

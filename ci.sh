@@ -4,10 +4,11 @@
 #   ./ci.sh          full gate (build + vet + race tests)
 #   ./ci.sh quick    race-disabled short tests only
 #
-# The race run matters: the parallel per-app corpus mode in
-# evaluate.RunAllParallel, the analysis caches shared by concurrent readers
-# (callgraph memos, taint summaries, the report cache) and the obs
-# collector and registry are all exercised concurrently by the test suite.
+# The race run matters: the parallel per-app corpus mode of
+# evaluate.RunAllConfig and the -gen harness, the analysis caches shared by
+# concurrent readers (callgraph memos, taint summaries, the report cache)
+# and the obs collector and registry are all exercised concurrently by the
+# test suite.
 set -eu
 cd "$(dirname "$0")"
 

@@ -4,12 +4,17 @@
 // target guards the layer above it: whatever the decoder accepts,
 // core.Analyze must finish — degraded if need be — without panicking and
 // within the deadline, because shipped binaries see exactly this input.
+// core.Analyze recovers every panic, into its error or into a panic
+// diagnostic, so that it never takes a process down; the target fails on
+// either, since it injects no faults and a recovered panic is a bug.
 package extractocol
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"extractocol/internal/budget"
 	"extractocol/internal/core"
 	"extractocol/internal/corpus"
 	"extractocol/internal/dex"
@@ -54,8 +59,18 @@ func FuzzAnalyzeDecoded(f *testing.F) {
 		opts.Explain = true
 		start := time.Now()
 		rep, err := core.Analyze(prog, opts)
+		if err != nil && strings.Contains(err.Error(), "panic during analysis") {
+			t.Fatalf("analysis panicked: %v", err)
+		}
 		if err == nil && rep == nil {
 			t.Fatal("analysis returned neither report nor error")
+		}
+		if rep != nil {
+			for _, d := range rep.Diagnostics {
+				if d.Kind == budget.DiagPanic {
+					t.Fatalf("recovered panic in the %s phase at %s: %s", d.Phase, d.Site, d.Detail)
+				}
+			}
 		}
 		if _, jerr := opts.Tracer.Export(1, "fuzz").JSON(); jerr != nil {
 			t.Fatalf("trace export failed: %v", jerr)

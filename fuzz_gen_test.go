@@ -1,5 +1,5 @@
 // FuzzCorpusSpec drives the generative corpus from raw bytes: any input
-// decodes (via corpus.DecodeSpec) into a clamped, generatable AppSpec, and
+// decodes (via decodeSpec) into a clamped, generatable AppSpec, and
 // the resulting app must survive the full pipeline. Two properties are
 // pinned for every input: a budgeted core.Analyze finishes without
 // panicking, and a warm-cache replay of the same program reproduces the
@@ -8,6 +8,7 @@
 package extractocol
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func FuzzCorpusSpec(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec := corpus.DecodeSpec(data)
+		spec := decodeSpec(data)
 		app := corpus.Generate(spec)
 
 		// Budgeted analysis must degrade, never panic: wall-clock plus
@@ -76,4 +77,63 @@ func FuzzCorpusSpec(f *testing.F) {
 				spec.Name, cb, wb)
 		}
 	})
+}
+
+// decodeSpec clamps arbitrary bytes into a valid corpus.AppSpec, mapping
+// any input to a generatable app. The byte stream drives the same trait
+// choices corpus.Rand makes.
+func decodeSpec(data []byte) corpus.AppSpec {
+	at := func(i int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		return int(data[i%len(data)])
+	}
+	// Fold the bytes into a stream seed so key vocabulary picks vary too.
+	var h uint64 = 1469598103934665603
+	for _, b := range data {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+
+	spec := corpus.AppSpec{
+		Name:    "fuzz-app",
+		Package: fmt.Sprintf("fuzz.app%x", h&0xffff),
+		Host:    "api.fuzz.example.com",
+	}
+	spec.Protocol = []string{"HTTP", "HTTPS", "HTTP(S)"}[at(0)%3]
+	spec.Library = []string{"apache", "urlconn", "okhttp", "volley"}[at(1)%4]
+	spec.OpenSource = at(2)%2 == 0
+	spec.Gated = at(3)%4 == 0
+	spec.Obfuscated = at(4)%4 == 0
+
+	spec.Counts = map[string]corpus.MethodCounts{}
+	verbs := []string{"GET", "POST", "PUT", "DELETE"}
+	for vi, v := range verbs {
+		b := at(5 + vi)
+		if vi > 0 && b%3 == 0 {
+			continue
+		}
+		e := 1 + b%3
+		m := e + (at(9+vi)%3 - 1)
+		if m < 0 {
+			m = 0
+		}
+		if m > 4 {
+			m = 4
+		}
+		spec.Counts[v] = corpus.MethodCounts{E: e, M: m, A: min(e, m)}
+	}
+	spec.QueryBodies = at(13) % 4
+	spec.JSONBodies = at(14) % 4
+	spec.XMLBodies = at(15) % 3
+	spec.Pairs = at(16) % 8
+	spec.Ballast = 3 + at(17)%8
+	mask := at(18)
+	for si, sc := range corpus.ScenarioNames {
+		if mask&(1<<si) != 0 && len(spec.Scenarios) < 3 {
+			spec.Scenarios = append(spec.Scenarios, sc)
+		}
+	}
+	return spec
 }

@@ -17,7 +17,6 @@
 package budget
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -59,12 +58,6 @@ type Exceeded struct {
 func (e *Exceeded) Error() string {
 	return fmt.Sprintf("budget: %s exceeded in %s phase at %s after %d steps",
 		e.Limit, e.Phase, e.Site, e.Steps)
-}
-
-// IsExceeded reports whether err is (or wraps) a budget exhaustion.
-func IsExceeded(err error) bool {
-	var e *Exceeded
-	return errors.As(err, &e)
 }
 
 // Recovered wraps a panic caught inside a pipeline worker, carrying enough

@@ -47,11 +47,10 @@ func TestFixpointIterLimit(t *testing.T) {
 	if err == nil {
 		t.Fatal("limit never tripped")
 	}
-	if !IsExceeded(err) {
+	var ex *Exceeded
+	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want *Exceeded", err)
 	}
-	var ex *Exceeded
-	errors.As(err, &ex)
 	if ex.Limit != LimitFixpointIters || ex.Phase != PhaseTaint || ex.Site != "m" {
 		t.Fatalf("wrong error detail: %+v", ex)
 	}

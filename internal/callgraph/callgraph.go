@@ -9,7 +9,6 @@ package callgraph
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"extractocol/internal/intern"
@@ -321,22 +320,6 @@ func (g *Graph) DrainCacheCounters(col *obs.Collector) {
 	col.Add(obs.CtrCacheReachableMisses, g.reachMisses.Swap(0))
 	col.Add(obs.CtrCacheInferTypesHits, g.typesHits.Swap(0))
 	col.Add(obs.CtrCacheInferTypesMisses, g.typesMisses.Swap(0))
-}
-
-// AnalysisRoots returns the entry-point methods the static analyzer may
-// legitimately start from. Intent-triggered entry points are excluded: the
-// paper's system does not model Android intents (§4), which is the root
-// cause of its missed messages in Table 1.
-func AnalysisRoots(p *ir.Program) []string {
-	var out []string
-	for _, ep := range p.Manifest.EntryPoints {
-		if ep.Kind == ir.EventIntent {
-			continue
-		}
-		out = append(out, ep.Method)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // InferTypes performs a simple intra-procedural forward type inference for

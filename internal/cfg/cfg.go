@@ -98,9 +98,6 @@ func Build(m *ir.Method) *Graph {
 	return g
 }
 
-// BlockOf returns the block containing the instruction at index i.
-func (g *Graph) BlockOf(i int) *Block { return g.Blocks[g.blockOf[i]] }
-
 // Entry returns the entry block, or nil for empty methods.
 func (g *Graph) Entry() *Block {
 	if len(g.Blocks) == 0 {
@@ -258,18 +255,6 @@ func (g *Graph) naturalLoop(header, latch int) Loop {
 		}
 	}
 	return Loop{Header: header, Latch: latch, Body: body}
-}
-
-// LoopBlocks returns the set of block IDs that are loop headers or latches.
-// The signature builder widens string accumulation at these confluence
-// points into rep{...} terms (§3.2).
-func (g *Graph) LoopBlocks() map[int]bool {
-	out := map[int]bool{}
-	for _, l := range g.Loops() {
-		out[l.Header] = true
-		out[l.Latch] = true
-	}
-	return out
 }
 
 // String renders the graph compactly for debugging.

@@ -114,10 +114,6 @@ func TestLoopDetection(t *testing.T) {
 	if !l.Body[l.Header] || !l.Body[l.Latch] {
 		t.Fatal("loop body must contain header and latch")
 	}
-	lb := g.LoopBlocks()
-	if !lb[l.Header] || !lb[l.Latch] {
-		t.Fatalf("LoopBlocks = %v", lb)
-	}
 }
 
 func TestNoLoopsInDiamond(t *testing.T) {
@@ -155,7 +151,7 @@ func TestBlockOf(t *testing.T) {
 	m := diamond(t)
 	g := Build(m)
 	for i := range m.Instrs {
-		b := g.BlockOf(i)
+		b := g.Blocks[g.blockOf[i]]
 		if i < b.Start || i >= b.End {
 			t.Fatalf("instr %d mapped to block [%d,%d)", i, b.Start, b.End)
 		}

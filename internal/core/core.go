@@ -706,23 +706,6 @@ func (r *Report) CountByMethod() map[string]int {
 	return out
 }
 
-// BodyKindCounts tallies transactions by body representation: request
-// query strings, JSON bodies (either side), XML bodies (either side).
-func (r *Report) BodyKindCounts() (query, json, xml int) {
-	for _, t := range r.Transactions {
-		if t.Request.BodyKind == "query" {
-			query++
-		}
-		if t.Request.BodyKind == "json" || (t.Response != nil && t.Response.BodyKind == "json" && t.Response.HasBody()) {
-			json++
-		}
-		if t.Request.BodyKind == "xml" || (t.Response != nil && t.Response.BodyKind == "xml" && t.Response.HasBody()) {
-			xml++
-		}
-	}
-	return
-}
-
 // PairCount returns the number of reconstructed request/response pairs
 // whose response body is processed by the app.
 func (r *Report) PairCount() int {

@@ -277,7 +277,7 @@ func TestCountHelpers(t *testing.T) {
 	if m["POST"] != 2 {
 		t.Errorf("POST count = %d", m["POST"])
 	}
-	_, jsonN, _ := rep.BodyKindCounts()
+	_, jsonN, _ := bodyKindCounts(rep)
 	if jsonN != 1 { // login's JSON response
 		t.Errorf("json count = %d", jsonN)
 	}

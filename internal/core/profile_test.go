@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"extractocol/internal/obs"
 )
@@ -35,7 +36,11 @@ func TestAnalyzeProfileInvariants(t *testing.T) {
 		}
 	}
 
-	sum, total := prof.PhaseSum(), rep.Duration
+	var sum time.Duration
+	for _, ph := range prof.Phases {
+		sum += time.Duration(ph.DurationNS)
+	}
+	total := rep.Duration
 	if sum <= 0 {
 		t.Fatalf("phase sum = %v, want > 0", sum)
 	}

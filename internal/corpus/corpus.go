@@ -158,17 +158,6 @@ func OpenSource() []*App {
 	return out
 }
 
-// ClosedSource returns the closed-source subset.
-func ClosedSource() []*App {
-	var out []*App
-	for _, a := range Apps() {
-		if !a.Spec.OpenSource {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // rng is a deterministic splitmix64 generator used for picking keyword
 // vocabulary; the corpus must be bit-identical across runs.
 type rng struct{ state uint64 }

@@ -6,9 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"extractocol/internal/core"
@@ -103,17 +101,11 @@ func CanonicalReport(rep *core.Report) ([]byte, error) {
 
 // analyzeGen analyzes every generated app and returns canonical report
 // bytes in corpus order. mutate (optional) adjusts each app's options
-// before analysis; workers <= 1 forces the serial path.
+// before analysis; workers as fanOut takes them.
 func analyzeGen(apps []*corpus.App, workers int, mutate func(*corpus.App, *core.Options) error) ([][]byte, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(apps) {
-		workers = len(apps)
-	}
 	outs := make([][]byte, len(apps))
 	errs := make([]error, len(apps))
-	run := func(i int) {
+	fanOut(len(apps), workers, func(i int) {
 		app := apps[i]
 		opts := optionsFor(app)
 		if mutate != nil {
@@ -128,29 +120,7 @@ func analyzeGen(apps []*corpus.App, workers int, mutate func(*corpus.App, *core.
 			return
 		}
 		outs[i], errs[i] = CanonicalReport(rep)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					run(i)
-				}
-			}()
-		}
-		for i := range apps {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for i := range apps {
-			run(i)
-		}
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

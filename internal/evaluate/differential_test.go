@@ -59,11 +59,11 @@ func TestRunDifferentialRejectsBadSize(t *testing.T) {
 // canonicalize to the same bytes.
 func TestCanonicalReportStripsRunLocals(t *testing.T) {
 	apps := corpus.Rand(1729, 1)
-	a, err := RunApp(apps[0])
+	a, err := runAppConfig(apps[0], RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunApp(apps[0])
+	b, err := runAppConfig(apps[0], RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,13 +79,9 @@ type RunConfig struct {
 	Flight bool
 }
 
-// RunApp analyzes one app and runs both fuzzing baselines.
-func RunApp(app *corpus.App) (*AppResult, error) {
-	return RunAppConfig(app, RunConfig{})
-}
-
-// RunAppConfig is RunApp with the config's budgets applied.
-func RunAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
+// runAppConfig analyzes one app under the config's budgets and runs both
+// fuzzing baselines.
+func runAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
 	opts := optionsFor(app)
 	opts.Deadline = cfg.Deadline
 	opts.MaxSliceSteps = cfg.MaxSliceSteps
@@ -128,14 +124,6 @@ func RunAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
 	return res, nil
 }
 
-// RunAll evaluates the whole corpus. Apps are analyzed in parallel (one
-// worker per CPU); results keep corpus order, so output is byte-identical
-// to a serial run.
-func RunAll() ([]*AppResult, error) {
-	out, _, err := RunAllParallel(0)
-	return out, err
-}
-
 // ParallelStats describes one parallel corpus evaluation: the wall-clock
 // time of the fan-out, the summed per-app analysis time, and the effective
 // speedup (app time / wall time) — the observability layer's own
@@ -164,24 +152,12 @@ type AppError struct {
 	Err string `json:"error"`
 }
 
-// RunAllParallel evaluates the whole corpus with the given number of
-// workers (0 means one per CPU, 1 forces the serial path). Results keep
-// corpus order regardless of completion order. The first app error aborts
-// the evaluation.
-func RunAllParallel(workers int) ([]*AppResult, *ParallelStats, error) {
-	results, errs, stats := runAll(RunConfig{Workers: workers})
-	for _, err := range errs {
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	return results, stats, nil
-}
-
-// RunAllConfig evaluates the whole corpus under the config's budgets and
-// aggregates per-app failures instead of aborting on the first one: failed
-// apps are compacted out of the result slice and recorded in
-// stats.Errors, so one broken app never discards 33 good reports.
+// RunAllConfig evaluates the whole corpus under the config's budgets, on
+// cfg.Workers workers. Results keep corpus order, so output is
+// byte-identical to a serial run. Per-app failures are aggregated instead
+// of aborting the run: failed apps are compacted out of the result slice
+// and recorded in stats.Errors, so one broken app never discards 33 good
+// reports.
 func RunAllConfig(cfg RunConfig) ([]*AppResult, *ParallelStats, error) {
 	results, errs, stats := runAll(cfg)
 	apps := corpus.Apps()
@@ -203,42 +179,16 @@ func RunAllConfig(cfg RunConfig) ([]*AppResult, *ParallelStats, error) {
 	return ok, stats, nil
 }
 
-// runAll is the shared fan-out: positional results and errors in corpus
-// order, regardless of completion order.
+// runAll evaluates the corpus apps on the config's workers: positional
+// results and errors in corpus order, regardless of completion order.
 func runAll(cfg RunConfig) ([]*AppResult, []error, *ParallelStats) {
 	apps := corpus.Apps()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(apps) {
-		workers = len(apps)
-	}
 	start := time.Now()
 	results := make([]*AppResult, len(apps))
 	errs := make([]error, len(apps))
-	if workers > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					results[i], errs[i] = RunAppConfig(apps[i], cfg)
-				}
-			}()
-		}
-		for i := range apps {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for i := range apps {
-			results[i], errs[i] = RunAppConfig(apps[i], cfg)
-		}
-	}
+	workers := fanOut(len(apps), cfg.Workers, func(i int) {
+		results[i], errs[i] = runAppConfig(apps[i], cfg)
+	})
 
 	stats := &ParallelStats{Workers: workers, WallNS: time.Since(start).Nanoseconds(), AppsRun: len(apps)}
 	for _, err := range errs {
@@ -258,6 +208,42 @@ func runAll(cfg RunConfig) ([]*AppResult, []error, *ParallelStats) {
 		stats.SpeedupX = float64(stats.AppNSSum) / float64(stats.WallNS)
 	}
 	return results, errs, stats
+}
+
+// fanOut calls run(i) for every i in [0, n) on at most workers goroutines
+// (0 or less means one per CPU; 1 runs them in order on the caller's
+// goroutine) and returns the width it used. run writes its result by
+// position, so what the caller collects never depends on completion order.
+func fanOut(n, workers int, run func(i int)) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			run(i)
+		}
+		return workers
+	}
+	var wg sync.WaitGroup
+	jobs := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				run(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	return workers
 }
 
 // CorpusProfile merges every app's per-phase profile into one corpus-wide

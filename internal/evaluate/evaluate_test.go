@@ -1,6 +1,7 @@
 package evaluate
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,13 @@ var (
 
 func allResults(t *testing.T) []*AppResult {
 	t.Helper()
-	resultsOnce.Do(func() { resultsAll, resultsErr = RunAll() })
+	resultsOnce.Do(func() {
+		var stats *ParallelStats
+		resultsAll, stats, resultsErr = RunAllConfig(RunConfig{})
+		if resultsErr == nil && len(stats.Errors) > 0 {
+			resultsErr = fmt.Errorf("%s: %s", stats.Errors[0].App, stats.Errors[0].Err)
+		}
+	})
 	if resultsErr != nil {
 		t.Fatal(resultsErr)
 	}

@@ -15,8 +15,6 @@ package fuzz
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"extractocol/internal/httpsim"
 	"extractocol/internal/ir"
@@ -106,31 +104,4 @@ func Run(p *ir.Program, net *httpsim.Network, mode Mode) (*Result, error) {
 		res.Fired = append(res.Fired, ep.Method)
 	}
 	return res, nil
-}
-
-// RunAll executes one run per mode on fresh traces and returns the traces
-// keyed by mode name.
-func RunAll(p *ir.Program, mkNet func() *httpsim.Network) (map[string][]*httpsim.Transaction, error) {
-	out := map[string][]*httpsim.Transaction{}
-	for _, mode := range []Mode{Manual, Auto} {
-		net := mkNet()
-		if _, err := Run(p, net, mode); err != nil {
-			return nil, err
-		}
-		out[mode.String()] = net.Trace()
-	}
-	return out, nil
-}
-
-// Coverage summarizes which event kinds a mode reaches, for documentation
-// and the evaluation harness.
-func Coverage(mode Mode) string {
-	var kinds []string
-	for k := ir.EventCreate; k <= ir.EventIntent; k++ {
-		if reachable(mode, k) {
-			kinds = append(kinds, k.String())
-		}
-	}
-	sort.Strings(kinds)
-	return strings.Join(kinds, ",")
 }

@@ -132,25 +132,13 @@ func TestAutoAbortsOnCustomUIGate(t *testing.T) {
 	}
 }
 
-func TestRunAllProducesBothTraces(t *testing.T) {
-	p, mkNet := buildApp([]ir.EventKind{ir.EventCreate, ir.EventLogin}, false)
-	traces, err := RunAll(p, mkNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces["manual"]) != 2 {
-		t.Errorf("manual trace = %d entries", len(traces["manual"]))
-	}
-	if len(traces["auto"]) != 1 {
-		t.Errorf("auto trace = %d entries", len(traces["auto"]))
-	}
-}
-
+// TestCoverageStrings pins the event kinds each mode may trigger: a human
+// logs in, the UI-automation tool cannot.
 func TestCoverageStrings(t *testing.T) {
-	if !strings.Contains(Coverage(Manual), "login") {
+	if !reachable(Manual, ir.EventLogin) {
 		t.Error("manual coverage missing login")
 	}
-	if strings.Contains(Coverage(Auto), "login") {
+	if reachable(Auto, ir.EventLogin) {
 		t.Error("auto coverage should not include login")
 	}
 }

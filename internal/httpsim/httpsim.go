@@ -1,9 +1,8 @@
 // Package httpsim provides the simulated server side of the evaluation:
 // in-process HTTP servers (one per application backend), a virtual network
 // routing requests by host, and a transaction recorder producing the
-// traffic traces that the paper obtains with mitmproxy. The same servers
-// can also be exposed over real TCP via net/http (see serve.go) so traces
-// can be captured through an actual network stack.
+// traffic traces that the paper obtains with mitmproxy. Requests are
+// routed in process by Network.RoundTrip; no socket is opened.
 package httpsim
 
 import (
@@ -214,13 +213,6 @@ func (n *Network) Trace() []*Transaction {
 	out := make([]*Transaction, len(n.trace))
 	copy(out, n.trace)
 	return out
-}
-
-// ClearTrace discards recorded transactions (between fuzzing runs).
-func (n *Network) ClearTrace() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.trace = nil
 }
 
 // Hosts returns the registered hostnames, sorted.

@@ -213,24 +213,6 @@ func (b *Bits) Union(o *Bits) {
 	}
 }
 
-// Intersects reports whether b and o share any member. Safe on nil
-// receivers and arguments.
-func (b *Bits) Intersects(o *Bits) bool {
-	if b == nil || o == nil {
-		return false
-	}
-	n := len(b.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		if b.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Clone returns an independent copy. Safe on a nil receiver.
 func (b *Bits) Clone() *Bits {
 	if b == nil {
@@ -281,13 +263,6 @@ func (b *Bits) Each(f func(id uint32) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// Members returns the set IDs in increasing order.
-func (b *Bits) Members() []uint32 {
-	out := make([]uint32, 0, b.Count())
-	b.Each(func(id uint32) bool { out = append(out, id); return true })
-	return out
 }
 
 // SortedStrings resolves the set through tab and returns the symbols

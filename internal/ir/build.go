@@ -78,20 +78,6 @@ func (b *B) ConstInt(v int64) int {
 	return r
 }
 
-// ConstNull loads null into a fresh register and returns it.
-func (b *B) ConstNull() int {
-	r := b.Reg()
-	b.emit(Instr{Op: OpConstNull, Dst: r, A: NoReg, B: NoReg, Target: -1})
-	return r
-}
-
-// Move copies src into a fresh register and returns it.
-func (b *B) Move(src int) int {
-	r := b.Reg()
-	b.emit(Instr{Op: OpMove, Dst: r, A: src, B: NoReg, Target: -1})
-	return r
-}
-
 // MoveTo copies src into dst.
 func (b *B) MoveTo(dst, src int) {
 	b.emit(Instr{Op: OpMove, Dst: dst, A: src, B: NoReg, Target: -1})
@@ -195,12 +181,6 @@ func (b *B) IfNZ(r int, label string) {
 // IfEq branches to label when x == y.
 func (b *B) IfEq(x, y int, label string) {
 	i := b.emit(Instr{Op: OpIfEq, Dst: NoReg, A: x, B: y, Target: -1})
-	b.fixups = append(b.fixups, fixup{i, label})
-}
-
-// IfNe branches to label when x != y.
-func (b *B) IfNe(x, y int, label string) {
-	i := b.emit(Instr{Op: OpIfNe, Dst: NoReg, A: x, B: y, Target: -1})
 	b.fixups = append(b.fixups, fixup{i, label})
 }
 

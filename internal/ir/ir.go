@@ -128,36 +128,10 @@ type Instr struct {
 	Kind   InvokeKind // dispatch style for OpInvoke
 }
 
-// Uses returns the registers read by the instruction, in operand order.
-func (in *Instr) Uses() []int {
-	switch in.Op {
-	case OpMove, OpFieldGet, OpIfZ, OpIfNZ:
-		return regs(in.A)
-	case OpFieldPut:
-		return regs(in.A, in.B)
-	case OpStaticPut:
-		return regs(in.B)
-	case OpIfEq, OpIfNe, OpBinop:
-		return regs(in.A, in.B)
-	case OpReturn:
-		return regs(in.A)
-	case OpInvoke:
-		out := make([]int, 0, len(in.Args))
-		for _, a := range in.Args {
-			if a != NoReg {
-				out = append(out, a)
-			}
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
 // EachUse calls f for every register the instruction reads, in operand
-// order. It is the allocation-free form of Uses for the analysis hot
-// loops: Uses builds a fresh slice per call, which the profile shows as
-// the single largest allocation site in slicing.
+// order. It takes a callback rather than returning a slice because the
+// analysis hot loops call it per instruction, and a fresh slice per call
+// was the single largest allocation site in slicing.
 func (in *Instr) EachUse(f func(reg int)) {
 	switch in.Op {
 	case OpMove, OpFieldGet, OpIfZ, OpIfNZ, OpReturn:
@@ -216,16 +190,6 @@ func (in *Instr) IsConditional() bool {
 // instruction.
 func (in *Instr) Terminates() bool {
 	return in.Op == OpGoto || in.Op == OpReturn
-}
-
-func regs(rs ...int) []int {
-	out := rs[:0]
-	for _, r := range rs {
-		if r != NoReg {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // String renders the instruction in a compact assembly-like form.

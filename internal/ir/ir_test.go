@@ -242,6 +242,13 @@ func TestSplitRef(t *testing.T) {
 	}
 }
 
+// usesOf collects the registers EachUse reports, in order.
+func usesOf(in *Instr) []int {
+	var out []int
+	in.EachUse(func(reg int) { out = append(out, reg) })
+	return out
+}
+
 func TestUsesAndDef(t *testing.T) {
 	tests := []struct {
 		name string
@@ -258,14 +265,14 @@ func TestUsesAndDef(t *testing.T) {
 		{"ifeq", Instr{Op: OpIfEq, Dst: NoReg, A: 1, B: 2}, []int{1, 2}, NoReg},
 	}
 	for _, tt := range tests {
-		uses := tt.in.Uses()
+		uses := usesOf(&tt.in)
 		if len(uses) != len(tt.uses) {
-			t.Errorf("%s: Uses = %v, want %v", tt.name, uses, tt.uses)
+			t.Errorf("%s: EachUse = %v, want %v", tt.name, uses, tt.uses)
 			continue
 		}
 		for i := range uses {
 			if uses[i] != tt.uses[i] {
-				t.Errorf("%s: Uses = %v, want %v", tt.name, uses, tt.uses)
+				t.Errorf("%s: EachUse = %v, want %v", tt.name, uses, tt.uses)
 			}
 		}
 		if d := tt.in.Def(); d != tt.def {
@@ -284,7 +291,7 @@ func TestInstrStringIsStable(t *testing.T) {
 	}
 }
 
-// Property: for every opcode, Uses never contains NoReg and Def is either
+// Property: for every opcode, EachUse never reports NoReg and Def is either
 // NoReg or a real register value copied from the instruction.
 func TestUsesNeverContainNoReg(t *testing.T) {
 	f := func(op uint8, dst, a, b int8, args []int8) bool {
@@ -306,7 +313,7 @@ func TestUsesNeverContainNoReg(t *testing.T) {
 		for i := range in.Args {
 			in.Args[i] = norm(in.Args[i])
 		}
-		for _, u := range in.Uses() {
+		for _, u := range usesOf(&in) {
 			if u == NoReg {
 				return false
 			}

@@ -298,15 +298,3 @@ func rewrite(p *ir.Program, m *Mapping) {
 	}
 	*p = *rebuilt
 }
-
-// SortedRenames lists "old -> new" method renames for diagnostics.
-func (m *Mapping) SortedRenames() []string {
-	out := make([]string, 0, len(m.Methods))
-	for k, v := range m.Methods {
-		if k != v {
-			out = append(out, k+" -> "+v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

@@ -79,15 +79,8 @@ func TestApplyRenamesAppIdentifiers(t *testing.T) {
 		t.Fatal("class mapping missing")
 	}
 	// helper must be renamed; the field too.
-	renames := m.SortedRenames()
-	found := false
-	for _, r := range renames {
-		if strings.HasPrefix(r, "com.demo.app.Api.helper -> ") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("helper not renamed: %v", renames)
+	if to, ok := m.Methods["com.demo.app.Api.helper"]; !ok || to == "com.demo.app.Api.helper" {
+		t.Fatalf("helper not renamed: %q", to)
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("obfuscated program invalid: %v", err)

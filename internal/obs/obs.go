@@ -457,18 +457,6 @@ func (p *Profile) Counter(name string) int64 {
 	return p.Counters[name]
 }
 
-// PhaseSum returns the sum of all phase durations.
-func (p *Profile) PhaseSum() time.Duration {
-	if p == nil {
-		return 0
-	}
-	var ns int64
-	for _, ph := range p.Phases {
-		ns += ph.DurationNS
-	}
-	return time.Duration(ns)
-}
-
 // Hist returns the named histogram snapshot (nil if absent).
 func (p *Profile) Hist(name string) *HistSnapshot {
 	if p == nil {
@@ -484,19 +472,6 @@ func (p *Profile) HistNames() []string {
 	}
 	out := make([]string, 0, len(p.Hists))
 	for k := range p.Hists {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CounterNames returns all counter names, sorted.
-func (p *Profile) CounterNames() []string {
-	if p == nil {
-		return nil
-	}
-	out := make([]string, 0, len(p.Counters))
-	for k := range p.Counters {
 		out = append(out, k)
 	}
 	sort.Strings(out)

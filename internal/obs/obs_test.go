@@ -43,8 +43,8 @@ func TestCountersAndGauges(t *testing.T) {
 	if p.Gauges["g"] != 0.5 {
 		t.Fatalf("gauge g = %v, want 0.5", p.Gauges["g"])
 	}
-	if names := p.CounterNames(); len(names) != 1 || names[0] != "a" {
-		t.Fatalf("counter names = %v", names)
+	if len(p.Counters) != 1 {
+		t.Fatalf("counters = %v, want only a", p.Counters)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var p *Profile
-	if p.Phase("x") != 0 || p.Counter("x") != 0 || p.PhaseSum() != 0 || p.CounterNames() != nil {
+	if p.Phase("x") != 0 || p.Counter("x") != 0 || p.Hist("x") != nil || p.HistNames() != nil {
 		t.Fatal("nil profile accessors must be zero")
 	}
 	p.Merge(&Profile{TotalNS: 1}) // must not panic

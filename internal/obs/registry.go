@@ -78,16 +78,6 @@ func (r *Registry) Detach(c *Collector) {
 	r.mu.Unlock()
 }
 
-// Live returns the number of currently attached collectors.
-func (r *Registry) Live() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.live)
-}
-
 // Gather merges completed-run aggregates with live snapshots into one
 // Profile, plus the run lifecycle counts.
 func (r *Registry) Gather() (p *Profile, started, completed, live int64) {

@@ -16,9 +16,6 @@ func TestRegistryGather(t *testing.T) {
 	b.Add(CtrTransactions, 4)
 	a.Observe(HistAnalyze, 1_000)
 
-	if r.Live() != 2 {
-		t.Fatalf("Live = %d, want 2", r.Live())
-	}
 	p, started, completed, live := r.Gather()
 	if started != 2 || completed != 0 || live != 2 {
 		t.Fatalf("lifecycle = %d/%d/%d, want 2/0/2", started, completed, live)
@@ -46,12 +43,12 @@ func TestRegistryNilSafety(t *testing.T) {
 	var r *Registry
 	r.Attach(NewCollector(), "app")
 	r.Detach(nil)
-	if r.Live() != 0 {
-		t.Fatal("nil registry Live should be 0")
-	}
-	p, _, _, _ := r.Gather()
+	p, started, completed, live := r.Gather()
 	if p == nil {
 		t.Fatal("nil registry Gather should return an empty profile")
+	}
+	if started != 0 || completed != 0 || live != 0 {
+		t.Fatalf("nil registry lifecycle = %d/%d/%d, want 0/0/0", started, completed, live)
 	}
 	if out := r.Prometheus(); !strings.Contains(out, "extractocol_runs_live 0") {
 		t.Fatalf("nil registry exposition missing lifecycle series:\n%s", out)

@@ -212,7 +212,7 @@ func oracleJSON(r *core.Report, o Options) ([]byte, error) {
 		}
 		switch tx.Request.BodyKind {
 		case "json":
-			jt.BodySchema = siglang.JSONSchema(tx.Request.Body)
+			jt.BodySchema = string(siglang.AppendJSONSchema(nil, tx.Request.Body))
 		case "":
 		default:
 			jt.BodyRegex = siglang.Regex(tx.Request.Body)
@@ -222,10 +222,10 @@ func oracleJSON(r *core.Report, o Options) ([]byte, error) {
 			switch tx.Response.BodyKind {
 			case "json":
 				jt.RespKeys = siglang.Keywords(&siglang.JSON{Root: tx.Response.JSON})
-				jt.RespSchema = siglang.JSONSchema(&siglang.JSON{Root: tx.Response.JSON})
+				jt.RespSchema = string(siglang.AppendJSONSchema(nil, &siglang.JSON{Root: tx.Response.JSON}))
 			case "xml":
 				jt.RespKeys = siglang.Keywords(&siglang.XML{Root: tx.Response.XML})
-				jt.RespDTD = siglang.DTD(&siglang.XML{Root: tx.Response.XML})
+				jt.RespDTD = string(siglang.AppendDTD(nil, &siglang.XML{Root: tx.Response.XML}))
 			}
 		}
 		out.Transactions = append(out.Transactions, jt)
@@ -272,6 +272,7 @@ const (
 	edgeDiag                 // a degradation diagnostic
 	edgeSecurity             // render with the security lens
 	edgeProfile              // a phase profile
+	edgeNilChild             // the XML response root has a nil child, as ?elem parses
 )
 
 // edgeReport builds a two-transaction report whose strings come from the
@@ -286,6 +287,13 @@ func edgeReport(pkg, app, uri, header, dp string, frac float64, flags uint8) (*c
 		resp := &siglang.Obj{}
 		resp.Put(header, siglang.AnyInt())
 		resp.Put("items", &siglang.Arr{Elems: []siglang.Sig{siglang.Str(uri)}})
+		feed := &siglang.Elem{
+			Tag:      "feed",
+			Children: []*siglang.Elem{{Tag: "entry", Attrs: []siglang.KV{{Key: header, Val: siglang.Str(dp)}}}},
+		}
+		if flags&edgeNilChild != 0 {
+			feed.Children = append(feed.Children, nil)
+		}
 		r.Transactions = []*core.Transaction{{
 			ID: 1,
 			DP: dp,
@@ -313,10 +321,7 @@ func edgeReport(pkg, app, uri, header, dp string, frac float64, flags uint8) (*c
 				BodyKind: "query",
 				Body:     siglang.Cat(siglang.Str(header+"="), siglang.AnyInt()),
 			},
-			Response: &sigbuild.ResponseSig{BodyKind: "xml", XML: &siglang.Elem{
-				Tag:      "feed",
-				Children: []*siglang.Elem{{Tag: "entry", Attrs: []siglang.KV{{Key: header, Val: siglang.Str(dp)}}}},
-			}},
+			Response: &sigbuild.ResponseSig{BodyKind: "xml", XML: feed},
 		}}
 		r.Deps = []txdep.Dep{
 			{From: 1, To: 2, FromField: header, ToPart: "uri", Via: dp},
@@ -366,6 +371,7 @@ var jsonEdgeCases = []struct {
 	{"notx", "a", "u", "k", "d", 0.1, edgeNoTx},
 	{"all", "<a&b>", "http://u.example.com/?x=<y>", "session_id", "d&p", 0.333, edgeNoTx | edgeDiag | edgeSecurity | edgeProfile},
 	{"all-tx", "<a&b>", "http://u.example.com/?x=<y>", "session_id", "d&p", 0.333, edgeDiag | edgeSecurity | edgeProfile},
+	{"nil-child", "a", "u", "k", "d", 0.5, edgeNilChild},
 	{"", "", "", "", "", 0, 0},
 }
 
@@ -482,7 +488,7 @@ func field(f string) string {
 
 func bodyText(s siglang.Sig) string {
 	if j, ok := s.(*siglang.JSON); ok {
-		return siglang.JSONSchema(j)
+		return string(siglang.AppendJSONSchema(nil, j))
 	}
 	return siglang.RegexBody(s)
 }

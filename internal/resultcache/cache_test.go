@@ -2,6 +2,7 @@ package resultcache
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,6 +16,9 @@ import (
 	"extractocol/internal/obs"
 	"extractocol/internal/report"
 	"extractocol/internal/sigbuild"
+	"extractocol/internal/siglang"
+	"extractocol/internal/sigvm"
+	"extractocol/internal/trace"
 	"extractocol/internal/wire"
 )
 
@@ -88,6 +92,51 @@ func TestCodecRoundTripsCorpusReports(t *testing.T) {
 		}
 		if string(enc2) != string(enc) {
 			t.Errorf("%s (explain=%v): re-encoding is not byte-identical", tc.app, tc.explain)
+		}
+	}
+}
+
+// TestNilXMLChildRendersAndCompiles round-trips a report whose XML
+// response root has a nil child, which the signature parser reads from
+// ?elem and the codec stores, and requires every consumer of a decoded
+// report to take it: the text and JSON renderers, the compiled matcher and
+// the labeled-traffic generator. A nil child constrains nothing, so the
+// DTD lists only the named child.
+func TestNilXMLChildRendersAndCompiles(t *testing.T) {
+	rep := cleanReport(t, "radio reddit", false)
+	rep.Transactions[0].Response = &sigbuild.ResponseSig{BodyKind: "xml", XML: &siglang.Elem{
+		Tag:      "feed",
+		Children: []*siglang.Elem{{Tag: "entry", Text: siglang.AnyString()}, nil},
+	}}
+	enc, err := EncodeReport(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeReport(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kids := dec.Transactions[0].Response.XML.Children; len(kids) != 2 || kids[1] != nil {
+		t.Fatalf("decoded children = %v, want [entry nil]", kids)
+	}
+	js, text := renderings(t, dec)
+	if !json.Valid([]byte(js)) {
+		t.Fatal("report JSON is not valid JSON")
+	}
+	if want := `"resp_dtd": "\u003c!ELEMENT feed (entry)\u003e\n\u003c!ELEMENT entry (#PCDATA)\u003e"`; !strings.Contains(js, want) {
+		t.Errorf("report JSON lacks the DTD %q:\n%s", want, js)
+	}
+	if !strings.Contains(text, "response (xml)") {
+		t.Errorf("text report lacks the XML response:\n%s", text)
+	}
+	if sigvm.Compile(dec).NumSigs() != len(dec.Transactions) {
+		t.Error("compiled bundle lost a signature")
+	}
+	labeled := trace.RandEntries(7, dec, 200)
+	res := trace.Classify(dec, trace.Entries(labeled), trace.ClassifyOptions{})
+	for i, le := range labeled {
+		if res.Verdicts[i] != le.WantID {
+			t.Fatalf("entry %d: verdict %d, want %d", i, res.Verdicts[i], le.WantID)
 		}
 	}
 }

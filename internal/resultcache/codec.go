@@ -110,14 +110,23 @@ func EncodeReport(r *core.Report) ([]byte, error) {
 }
 
 // DecodeReport parses a cache entry produced by EncodeReport. Arbitrary
-// input yields an error, never a panic; a report that decodes successfully
-// re-encodes to byte-identical output.
+// input yields an error, never a panic: a decoder panic, which would mean
+// hostile bytes found a hole in its checks, is recovered and returned as
+// an error. A report that decodes successfully re-encodes to
+// byte-identical output.
 func DecodeReport(data []byte) (rep *core.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep, err = nil, fmt.Errorf("resultcache: decoder panic on malformed entry: %v", r)
 		}
 	}()
+	return decodeReport(data)
+}
+
+// decodeReport is DecodeReport without the recover, so that
+// FuzzResultCacheCodec fails on a decoder panic instead of taking its
+// error for a clean rejection.
+func decodeReport(data []byte) (*core.Report, error) {
 	payload, err := wire.Unseal(data, codecMagic, CodecVersion)
 	if err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)

@@ -2,10 +2,12 @@ package resultcache
 
 // FuzzResultCacheCodec guards the cache entry codec against the two ways a
 // persistent format goes wrong: losing information on its own output, and
-// trusting foreign bytes. Arbitrary input must never panic the decoder, and
-// anything the decoder accepts must re-encode byte-identically (the codec
-// is a fixed point on its own output — the invariant behind serving cached
-// entries without re-validating them against the pipeline).
+// trusting foreign bytes. Arbitrary input must never panic the decoder
+// (the target decodes through decodeReport, which has no recover, so a
+// panic fails it), and anything the decoder accepts must re-encode
+// byte-identically (the codec is a fixed point on its own output — the
+// invariant behind serving cached entries without re-validating them
+// against the pipeline).
 
 import (
 	"testing"
@@ -46,7 +48,7 @@ func FuzzResultCacheCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw mutation first: must reject or accept cleanly, never panic.
-		if rep, err := DecodeReport(data); err == nil {
+		if rep, err := decodeReport(data); err == nil {
 			roundTrip(t, rep, data)
 		}
 
@@ -56,7 +58,7 @@ func FuzzResultCacheCodec(f *testing.F) {
 			return
 		}
 		sealed := wire.Seal(codecMagic, CodecVersion, data[wire.HeaderLen:])
-		if rep, err := DecodeReport(sealed); err == nil {
+		if rep, err := decodeReport(sealed); err == nil {
 			roundTrip(t, rep, sealed)
 		}
 	})
@@ -73,7 +75,7 @@ func roundTrip(t *testing.T, rep *core.Report, data []byte) {
 	if string(enc) != string(data) {
 		t.Fatalf("codec is not a fixed point:\n in: %d bytes\nout: %d bytes", len(data), len(enc))
 	}
-	if _, err := DecodeReport(enc); err != nil {
+	if _, err := decodeReport(enc); err != nil {
 		t.Fatalf("re-encoded entry fails to decode: %v", err)
 	}
 }

@@ -184,24 +184,6 @@ type Model struct {
 // or nil when the method is unmodeled.
 func (m *Model) Lookup(ref string) *Method { return m.methods[ref] }
 
-// IsDP reports whether ref is a demarcation point.
-func (m *Model) IsDP(ref string) bool {
-	e := m.methods[ref]
-	return e != nil && e.DP
-}
-
-// DemarcationPoints returns all modeled DPs sorted by reference.
-func (m *Model) DemarcationPoints() []*Method {
-	var out []*Method
-	for _, e := range m.methods {
-		if e.DP {
-			out = append(out, e)
-		}
-	}
-	sortMethods(out)
-	return out
-}
-
 // Methods returns all modeled methods sorted by reference.
 func (m *Model) Methods() []*Method {
 	out := make([]*Method, 0, len(m.methods))
@@ -210,29 +192,6 @@ func (m *Model) Methods() []*Method {
 	}
 	sortMethods(out)
 	return out
-}
-
-// ClassCount returns the number of distinct classes contributing DPs.
-func (m *Model) ClassCount() int {
-	classes := map[string]bool{}
-	for _, e := range m.methods {
-		if e.DP {
-			cls, _, ok := splitRef(e.Ref)
-			if ok {
-				classes[cls] = true
-			}
-		}
-	}
-	return len(classes)
-}
-
-func splitRef(ref string) (string, string, bool) {
-	for i := len(ref) - 1; i >= 0; i-- {
-		if ref[i] == '.' {
-			return ref[:i], ref[i+1:], true
-		}
-	}
-	return "", "", false
 }
 
 func sortMethods(ms []*Method) {

@@ -120,6 +120,8 @@ func FuzzSiglangCanon(f *testing.F) {
 	}
 	f.Add("obj{")
 	f.Add("xml(<a b=?any><c></c>?string</a>)")
+	// A report's XML response whose root has a nil child.
+	f.Add("xml(<feed><entry k=?any>?string</entry>?elem</feed>)")
 	f.Add("(num(1) ∨ num(2) ∨ ?bool)")
 
 	f.Fuzz(func(t *testing.T, s string) {

@@ -60,12 +60,23 @@ func TestRepeatCollapsesNested(t *testing.T) {
 	}
 }
 
+// objKeys returns o's constant keys in insertion order.
+func objKeys(o *Obj) []string {
+	var out []string
+	for _, kv := range o.Pairs {
+		if !kv.Dyn {
+			out = append(out, kv.Key)
+		}
+	}
+	return out
+}
+
 func TestObjPutDynAndKeys(t *testing.T) {
 	o := &Obj{}
 	o.Put("a", AnyInt())
 	o.PutDyn(AnyString())
 	o.Put("b", AnyString())
-	keys := o.Keys()
+	keys := objKeys(o)
 	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
 		t.Fatalf("Keys = %v", keys)
 	}

@@ -8,18 +8,13 @@ import (
 	"unicode/utf8"
 )
 
-// JSONSchema renders a JSON signature tree as a compact JSON-Schema-like
-// document. Unknown leaves become {"type": "..."} entries; objects list
-// their properties; open arrays carry an "items" entry. Keys, string
-// constants and patterns are quoted by appendJSONQuote, so the document is
-// valid JSON whatever bytes they hold. Numeric constants are written as
-// they are; the analysis makes them with strconv.FormatInt.
-func JSONSchema(s Sig) string {
-	var buf [256]byte
-	return string(AppendJSONSchema(buf[:0], s))
-}
-
-// AppendJSONSchema appends the JSONSchema document of s to b.
+// AppendJSONSchema appends to b the JSONSchema document of s: a compact
+// JSON-Schema-like rendering of a JSON signature tree. Unknown leaves
+// become {"type": "..."} entries; objects list their properties; open
+// arrays carry an "items" entry. Keys, string constants and patterns are
+// quoted by appendJSONQuote, and a numeric constant is written as it is
+// only when it is a JSON number, as the analysis's strconv.FormatInt
+// output always is; so the document is valid JSON whatever bytes they hold.
 func AppendJSONSchema(b []byte, s Sig) []byte {
 	switch v := s.(type) {
 	case nil:
@@ -27,12 +22,17 @@ func AppendJSONSchema(b []byte, s Sig) []byte {
 	case *JSON:
 		b = AppendJSONSchema(b, v.Root)
 	case *Lit:
-		if v.Num {
-			b = append(b, `{"type":"number","const":`...)
-			b = append(b, v.Val...)
-		} else {
+		switch {
+		case !v.Num:
 			b = append(b, `{"type":"string","const":`...)
 			b = appendJSONQuote(b, v.Val)
+		case isJSONNumber(v.Val):
+			b = append(b, `{"type":"number","const":`...)
+			b = append(b, v.Val...)
+		default:
+			// The parser and the cache codec carry any text as a numeric
+			// literal; one that is no JSON number constrains only the type.
+			b = append(b, `{"type":"number"`...)
 		}
 		b = append(b, '}')
 	case *Unknown:
@@ -153,6 +153,51 @@ func appendJSONQuote[S string | []byte](b []byte, s S) []byte {
 	return append(b, '"')
 }
 
+// isJSONNumber reports whether s is a number by JSON's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, without allocating.
+func isJSONNumber(s string) bool {
+	i := 0
+	if i < len(s) && s[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(s) && s[i] == '0':
+		i++
+	case i < len(s) && '1' <= s[i] && s[i] <= '9':
+		i = skipDigits(s, i)
+	default:
+		return false
+	}
+	if i < len(s) && s[i] == '.' {
+		j := skipDigits(s, i+1)
+		if j == i+1 {
+			return false
+		}
+		i = j
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		j := skipDigits(s, i)
+		if j == i {
+			return false
+		}
+		i = j
+	}
+	return i == len(s)
+}
+
+// skipDigits returns the index of the first byte at or after i of s that
+// is no ASCII digit.
+func skipDigits(s string, i int) int {
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	return i
+}
+
 // appendJSONEscape appends the \uhhhh escape of a rune below U+10000, in
 // lower-case hex as strconv writes it.
 func appendJSONEscape(b []byte, r rune) []byte {
@@ -160,17 +205,12 @@ func appendJSONEscape(b []byte, r rune) []byte {
 	return append(b, '\\', 'u', hex[r>>12&0xF], hex[r>>8&0xF], hex[r>>4&0xF], hex[r&0xF])
 }
 
-// DTD renders an XML signature tree as a Document Type Definition, the
-// alternative representation the paper mentions for XML bodies.
-func DTD(x *XML) string {
-	var buf [256]byte
-	return string(AppendDTD(buf[:0], x))
-}
-
-// AppendDTD appends the DTD of x to b: an element declaration for each
-// tag, the first time it appears in a depth-first walk, followed by the
-// tag's attribute list if it has attributes, one declaration per line and
-// no newline after the last. It appends nothing for an empty tree.
+// AppendDTD appends to b the Document Type Definition of an XML signature
+// tree, the alternative representation the paper mentions for XML bodies:
+// an element declaration for each tag, the first time it appears in a
+// depth-first walk, followed by the tag's attribute list if it has
+// attributes, one declaration per line and no newline after the last. It
+// appends nothing for an empty tree.
 func AppendDTD(b []byte, x *XML) []byte {
 	if x == nil || x.Root == nil {
 		return b
@@ -187,13 +227,19 @@ func appendDTD(b []byte, e *Elem, seen []string) ([]byte, []string) {
 	seen = append(seen, e.Tag)
 	b = append(b, "<!ELEMENT "...)
 	b = append(b, e.Tag...)
+	// A nil child constrains nothing, so it is left out of the list.
 	switch {
-	case len(e.Children) > 0:
+	case slices.ContainsFunc(e.Children, func(c *Elem) bool { return c != nil }):
 		b = append(b, " ("...)
-		for i, c := range e.Children {
-			if i > 0 {
+		first := true
+		for _, c := range e.Children {
+			if c == nil {
+				continue
+			}
+			if !first {
 				b = append(b, ", "...)
 			}
+			first = false
 			b = append(b, c.Tag...)
 		}
 		b = append(b, ")>\n"...)

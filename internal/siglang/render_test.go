@@ -73,3 +73,32 @@ func FuzzJSONQuote(f *testing.F) {
 	}
 	f.Fuzz(checkJSONQuote)
 }
+
+// TestIsJSONNumber holds the schema renderer's byte-level number check to
+// JSON's grammar as the schema oracle writes it (jsonNumber), on numbers
+// and on texts the parser accepts between "num(" and ")" that are none:
+// a literal it accepts must be a JSON value on its own. It must not
+// allocate, since it runs per numeric literal on the report path.
+func TestIsJSONNumber(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want bool
+	}{
+		{"0", true}, {"-0", true}, {"42", true}, {"-3.5e2", true}, {"1E+9", true}, {"0.0e-0", true},
+		{"", false}, {"-", false}, {"01", false}, {"+1", false}, {".5", false}, {"1.", false},
+		{"1e", false}, {"1e+", false}, {" 1", false}, {"1 ", false}, {"NaN", false},
+		{"0x10", false}, {"1_000", false}, {"--1", false}, {"1.2.3", false},
+	} {
+		got := isJSONNumber(c.in)
+		if got != c.want || got != jsonNumber.MatchString(c.in) {
+			t.Errorf("isJSONNumber(%q) = %v, want %v", c.in, got, c.want)
+		}
+		if got && !json.Valid([]byte(c.in)) {
+			t.Errorf("isJSONNumber(%q) accepts what encoding/json rejects", c.in)
+		}
+	}
+	s := "-3.5e2"
+	if n := testing.AllocsPerRun(100, func() { isJSONNumber(s) }); n != 0 {
+		t.Errorf("isJSONNumber allocates %v times per call", n)
+	}
+}

@@ -386,17 +386,6 @@ func (o *Obj) Get(key string) Sig {
 	return nil
 }
 
-// Keys returns the constant keys in insertion order.
-func (o *Obj) Keys() []string {
-	var out []string
-	for _, kv := range o.Pairs {
-		if !kv.Dyn {
-			out = append(out, kv.Key)
-		}
-	}
-	return out
-}
-
 // MergeObj returns the union of a and b (set union of keys; common keys
 // disjoin values) in a new object, writing neither operand; a nil operand
 // yields the other. Used at control-flow confluence points.

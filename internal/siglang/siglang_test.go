@@ -102,7 +102,7 @@ func TestMergeCollapsesEqualAndMergesJSON(t *testing.T) {
 	if !ok {
 		t.Fatalf("Merge = %T", m)
 	}
-	keys := j.Root.(*Obj).Keys()
+	keys := objKeys(j.Root.(*Obj))
 	if len(keys) != 2 || keys[0] != "modhash" || keys[1] != "cookie" {
 		t.Fatalf("merged keys = %v", keys)
 	}
@@ -183,7 +183,7 @@ func TestJSONSchemaRendering(t *testing.T) {
 	o := &Obj{}
 	o.Put("url", AnyString())
 	o.Put("height", AnyInt())
-	got := JSONSchema(&JSON{Root: o})
+	got := string(AppendJSONSchema(nil, &JSON{Root: o}))
 	for _, frag := range []string{`"url":{"type":"string"}`, `"height":{"type":"number"}`, `"type":"object"`} {
 		if !strings.Contains(got, frag) {
 			t.Errorf("schema missing %q: %s", frag, got)
@@ -199,7 +199,7 @@ func TestDTDRendering(t *testing.T) {
 			{Tag: "ad", Children: []*Elem{{Tag: "mediafile", Text: AnyString()}}},
 		},
 	}}
-	dtd := DTD(x)
+	dtd := string(AppendDTD(nil, x))
 	for _, frag := range []string{"<!ELEMENT vast (ad)>", "<!ATTLIST vast version CDATA #IMPLIED>", "<!ELEMENT mediafile (#PCDATA)>"} {
 		if !strings.Contains(dtd, frag) {
 			t.Errorf("DTD missing %q:\n%s", frag, dtd)

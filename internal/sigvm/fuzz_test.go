@@ -62,6 +62,8 @@ func FuzzSigVM(f *testing.F) {
 	for _, p := range payloadSeeds {
 		f.Add(`concat("v", ?int)`, p)
 	}
+	// A report's XML response whose root has a nil child.
+	f.Add(`xml(<feed><entry k=?any>?string</entry>?elem</feed>)`, `<feed><entry k="v">x</entry><x/></feed>`)
 	// The JSON walk's edge cases (match_test.go).
 	for _, tc := range jsonEdgeCases {
 		f.Add(tc.sig, tc.payload)

@@ -291,6 +291,9 @@ func matchElem(sig *siglang.Elem, node *siglang.XMLNode, st *siglang.ByteStats) 
 		// the signature must occur somewhere in the payload tree.
 		ok := true
 		for _, sc := range sig.Children {
+			if sc == nil { // a nil child constrains nothing
+				continue
+			}
 			found := findNode(node, sc.Tag)
 			if found == nil {
 				ok = false
@@ -321,6 +324,9 @@ func matchElem(sig *siglang.Elem, node *siglang.XMLNode, st *siglang.ByteStats) 
 		}
 	}
 	for _, sc := range sig.Children {
+		if sc == nil {
+			continue
+		}
 		found := false
 		for _, nc := range node.Children {
 			if nc.Tag == sc.Tag {
@@ -370,7 +376,7 @@ func elemHasAttr(e *siglang.Elem, k string) bool {
 
 func elemHasChild(e *siglang.Elem, tag string) bool {
 	for _, c := range e.Children {
-		if c.Tag == tag {
+		if c != nil && c.Tag == tag {
 			return true
 		}
 	}

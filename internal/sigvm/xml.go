@@ -45,6 +45,9 @@ func (b *Bundle) compileXMLElem(e *siglang.Elem) *xmlElem {
 		x.attrSet.Add(b.syms.Intern(a.Key))
 	}
 	for _, c := range e.Children {
+		if c == nil { // a nil child constrains nothing
+			continue
+		}
 		x.children = append(x.children, b.compileXMLElem(c))
 		x.childSet.Add(b.syms.Intern(c.Tag))
 	}

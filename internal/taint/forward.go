@@ -28,24 +28,6 @@ func (e *Engine) Forward(origin StmtID, reg int) *Result {
 	return res
 }
 
-// ForwardFacts runs forward propagation from a prepared set of local facts
-// given as (method, register) pairs; the pairing analysis uses the dense
-// form, ForwardDefs.
-func (e *Engine) ForwardFacts(seeds map[StmtID]int) *Result {
-	e.ensure()
-	ss := make([]seed, 0, len(seeds))
-	site := "flow-check"
-	for s, reg := range seeds {
-		if site == "flow-check" || s.Method < site {
-			site = s.Method
-		}
-		if mid, ok := e.idx.MethodID(s.Method); ok {
-			ss = append(ss, seed{rank: e.idx.RefRank(mid), method: mid, index: s.Index, reg: int32(reg)})
-		}
-	}
-	return e.forwardSeeds(ss, site)
-}
-
 // ForwardDefs runs forward propagation seeded with the register each
 // statement of stmts defines (a dense statement set over the engine's
 // program index; statements that define nothing are skipped), the

@@ -331,6 +331,9 @@ func genXML(r *entropy, root *siglang.Elem) string {
 }
 
 func writeXML(r *entropy, e *siglang.Elem, b *strings.Builder, depth int) {
+	if e == nil { // a nil child constrains nothing
+		return
+	}
 	tag := e.Tag
 	if tag == "*" {
 		// The wildcard document root: wrap the children in a carrier tag.

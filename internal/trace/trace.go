@@ -117,34 +117,6 @@ func CountByMethod(entries []Entry) map[string]int {
 	return out
 }
 
-// BodyKindCounts tallies unique routes by payload representation: request
-// query-string bodies, JSON bodies on either side, XML bodies.
-func BodyKindCounts(entries []Entry) (query, jsonN, xmlN int) {
-	q, j, x := map[string]bool{}, map[string]bool{}, map[string]bool{}
-	for _, e := range entries {
-		if e.RouteID == "" || e.Status >= 400 {
-			continue
-		}
-		if e.ReqBody != "" && isQueryBody(e.ReqBody) {
-			q[e.RouteID] = true
-		}
-		if (e.ReqBody != "" && json.Valid([]byte(e.ReqBody))) || e.RespType == "json" {
-			j[e.RouteID] = true
-		}
-		if e.RespType == "xml" || strings.HasPrefix(strings.TrimSpace(e.ReqBody), "<") {
-			x[e.RouteID] = true
-		}
-	}
-	return len(q), len(j), len(x)
-}
-
-func isQueryBody(body string) bool {
-	if json.Valid([]byte(body)) && strings.HasPrefix(strings.TrimSpace(body), "{") {
-		return false
-	}
-	return strings.Contains(body, "=")
-}
-
 // RequestKeywords extracts the constant protocol keywords of the request
 // side of a trace: query-string keys (URL and body) and JSON body keys.
 func RequestKeywords(entries []Entry) []string {

@@ -45,19 +45,6 @@ func TestUniqueRoutesAndCounts(t *testing.T) {
 	}
 }
 
-func TestBodyKindCounts(t *testing.T) {
-	q, j, x := BodyKindCounts(sampleEntries())
-	if q != 1 { // login form body
-		t.Errorf("query = %d", q)
-	}
-	if j != 2 { // two unique routes with JSON responses
-		t.Errorf("json = %d", j)
-	}
-	if x != 1 {
-		t.Errorf("xml = %d", x)
-	}
-}
-
 func TestKeywordExtraction(t *testing.T) {
 	es := sampleEntries()
 	req := RequestKeywords(es)
