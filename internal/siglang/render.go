@@ -228,20 +228,16 @@ func appendDTD(b []byte, e *Elem, seen []string) ([]byte, []string) {
 	b = append(b, "<!ELEMENT "...)
 	b = append(b, e.Tag...)
 	// A nil child constrains nothing, so it is left out of the list.
-	switch {
-	case slices.ContainsFunc(e.Children, func(c *Elem) bool { return c != nil }):
-		b = append(b, " ("...)
-		first := true
-		for _, c := range e.Children {
-			if c == nil {
-				continue
-			}
-			if !first {
-				b = append(b, ", "...)
-			}
-			first = false
+	sep := " ("
+	for _, c := range e.Children {
+		if c != nil {
+			b = append(b, sep...)
 			b = append(b, c.Tag...)
+			sep = ", "
 		}
+	}
+	switch {
+	case sep == ", ":
 		b = append(b, ")>\n"...)
 	case e.Text != nil:
 		b = append(b, " (#PCDATA)>\n"...)
