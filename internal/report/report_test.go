@@ -103,7 +103,7 @@ func TestGroupByPrefixKayak(t *testing.T) {
 
 // TestRenderingLeavesSignaturesUnchanged checks that rendering a report
 // does not rewrite its signature trees. An array whose elements are
-// differently shaped objects is what JSONSchema folds into one item
+// differently shaped objects is what AppendJSONSchema folds into one item
 // schema; the fold must not merge the later elements into the first.
 func TestRenderingLeavesSignaturesUnchanged(t *testing.T) {
 	arr := func() siglang.Sig {

@@ -108,7 +108,7 @@ func TestMergeCollapsesEqualAndMergesJSON(t *testing.T) {
 	}
 
 	// Merges leave their operands alone. Each case folds its operands with
-	// Merge, as JSONSchema and the compiled matcher fold an array's
+	// Merge, as AppendJSONSchema and the compiled matcher fold an array's
 	// elements; the operands render the same before and after.
 	parse := func(src string) Sig {
 		s, err := Parse(src)
