@@ -25,7 +25,7 @@ var testOnlyExports = map[string]string{
 	"extractocol.JSONReport":     "the module's public API",
 	"extractocol.DOTReport":      "the module's public API",
 
-	"internal/obfuscate.Deobfuscate": "the paper's §3.4 step; ROADMAP item 6 decides whether it joins the analysis path or leaves",
+	"internal/obfuscate.Deobfuscate": "the paper's §3.4 step, not on the analysis path yet; whether it joins it or leaves the tree is still open",
 
 	"internal/budget.NewFaultInjector": "how a caller arms core.Options.Faults; the root fault, determinism and telemetry tests build injectors with it",
 	"internal/ir.B.IfEq":               "runtime's TestBranchTakenByInput builds its branch with it",
