@@ -144,7 +144,7 @@ func TestTracerDisabledZeroAlloc(t *testing.T) {
 	}
 	flight := obs.NewCollector()
 	flight.EnableFlight()
-	for name, s := range map[string]*obs.Shard{"disabled-tracer": obs.NewShard(), "flight-only": flight.NewShard()} {
+	for name, s := range map[string]*obs.Shard{"disabled-tracer": obs.NewCollector().NewShard(), "flight-only": flight.NewShard()} {
 		s.Add(obs.CtrTaintFacts, 1)
 		if a := testing.AllocsPerRun(1000, func() {
 			sp := s.Span(obs.CatTaintBackward, "bench")

@@ -41,11 +41,11 @@ var (
 
 // runCorpus evaluates the whole corpus and reports the first app error.
 func runCorpus() ([]*evaluate.AppResult, error) {
-	results, stats, err := evaluate.RunAllConfig(evaluate.RunConfig{})
-	if err == nil && len(stats.Errors) > 0 {
-		err = fmt.Errorf("%s: %s", stats.Errors[0].App, stats.Errors[0].Err)
+	results, stats := evaluate.RunAllConfig(evaluate.RunConfig{})
+	if len(stats.Errors) > 0 {
+		return nil, fmt.Errorf("%s: %s", stats.Errors[0].App, stats.Errors[0].Err)
 	}
-	return results, err
+	return results, nil
 }
 
 func corpusResults(b *testing.B) []*evaluate.AppResult {
@@ -227,7 +227,7 @@ func BenchmarkAnalyzeClosedSource(b *testing.B) {
 
 func BenchmarkObfuscatedAnalysis(b *testing.B) {
 	app := corpus.Diode()
-	obfuscate.Apply(app.Prog, obfuscate.Options{KeepEntryPoints: true})
+	obfuscate.Apply(app.Prog)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Analyze(app.Prog, core.NewOptions()); err != nil {
@@ -615,7 +615,7 @@ func benchIntents(b *testing.B, model bool) {
 // no tracer bound, Span is a nil check returning a value-type ActiveSpan and
 // End is a nil check, so instrumentation costs nothing when off.
 func BenchmarkTracerDisabled(b *testing.B) {
-	s := obs.NewShard()
+	s := obs.NewCollector().NewShard()
 	// Pre-insert the counter key: incrementing an existing map key does not
 	// allocate, and the steady state is what the hot loops see.
 	s.Add(obs.CtrTaintFacts, 1)
@@ -625,24 +625,6 @@ func BenchmarkTracerDisabled(b *testing.B) {
 		sp := s.Span(obs.CatTaintBackward, "bench")
 		s.Add(obs.CtrTaintFacts, 1)
 		sp.End()
-	}
-}
-
-// ---- §3.4 de-obfuscation of a renamed HTTP library ----------------------------
-
-func BenchmarkDeobfuscation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		app := corpus.Diode()
-		obfuscate.Apply(app.Prog, obfuscate.Options{
-			KeepEntryPoints:        true,
-			ObfuscateLibraryPrefix: "org.apache.http",
-		})
-		b.StartTimer()
-		recovered := obfuscate.Deobfuscate(app.Prog, semmodel.Default())
-		if len(recovered) == 0 {
-			b.Fatal("nothing recovered")
-		}
 	}
 }
 

@@ -96,14 +96,8 @@ func TestCorpusWarmRunEquivalence(t *testing.T) {
 	}
 	cfg := evaluate.RunConfig{CacheDir: t.TempDir()}
 
-	cold, _, err := evaluate.RunAllConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, _, err := evaluate.RunAllConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, _ := evaluate.RunAllConfig(cfg)
+	warm, _ := evaluate.RunAllConfig(cfg)
 	if len(cold) != len(warm) || len(cold) == 0 {
 		t.Fatalf("cold ran %d apps, warm %d", len(cold), len(warm))
 	}

@@ -46,7 +46,7 @@ func run(dir string, obf bool, names []string) error {
 			continue
 		}
 		if obf {
-			obfuscate.Apply(app.Prog, obfuscate.Options{KeepEntryPoints: true})
+			obfuscate.Apply(app.Prog)
 		}
 		path := filepath.Join(dir, slug(app.Spec.Name)+".apkb")
 		if err := dex.WriteFile(path, app.Prog); err != nil {

@@ -187,11 +187,7 @@ func runArtifacts(cfg config, reg *obs.Registry) error {
 		if cfg.serial {
 			rcfg.Workers = 1
 		}
-		var err error
-		results, pstats, err = evaluate.RunAllConfig(rcfg)
-		if err != nil {
-			return err
-		}
+		results, pstats = evaluate.RunAllConfig(rcfg)
 		// Per-app failures degrade the corpus run instead of aborting it:
 		// name them on stderr and evaluate whatever completed.
 		for _, ae := range pstats.Errors {

@@ -118,7 +118,7 @@ func run(w io.Writer) error {
 
 	// The attacker repackages: rename everything.
 	variant := buildSpyware()
-	obfuscate.Apply(variant, obfuscate.Options{KeepEntryPoints: true})
+	obfuscate.Apply(variant)
 
 	vBytes, err := byteFingerprint(variant)
 	if err != nil {

@@ -277,7 +277,7 @@ func TestGenMetamorphicObfuscation(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			plainApp, obfApp := corpus.Generate(spec), corpus.Generate(spec)
-			mapping := obfuscate.Apply(obfApp.Prog, obfuscate.Options{KeepEntryPoints: true})
+			mapping := obfuscate.Apply(obfApp.Prog)
 
 			plain, err := core.Analyze(plainApp.Prog, core.NewOptions())
 			if err != nil {

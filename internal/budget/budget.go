@@ -1,7 +1,7 @@
 // Package budget is the pipeline's robustness subsystem: wall-clock
-// deadlines, cooperative cancellation, deterministic step budgets for the
-// fixpoint loops, typed exhaustion errors, and the degradation diagnostics
-// that replace crashes and hangs with per-transaction records in the report.
+// deadlines, deterministic step budgets for the fixpoint loops, typed
+// exhaustion errors, and the degradation diagnostics that replace crashes
+// and hangs with per-transaction records in the report.
 //
 // The paper's toolchain survives pathological apps only through Soot's
 // process-level timeouts; hostile bytecode (DexLego-style) aims precisely at
@@ -41,7 +41,6 @@ const (
 // Limit names identifying which budget an *Exceeded tripped.
 const (
 	LimitDeadline      = "deadline"
-	LimitCancel        = "cancelled"
 	LimitSliceSteps    = "slice_steps"
 	LimitFixpointIters = "fixpoint_iters"
 )
@@ -76,8 +75,6 @@ func (r *Recovered) Error() string {
 type Limits struct {
 	// Deadline is the absolute wall-clock bound; zero means unlimited.
 	Deadline time.Time
-	// Cancel aborts the run when closed; nil means not cancellable.
-	Cancel <-chan struct{}
 	// SliceSteps caps cumulative taint-propagation steps across the whole
 	// slice phase (a shared pool, consumed in job order); 0 = unlimited.
 	SliceSteps int64
@@ -107,18 +104,11 @@ func (b *Budget) WithFaults(inj *FaultInjector) *Budget {
 	return b
 }
 
-// Over reports deadline or cancellation exhaustion at a coarse checkpoint
-// (job boundaries, phase starts). Nil when within budget.
+// Over reports deadline exhaustion at a coarse checkpoint (job
+// boundaries, phase starts). Nil when within budget.
 func (b *Budget) Over(phase, site string) *Exceeded {
 	if b == nil {
 		return nil
-	}
-	if b.limits.Cancel != nil {
-		select {
-		case <-b.limits.Cancel:
-			return &Exceeded{Phase: phase, Limit: LimitCancel, Site: site}
-		default:
-		}
 	}
 	if !b.limits.Deadline.IsZero() && time.Now().After(b.limits.Deadline) {
 		return &Exceeded{Phase: phase, Limit: LimitDeadline, Site: site}
@@ -152,7 +142,7 @@ func (b *Budget) Hang(phase, site string) bool {
 	return b != nil && b.inj.Probe(phase, site) == FaultHang
 }
 
-// checkStride is how many Checker steps pass between deadline/cancel polls:
+// checkStride is how many Checker steps pass between deadline polls:
 // frequent enough to stop within microseconds, rare enough that time.Now
 // never shows up in a profile.
 const checkStride = 256

@@ -113,16 +113,6 @@ func TestDeadlineAndCancel(t *testing.T) {
 	if !errors.As(err, &ex) || ex.Limit != LimitDeadline {
 		t.Fatalf("checker missed expired deadline: %v", err)
 	}
-
-	ch := make(chan struct{})
-	bc := New(Limits{Cancel: ch})
-	if bc.Over(PhaseSlice, "s") != nil {
-		t.Fatal("open cancel channel reported as cancelled")
-	}
-	close(ch)
-	if ex := bc.Over(PhaseSlice, "s"); ex == nil || ex.Limit != LimitCancel {
-		t.Fatalf("cancellation not reported: %v", ex)
-	}
 }
 
 func TestFaultInjectorAddressing(t *testing.T) {

@@ -98,14 +98,6 @@ func Build(m *ir.Method) *Graph {
 	return g
 }
 
-// Entry returns the entry block, or nil for empty methods.
-func (g *Graph) Entry() *Block {
-	if len(g.Blocks) == 0 {
-		return nil
-	}
-	return g.Blocks[0]
-}
-
 // ReversePostOrder returns block IDs in reverse post-order of a depth-first
 // search from the entry: every block appears before its successors except
 // along back edges. Unreachable blocks are appended at the end in ID order

@@ -55,7 +55,7 @@ func TestDiamondStructure(t *testing.T) {
 	if len(g.Blocks) != 4 {
 		t.Fatalf("blocks = %d, want 4\n%s", len(g.Blocks), g)
 	}
-	entry := g.Entry()
+	entry := g.Blocks[0]
 	if len(entry.Succs) != 2 {
 		t.Fatalf("entry succs = %v, want 2", entry.Succs)
 	}
@@ -126,7 +126,7 @@ func TestNoLoopsInDiamond(t *testing.T) {
 func TestEmptyMethod(t *testing.T) {
 	m := &ir.Method{Name: "stub", Class: &ir.Class{Name: "t.C"}}
 	g := Build(m)
-	if g.Entry() != nil || len(g.ReversePostOrder()) != 0 {
+	if len(g.Blocks) != 0 || len(g.ReversePostOrder()) != 0 {
 		t.Fatal("empty method should yield empty graph")
 	}
 }

@@ -53,9 +53,6 @@ type Options struct {
 	// check and the report ships with every completed transaction plus
 	// diagnostics naming what was dropped.
 	Deadline time.Duration
-	// Cancel, when non-nil, aborts the analysis cooperatively when closed
-	// (same graceful degradation as an exhausted deadline).
-	Cancel <-chan struct{}
 	// MaxSliceSteps caps cumulative taint-propagation steps across the
 	// whole slice phase (a pool drained in job order, so the surviving
 	// transactions form a deterministic prefix). 0 = off.
@@ -145,12 +142,11 @@ func NewOptions() Options { return Options{MaxAsyncHops: 1} }
 // newBudget materializes the options' resource envelope, nil when the run
 // is unlimited and fault-free (the common case: zero overhead).
 func (o Options) newBudget(start time.Time) *budget.Budget {
-	if o.Deadline <= 0 && o.Cancel == nil && o.MaxSliceSteps <= 0 &&
+	if o.Deadline <= 0 && o.MaxSliceSteps <= 0 &&
 		o.MaxFixpointIters <= 0 && o.Faults == nil {
 		return nil
 	}
 	l := budget.Limits{
-		Cancel:        o.Cancel,
 		SliceSteps:    o.MaxSliceSteps,
 		FixpointIters: o.MaxFixpointIters,
 	}
@@ -296,7 +292,7 @@ type Evidence struct {
 // workload counters flow into the returned Report.Profile via counter
 // shards (see internal/obs).
 //
-// Under a budget (Options.Deadline / step limits / Cancel) the pipeline
+// Under a budget (Options.Deadline or the step limits) the pipeline
 // degrades instead of failing: exhausted or panicking work is dropped
 // per-transaction, recorded in Report.Diagnostics, and everything that
 // completed still ships. A panic outside the recovered per-job scopes is

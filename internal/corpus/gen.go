@@ -50,7 +50,7 @@ func Generate(spec AppSpec) *App {
 	txs := planTransactions(spec)
 	prog, newNet := buildProgram(spec, txs)
 	if spec.Obfuscated {
-		obfuscate.Apply(prog, obfuscate.Options{KeepEntryPoints: true})
+		obfuscate.Apply(prog)
 	}
 	return &App{Spec: spec, Prog: prog, NewNetwork: newNet, Truth: deriveTruth(spec, txs)}
 }

@@ -136,7 +136,7 @@ func ObfuscationCheck() (identical, total int, err error) {
 			return 0, 0, fmt.Errorf("%s: %w", app.Spec.Name, aerr)
 		}
 		obf := mustApp(app.Spec.Name)
-		obfuscate.Apply(obf.Prog, obfuscate.Options{KeepEntryPoints: true})
+		obfuscate.Apply(obf.Prog)
 		after, aerr := core.Analyze(obf.Prog, optionsFor(app))
 		if aerr != nil {
 			return 0, 0, fmt.Errorf("%s (obfuscated): %w", app.Spec.Name, aerr)

@@ -31,8 +31,6 @@ type DiffConfig struct {
 	// Seed and N select the generated corpus (corpus.Rand(Seed, N)).
 	Seed uint64
 	N    int
-	// Workers is the parallel axis fan-out width (0 means one per CPU).
-	Workers int
 	// BudgetDeadline is the per-app deadline of the budgeted axis. It must
 	// be generous: the axis asserts that merely enabling budget accounting
 	// changes nothing, so a tripped budget is a mismatch, not noise.
@@ -228,9 +226,9 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 		return nil, err
 	}
 
-	// Axis 2: serial vs parallel fan-out.
+	// Axis 2: serial vs parallel fan-out, one worker per CPU.
 	err = axis("parallel", "worker fan-out vs serial baseline", func() ([]DiffMismatch, error) {
-		got, err := analyzeGen(apps, cfg.Workers, tel(nil))
+		got, err := analyzeGen(apps, 0, tel(nil))
 		if err != nil {
 			return nil, err
 		}

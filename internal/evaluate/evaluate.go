@@ -51,16 +51,12 @@ type AppResult struct {
 }
 
 // RunConfig parameterizes a corpus evaluation: worker count plus the
-// robustness budgets threaded into every app's core.Options.
+// deadline, faults and telemetry threaded into every app's core.Options.
 type RunConfig struct {
 	// Workers is the fan-out width (0 means one per CPU, 1 forces serial).
 	Workers int
 	// Deadline bounds each app's analysis wall time (0 means unlimited).
 	Deadline time.Duration
-	// MaxSliceSteps caps the cumulative slicing step pool per app.
-	MaxSliceSteps int64
-	// MaxFixpointIters caps every taint fixpoint per app.
-	MaxFixpointIters int64
 	// Faults injects deterministic failures for robustness testing.
 	Faults *budget.FaultInjector
 	// Trace records a span timeline per app (see AppResult.Tracer).
@@ -79,13 +75,11 @@ type RunConfig struct {
 	Flight bool
 }
 
-// runAppConfig analyzes one app under the config's budgets and runs both
+// runAppConfig analyzes one app under the config's deadline and runs both
 // fuzzing baselines.
 func runAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
 	opts := optionsFor(app)
 	opts.Deadline = cfg.Deadline
-	opts.MaxSliceSteps = cfg.MaxSliceSteps
-	opts.MaxFixpointIters = cfg.MaxFixpointIters
 	opts.Faults = cfg.Faults
 	opts.Obs = cfg.Obs
 	opts.Flight = cfg.Flight
@@ -152,13 +146,12 @@ type AppError struct {
 	Err string `json:"error"`
 }
 
-// RunAllConfig evaluates the whole corpus under the config's budgets, on
-// cfg.Workers workers. Results keep corpus order, so output is
-// byte-identical to a serial run. Per-app failures are aggregated instead
-// of aborting the run: failed apps are compacted out of the result slice
-// and recorded in stats.Errors, so one broken app never discards 33 good
-// reports.
-func RunAllConfig(cfg RunConfig) ([]*AppResult, *ParallelStats, error) {
+// RunAllConfig evaluates the whole corpus under the config, on cfg.Workers
+// workers. Results keep corpus order, so output is byte-identical to a
+// serial run. Per-app failures are aggregated instead of aborting the run:
+// failed apps are compacted out of the result slice and recorded in
+// stats.Errors, so one broken app never discards 33 good reports.
+func RunAllConfig(cfg RunConfig) ([]*AppResult, *ParallelStats) {
 	results, errs, stats := runAll(cfg)
 	apps := corpus.Apps()
 	ok := results[:0]
@@ -176,7 +169,7 @@ func RunAllConfig(cfg RunConfig) ([]*AppResult, *ParallelStats, error) {
 	sort.Slice(stats.Errors, func(i, j int) bool {
 		return stats.Errors[i].App < stats.Errors[j].App
 	})
-	return ok, stats, nil
+	return ok, stats
 }
 
 // runAll evaluates the corpus apps on the config's workers: positional

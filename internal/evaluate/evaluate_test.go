@@ -21,8 +21,8 @@ func allResults(t *testing.T) []*AppResult {
 	t.Helper()
 	resultsOnce.Do(func() {
 		var stats *ParallelStats
-		resultsAll, stats, resultsErr = RunAllConfig(RunConfig{})
-		if resultsErr == nil && len(stats.Errors) > 0 {
+		resultsAll, stats = RunAllConfig(RunConfig{})
+		if len(stats.Errors) > 0 {
 			resultsErr = fmt.Errorf("%s: %s", stats.Errors[0].App, stats.Errors[0].Err)
 		}
 	})

@@ -8,7 +8,6 @@ package httpsim
 import (
 	"fmt"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -212,17 +211,5 @@ func (n *Network) Trace() []*Transaction {
 	defer n.mu.Unlock()
 	out := make([]*Transaction, len(n.trace))
 	copy(out, n.trace)
-	return out
-}
-
-// Hosts returns the registered hostnames, sorted.
-func (n *Network) Hosts() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.servers))
-	for h := range n.servers {
-		out = append(out, h)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -57,18 +57,6 @@ func (t *Table) Lookup(s string) (uint32, bool) {
 	return id, ok
 }
 
-// String resolves an ID back to its symbol. Resolving None or an
-// out-of-range ID returns "".
-func (t *Table) String(id uint32) string {
-	if id == None || int(id) >= len(t.strs) {
-		return ""
-	}
-	return t.strs[id]
-}
-
-// Len returns the number of interned symbols.
-func (t *Table) Len() int { return len(t.strs) }
-
 // SyncTable is a mutex-protected interner for symbols discovered during
 // analysis (heap locations, source/sink tags). Zero value is ready.
 type SyncTable struct {
@@ -110,13 +98,6 @@ func (t *SyncTable) String(id uint32) string {
 		return ""
 	}
 	return t.strs[id]
-}
-
-// Len returns the number of interned symbols.
-func (t *SyncTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.strs)
 }
 
 // Bits is a dense bitset over uint32 IDs: one allocation per ~64 members,

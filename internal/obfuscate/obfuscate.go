@@ -1,73 +1,52 @@
 // Package obfuscate implements a ProGuard-like identifier renamer for IR
-// programs and the signature-similarity de-obfuscation mapper of §3.4.
+// programs.
 //
 // Renaming replaces app class, method and field names with short opaque
 // identifiers (a, b, c, ...), exactly the transformation ProGuard applies.
-// Library references (the modeled API surface) are left intact by default,
-// matching the paper's observation that "many real-world apps do not
-// obfuscate library codes, even when their own code is obfuscated"; an
-// option also renames a designated library namespace so the de-obfuscation
-// map can be exercised.
+// Library references (the modeled API surface) are left intact, matching
+// the paper's observation that "many real-world apps do not obfuscate
+// library codes, even when their own code is obfuscated".
 package obfuscate
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"extractocol/internal/callgraph"
 	"extractocol/internal/ir"
 )
 
-// Options configures obfuscation.
-type Options struct {
-	// KeepEntryPoints preserves entry-point method names (Android keeps
-	// manifest-registered components resolvable). Class names still change
-	// unless the entry class is a manifest component; we keep both names
-	// stable for entry methods, as ProGuard keep-rules do.
-	KeepEntryPoints bool
-	// ObfuscateLibraryPrefix, when non-empty, also renames library classes
-	// under this prefix (simulating an app that shipped an obfuscated
-	// third-party HTTP library).
-	ObfuscateLibraryPrefix string
-}
-
-// Mapping records original -> obfuscated identifiers so tests can verify
-// behavior and the de-obfuscation mapper can be validated.
+// Mapping records original -> obfuscated identifiers, so callers can map
+// an obfuscated program's report back to the original names.
 type Mapping struct {
 	Classes map[string]string // original class -> new class
 	Methods map[string]string // original "Class.method" -> new "Class.method"
 	Fields  map[string]string // original "Class.field" -> new field name
 }
 
-// Apply obfuscates p in place and returns the mapping.
-func Apply(p *ir.Program, opts Options) *Mapping {
+// Apply obfuscates p's app classes in place and returns the mapping.
+// Constructors, framework callbacks and manifest entry points keep their
+// method names, as ProGuard keep-rules keep them: Android resolves
+// manifest-registered components and callbacks by name.
+func Apply(p *ir.Program) *Mapping {
 	m := &Mapping{
 		Classes: map[string]string{},
 		Methods: map[string]string{},
 		Fields:  map[string]string{},
 	}
 	keepMethods := map[string]bool{}
-	if opts.KeepEntryPoints {
-		for _, ep := range p.Manifest.EntryPoints {
-			keepMethods[ep.Method] = true
-		}
+	for _, ep := range p.Manifest.EntryPoints {
+		keepMethods[ep.Method] = true
 	}
 
 	// Stable ordering: classes in declaration order.
 	var renamed []*ir.Class
-	classIdx := 0
 	for _, c := range p.Classes() {
-		if c.Library && (opts.ObfuscateLibraryPrefix == "" ||
-			!strings.HasPrefix(c.Name, opts.ObfuscateLibraryPrefix)) {
+		if c.Library {
 			continue
 		}
-		if !c.Library || strings.HasPrefix(c.Name, opts.ObfuscateLibraryPrefix) {
-			newName := obfName(p.Manifest.Package, classIdx)
-			classIdx++
-			m.Classes[c.Name] = newName
-			renamed = append(renamed, c)
-		}
+		m.Classes[c.Name] = obfName(p.Manifest.Package, len(renamed))
+		renamed = append(renamed, c)
 	}
 
 	// Method and field renames per class.
@@ -86,70 +65,6 @@ func Apply(p *ir.Program, opts Options) *Mapping {
 		for _, f := range c.Fields {
 			m.Fields[c.Name+"."+f.Name] = shortName(fi)
 			fi++
-		}
-	}
-
-	// Library classes usually exist only as symbolic references (their
-	// bodies live in the platform, not the APK): renaming a library
-	// namespace means renaming those references.
-	if opts.ObfuscateLibraryPrefix != "" {
-		libMembers := map[string]map[string]bool{} // class -> member names
-		collect := func(ref string) {
-			if !strings.HasPrefix(ref, opts.ObfuscateLibraryPrefix) {
-				return
-			}
-			cls, name, ok := ir.SplitRef(ref)
-			if !ok {
-				return
-			}
-			if libMembers[cls] == nil {
-				libMembers[cls] = map[string]bool{}
-			}
-			libMembers[cls][name] = true
-		}
-		for _, c := range p.Classes() {
-			for _, meth := range c.Methods {
-				for i := range meth.Instrs {
-					in := &meth.Instrs[i]
-					switch in.Op {
-					case ir.OpInvoke:
-						collect(in.Sym)
-					case ir.OpNew:
-						if strings.HasPrefix(in.Sym, opts.ObfuscateLibraryPrefix) {
-							if libMembers[in.Sym] == nil {
-								libMembers[in.Sym] = map[string]bool{}
-							}
-						}
-					}
-				}
-			}
-		}
-		libClasses := make([]string, 0, len(libMembers))
-		for cls := range libMembers {
-			libClasses = append(libClasses, cls)
-		}
-		sort.Strings(libClasses)
-		for _, cls := range libClasses {
-			if _, done := m.Classes[cls]; done {
-				continue
-			}
-			newCls := obfName("lib", classIdx)
-			classIdx++
-			m.Classes[cls] = newCls
-			members := make([]string, 0, len(libMembers[cls]))
-			for name := range libMembers[cls] {
-				members = append(members, name)
-			}
-			sort.Strings(members)
-			mi := 0
-			for _, name := range members {
-				if name == "<init>" {
-					m.Methods[cls+"."+name] = newCls + ".<init>"
-					continue
-				}
-				m.Methods[cls+"."+name] = newCls + "." + shortName(mi)
-				mi++
-			}
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 
 	"extractocol/internal/core"
 	"extractocol/internal/ir"
-	"extractocol/internal/semmodel"
 	"extractocol/internal/siglang"
 )
 
@@ -68,7 +67,13 @@ func analyze(t *testing.T, p *ir.Program) *core.Report {
 
 func TestApplyRenamesAppIdentifiers(t *testing.T) {
 	p := buildApp()
-	m := Apply(p, Options{KeepEntryPoints: true})
+	// A manifest entry point keeps its name even when it is no framework
+	// callback: Android resolves registered components by name.
+	b := ir.NewMethod(p.Class("com.demo.app.Api"), "refresh", false, nil, "void")
+	b.ReturnVoid()
+	b.Done()
+	p.Manifest.EntryPoints = append(p.Manifest.EntryPoints, ir.EntryPoint{Method: "com.demo.app.Api.refresh", Kind: ir.EventCreate})
+	m := Apply(p)
 	if p.Class("com.demo.app.Api") != nil {
 		t.Fatal("original class name survived")
 	}
@@ -82,6 +87,9 @@ func TestApplyRenamesAppIdentifiers(t *testing.T) {
 	if to, ok := m.Methods["com.demo.app.Api.helper"]; !ok || to == "com.demo.app.Api.helper" {
 		t.Fatalf("helper not renamed: %q", to)
 	}
+	if want := m.Classes["com.demo.app.Api"] + ".refresh"; p.Manifest.EntryPoints[1].Method != want {
+		t.Fatalf("entry point refresh became %q, want %q", p.Manifest.EntryPoints[1].Method, want)
+	}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("obfuscated program invalid: %v", err)
 	}
@@ -93,7 +101,7 @@ func TestAnalysisIdenticalUnderObfuscation(t *testing.T) {
 	plain := analyze(t, buildApp())
 
 	obf := buildApp()
-	Apply(obf, Options{KeepEntryPoints: true})
+	Apply(obf)
 	obfRep := analyze(t, obf)
 
 	if len(plain.Transactions) != len(obfRep.Transactions) {
@@ -115,31 +123,6 @@ func TestAnalysisIdenticalUnderObfuscation(t *testing.T) {
 	}
 }
 
-func TestObfuscatedLibraryBreaksThenDeobfRestores(t *testing.T) {
-	// Obfuscate including the apache http library: analysis loses the
-	// demarcation points entirely.
-	obf := buildApp()
-	Apply(obf, Options{KeepEntryPoints: true, ObfuscateLibraryPrefix: "org.apache.http"})
-	broken := analyze(t, obf)
-	if len(broken.Transactions) != 0 {
-		t.Fatalf("expected no transactions with obfuscated library, got %d", len(broken.Transactions))
-	}
-
-	// De-obfuscation by signature similarity restores the mapping.
-	recovered := Deobfuscate(obf, semmodel.Default())
-	if len(recovered) == 0 {
-		t.Fatal("no references recovered")
-	}
-	rep := analyze(t, obf)
-	if len(rep.Transactions) != 1 {
-		t.Fatalf("transactions after deobf = %d, want 1", len(rep.Transactions))
-	}
-	uri := rep.Transactions[0].URIRegex()
-	if !strings.Contains(uri, "demo\\.example\\.com/v1/feed\\.json") {
-		t.Fatalf("URI after deobf = %q", uri)
-	}
-}
-
 func TestShortName(t *testing.T) {
 	tests := map[int]string{0: "a", 1: "b", 25: "z", 26: "aa", 27: "ab", 52: "ba"}
 	for i, want := range tests {
@@ -149,17 +132,22 @@ func TestShortName(t *testing.T) {
 	}
 }
 
+// Framework callbacks keep their names even where the manifest does not
+// list them: Android calls them by name, through a listener or an
+// AsyncTask, not through an entry point.
 func TestFrameworkCallbacksKept(t *testing.T) {
 	p := buildApp()
-	Apply(p, Options{})
-	// onCreate must survive by keep-rule even without KeepEntryPoints.
-	found := false
-	for _, c := range p.Classes() {
-		if c.Method("onCreate") != nil {
-			found = true
-		}
+	callbacks := []string{"onResponse", "doInBackground"}
+	for _, name := range callbacks {
+		b := ir.NewMethod(p.Class("com.demo.app.Api"), name, false, nil, "void")
+		b.ReturnVoid()
+		b.Done()
 	}
-	if !found {
-		t.Fatal("onCreate was renamed; framework callbacks must be kept")
+	m := Apply(p)
+	cls := p.Class(m.Classes["com.demo.app.Api"])
+	for _, name := range callbacks {
+		if cls.Method(name) == nil {
+			t.Errorf("%s was renamed to %q; framework callbacks must be kept", name, m.Methods["com.demo.app.Api."+name])
+		}
 	}
 }

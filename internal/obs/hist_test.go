@@ -162,11 +162,11 @@ func TestShardObserveDrain(t *testing.T) {
 	c.Drain(s2)
 	c.Observe(HistAnalyze, 10_000)
 	p := c.Snapshot()
-	sj := p.Hist(HistSliceJob)
+	sj := p.Hists[HistSliceJob]
 	if sj == nil || sj.Count != 3 || sj.SumNS != 9_000 {
 		t.Fatalf("slice_job snapshot = %+v, want count 3 sum 9000", sj)
 	}
-	if an := p.Hist(HistAnalyze); an == nil || an.Count != 1 {
+	if an := p.Hists[HistAnalyze]; an == nil || an.Count != 1 {
 		t.Fatalf("analyze snapshot = %+v, want count 1", an)
 	}
 	if names := p.HistNames(); len(names) != 2 || names[0] != HistAnalyze {
@@ -189,7 +189,7 @@ func TestHistNilSafety(t *testing.T) {
 		t.Fatal("nil snapshot cumulative should be nil")
 	}
 	var p *Profile
-	if p.Hist("x") != nil || p.HistNames() != nil {
+	if p.HistNames() != nil {
 		t.Fatal("nil profile hist accessors should be zero")
 	}
 }
@@ -200,12 +200,12 @@ func TestCollectorPhaseRecordsHistogram(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	done()
 	p := c.Snapshot()
-	h := p.Hist(HistPhasePrefix + PhaseSlice)
+	h := p.Hists[HistPhasePrefix+PhaseSlice]
 	if h == nil || h.Count != 1 {
 		t.Fatalf("phase histogram = %+v, want one observation", h)
 	}
-	if h.SumNS != p.Phase(PhaseSlice).Nanoseconds() {
-		t.Fatalf("phase hist sum %d != phase duration %d", h.SumNS, p.Phase(PhaseSlice).Nanoseconds())
+	if h.SumNS != p.phase(PhaseSlice).Nanoseconds() {
+		t.Fatalf("phase hist sum %d != phase duration %d", h.SumNS, p.phase(PhaseSlice).Nanoseconds())
 	}
 }
 
@@ -217,14 +217,14 @@ func TestProfileMergeHists(t *testing.T) {
 	}
 	p := mk(1_000)
 	p.Merge(mk(5_000))
-	h := p.Hist(HistAnalyze)
+	h := p.Hists[HistAnalyze]
 	if h == nil || h.Count != 2 || h.SumNS != 6_000 || h.MaxNS != 5_000 {
 		t.Fatalf("merged profile hist = %+v", h)
 	}
 	// Merging into a profile with no hists must deep-initialize.
 	empty := &Profile{}
 	empty.Merge(p)
-	if got := empty.Hist(HistAnalyze); got == nil || got.Count != 2 {
+	if got := empty.Hists[HistAnalyze]; got == nil || got.Count != 2 {
 		t.Fatalf("merge into empty profile = %+v", got)
 	}
 }

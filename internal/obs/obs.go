@@ -345,23 +345,12 @@ func (s *Shard) Span(cat, name string) ActiveSpan {
 	return ActiveSpan{st: s.spans, tok: s.spans.start(cat, name)}
 }
 
-// NewShard returns a standalone shard not yet bound to a collector.
-func NewShard() *Shard { return &Shard{counts: map[string]int64{}} }
-
 // Add increments the named counter by delta.
 func (s *Shard) Add(name string, delta int64) {
 	if s == nil {
 		return
 	}
 	s.counts[name] += delta
-}
-
-// Count returns the shard's current value for the named counter.
-func (s *Shard) Count(name string) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.counts[name]
 }
 
 // Observe records one nanosecond measurement into the shard's named
@@ -436,33 +425,12 @@ func (c *Collector) Snapshot() *Profile {
 	return p
 }
 
-// Phase returns the recorded duration of the named phase (0 if absent).
-func (p *Profile) Phase(name string) time.Duration {
-	if p == nil {
-		return 0
-	}
-	for _, ph := range p.Phases {
-		if ph.Name == name {
-			return time.Duration(ph.DurationNS)
-		}
-	}
-	return 0
-}
-
 // Counter returns the recorded value of the named counter (0 if absent).
 func (p *Profile) Counter(name string) int64 {
 	if p == nil {
 		return 0
 	}
 	return p.Counters[name]
-}
-
-// Hist returns the named histogram snapshot (nil if absent).
-func (p *Profile) Hist(name string) *HistSnapshot {
-	if p == nil {
-		return nil
-	}
-	return p.Hists[name]
 }
 
 // HistNames returns all histogram names, sorted.

@@ -23,12 +23,19 @@ func TestPhaseAccumulates(t *testing.T) {
 	if p.Phases[0].Name != "slice" || p.Phases[1].Name != "txdep" {
 		t.Fatalf("phase order = %v, want first-start order", p.Phases)
 	}
-	if p.Phase("slice") < time.Millisecond {
-		t.Fatalf("slice phase = %v, want >= 1ms", p.Phase("slice"))
+	if p.phase("slice") < time.Millisecond {
+		t.Fatalf("slice phase = %v, want >= 1ms", p.phase("slice"))
 	}
-	if p.Phase("missing") != 0 {
-		t.Fatal("missing phase must read as 0")
+}
+
+// phase returns the recorded duration of the named phase (0 if absent).
+func (p *Profile) phase(name string) time.Duration {
+	for _, ph := range p.Phases {
+		if ph.Name == name {
+			return time.Duration(ph.DurationNS)
+		}
 	}
+	return 0
 }
 
 func TestCountersAndGauges(t *testing.T) {
@@ -52,8 +59,8 @@ func TestShardDrain(t *testing.T) {
 	c := NewCollector()
 	s := c.NewShard()
 	s.Add("x", 7)
-	if s.Count("x") != 7 {
-		t.Fatalf("shard count = %d", s.Count("x"))
+	if s.counts["x"] != 7 {
+		t.Fatalf("shard count = %d", s.counts["x"])
 	}
 	c.Drain(s)
 	c.Drain(s) // second drain is a no-op: the shard was reset
@@ -74,12 +81,9 @@ func TestNilSafety(t *testing.T) {
 
 	var s *Shard
 	s.Add("x", 1)
-	if s.Count("x") != 0 {
-		t.Fatal("nil shard must count 0")
-	}
 
 	var p *Profile
-	if p.Phase("x") != 0 || p.Counter("x") != 0 || p.Hist("x") != nil || p.HistNames() != nil {
+	if p.Counter("x") != 0 || p.HistNames() != nil {
 		t.Fatal("nil profile accessors must be zero")
 	}
 	p.Merge(&Profile{TotalNS: 1}) // must not panic
@@ -135,7 +139,7 @@ func TestProfileMerge(t *testing.T) {
 	if a.TotalNS != 400 {
 		t.Fatalf("total = %d", a.TotalNS)
 	}
-	if a.Phase("slice") != 260 || a.Phase("txdep") != 10 || a.Phase("dedup") != 5 {
+	if a.phase("slice") != 260 || a.phase("txdep") != 10 || a.phase("dedup") != 5 {
 		t.Fatalf("merged phases wrong: %+v", a.Phases)
 	}
 	if a.Counters["x"] != 3 || a.Counters["y"] != 3 {

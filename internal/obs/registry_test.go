@@ -34,7 +34,7 @@ func TestRegistryGather(t *testing.T) {
 	if p.Counter(CtrTransactions) != 7 {
 		t.Fatalf("post-detach counter merge = %d, want 7", p.Counter(CtrTransactions))
 	}
-	if h := p.Hist(HistAnalyze); h == nil || h.Count != 1 {
+	if h := p.Hists[HistAnalyze]; h == nil || h.Count != 1 {
 		t.Fatalf("detached hist lost: %+v", h)
 	}
 }

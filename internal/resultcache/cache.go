@@ -192,7 +192,7 @@ func HashBytes(data []byte) string {
 // field. Fields that cannot change the report's content are deliberately
 // excluded: the telemetry fields Tracer, Obs and Flight (the profile is
 // recomputed per run, and flight dumps ride only on diagnostics of
-// degraded runs, which are never stored), and Deadline/Cancel/Faults
+// degraded runs, which are never stored), and Deadline and Faults
 // (time- and fault-dependent degradation is never cached — see core's
 // clean-runs-only store policy). The deterministic step budgets DO
 // participate, because a truncating budget changes which transactions

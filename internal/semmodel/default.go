@@ -3,8 +3,8 @@ package semmodel
 // Default returns the built-in semantic model: the Android/Java HTTP
 // surface the paper models (39 demarcation points drawn from 16 classes,
 // plus string, container, JSON/XML, resource, database, sink, source and
-// async APIs). Callers may Register additional entries (the "easy plugin"
-// extension point of §3.2).
+// async APIs). A new API's semantics is one more add call here (the "easy
+// plugin" extension point of §3.2).
 func Default() *Model {
 	m := &Model{}
 

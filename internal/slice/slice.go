@@ -58,11 +58,6 @@ type Transaction struct {
 	RespStmtsSliced int
 }
 
-// Key returns a stable identity for deduplication across entry points.
-func (t *Transaction) Key() string {
-	return fmt.Sprintf("%s@%d/%s", t.DP.Method, t.DP.Index, t.Entry.Method)
-}
-
 // Options configures transaction extraction.
 type Options struct {
 	// MaxAsyncHops bounds asynchronous-boundary crossings (§3.4):

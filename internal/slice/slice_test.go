@@ -9,6 +9,14 @@ import (
 	"extractocol/internal/taint"
 )
 
+// inSlice reports whether statement index of method is part of r's slice.
+func inSlice(r *taint.Result, method string, index int) bool {
+	idx := r.Index()
+	mid, ok := idx.MethodID(method)
+	return ok && index >= 0 && index < len(idx.MethodAt(mid).Instrs) &&
+		r.Stmts().Has(idx.StmtID(mid, index))
+}
+
 const (
 	sbInit  = "java.lang.StringBuilder.<init>"
 	sbApp   = "java.lang.StringBuilder.append"
@@ -139,7 +147,7 @@ func TestSharedDPSeparatedByContext(t *testing.T) {
 		for _, ref := range []string{"t.shared.S.requestA", "t.shared.S.requestB"} {
 			m := p.Method(ref)
 			for i := range m.Instrs {
-				if m.Instrs[i].Op == ir.OpConstStr && m.Instrs[i].Str == val && r.Contains(ref, i) {
+				if m.Instrs[i].Op == ir.OpConstStr && m.Instrs[i].Str == val && inSlice(r, ref, i) {
 					return true
 				}
 			}
@@ -164,7 +172,7 @@ func TestSharedDPSeparatedByContext(t *testing.T) {
 	mB := p.Method("t.shared.S.requestB")
 	for i := range mB.Instrs {
 		if mB.Instrs[i].Op == ir.OpInvoke && mB.Instrs[i].Sym == jGetStr &&
-			respA.Contains("t.shared.S.requestB", i) {
+			inSlice(respA, "t.shared.S.requestB", i) {
 			t.Error("context A response slice leaked into requestB")
 		}
 	}
@@ -181,7 +189,7 @@ func TestAugmentationPullsKeyConstantsIntoResponseSlice(t *testing.T) {
 	for i := range m.Instrs {
 		in := &m.Instrs[i]
 		if in.Op == ir.OpConstStr && (in.Str == "one" || in.Str == "two") {
-			if tx.Response.Contains(m.Ref(), i) {
+			if inSlice(tx.Response, m.Ref(), i) {
 				found = true
 			}
 		}
@@ -263,7 +271,7 @@ func TestVolleyCallbackResponseRoot(t *testing.T) {
 			idx = i
 		}
 	}
-	if !tx.Response.Contains("t.v.MyRequest.onResponse", idx) {
+	if !inSlice(tx.Response, "t.v.MyRequest.onResponse", idx) {
 		t.Error("response slice missing onResponse getString")
 	}
 }

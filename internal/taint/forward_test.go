@@ -70,7 +70,7 @@ func TestForwardFactsSeedOrderDeterministic(t *testing.T) {
 			t.Fatalf("FixpointIters=%d did not truncate; ordering is not observable", iters)
 		}
 		var sb strings.Builder
-		res.EachStmt(func(m *ir.Method, idx int) bool {
+		res.idx.EachStmt(&res.stmts, func(m *ir.Method, _ uint32, idx int) bool {
 			fmt.Fprintf(&sb, "%s#%d\n", m.Ref(), idx)
 			return true
 		})

@@ -270,16 +270,16 @@ func (e *legacyEngine) convertLegacy(lr *legacyResult) *Result {
 		res.AddStmt(s.Method, s.Index)
 	}
 	for l := range lr.HeapReads {
-		res.AddHeapRead(l)
+		res.heapReads.Add(res.tab.Intern(l))
 	}
 	for l := range lr.HeapWrites {
-		res.AddHeapWrite(l)
+		res.heapWrites.Add(res.tab.Intern(l))
 	}
 	for s := range lr.Sinks {
-		res.AddSink(s)
+		res.sinks.Add(res.tab.Intern(s))
 	}
 	for s := range lr.Sources {
-		res.AddSource(s)
+		res.sources.Add(res.tab.Intern(s))
 	}
 	res.Truncated = lr.Truncated
 	return res
@@ -552,7 +552,7 @@ func TestLegacyReplayMatchesDense(t *testing.T) {
 							queries++
 						}
 						seeds := map[StmtID]int{}
-						req.EachStmt(func(m *ir.Method, i int) bool {
+						req.idx.EachStmt(&req.stmts, func(m *ir.Method, _ uint32, i int) bool {
 							if d := m.Instrs[i].Def(); d != ir.NoReg {
 								seeds[StmtID{Method: m.Ref(), Index: i}] = d
 							}
@@ -609,7 +609,7 @@ func legacySeedOrderDeterministic(t *testing.T) {
 	}
 	project := func(r *Result) string {
 		var sb strings.Builder
-		r.EachStmt(func(m *ir.Method, idx int) bool {
+		r.idx.EachStmt(&r.stmts, func(m *ir.Method, _ uint32, idx int) bool {
 			fmt.Fprintf(&sb, "%s#%d\n", m.Ref(), idx)
 			return true
 		})

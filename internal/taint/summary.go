@@ -139,9 +139,6 @@ func NewSummaryCache() *SummaryCache {
 	return &SummaryCache{tab: &intern.SyncTable{}}
 }
 
-// Table returns the cache's shared symbol table.
-func (c *SummaryCache) Table() *intern.SyncTable { return c.tab }
-
 // DrainCounters moves the summary hit/miss totals accumulated since the
 // last drain into col, under the cache_summaries_* counters.
 func (c *SummaryCache) DrainCounters(col *obs.Collector) {

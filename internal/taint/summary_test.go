@@ -289,7 +289,8 @@ func dpQueries(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph) []dpQu
 				eng := NewEngine(p, model, cg)
 				eng.Universe = universe
 				seeds := map[StmtID]int{}
-				eng.Backward(dp, in.Args[mm.ReqArg]).EachStmt(func(m *ir.Method, i int) bool {
+				req := eng.Backward(dp, in.Args[mm.ReqArg])
+				req.idx.EachStmt(&req.stmts, func(m *ir.Method, _ uint32, i int) bool {
 					if d := m.Instrs[i].Def(); d != ir.NoReg {
 						seeds[StmtID{Method: m.Ref(), Index: i}] = d
 					}
@@ -348,7 +349,7 @@ func TestSeedBeyondMethodRegisters(t *testing.T) {
 	for _, m := range []*ir.Method{p.Method("t.sum.A.buildAndFetch"), last} {
 		seed := StmtID{Method: m.Ref(), Index: 0}
 		res := NewEngine(p, model, cg).ForwardFacts(map[StmtID]int{seed: m.Registers})
-		if res.Size() != 1 || !res.Contains(seed.Method, 0) {
+		if res.Size() != 1 || !res.contains(seed.Method, 0) {
 			t.Errorf("%s: seed r%d beyond its registers reached %d statements, want only the seed",
 				m.Ref(), m.Registers, res.Size())
 		}

@@ -101,37 +101,8 @@ func (r *Result) AddStmt(method string, index int) bool {
 	return r.stmts.Add(r.idx.StmtID(mid, index))
 }
 
-// AddHeapRead records a heap location whose value flows into the slice.
-func (r *Result) AddHeapRead(loc string) { r.heapReads.Add(r.tab.Intern(loc)) }
-
-// AddHeapWrite records a heap location written from tainted data.
-func (r *Result) AddHeapWrite(loc string) { r.heapWrites.Add(r.tab.Intern(loc)) }
-
-// AddSink records a data consumption endpoint ("media", "file", "ui").
-func (r *Result) AddSink(tag string) { r.sinks.Add(r.tab.Intern(tag)) }
-
-// AddSource records a data origin ("microphone", ...).
-func (r *Result) AddSource(tag string) { r.sources.Add(r.tab.Intern(tag)) }
-
-// Contains reports whether the statement is part of the slice.
-func (r *Result) Contains(method string, index int) bool {
-	mid, ok := r.idx.MethodID(method)
-	if !ok || index < 0 || index >= len(r.idx.MethodAt(mid).Instrs) {
-		return false
-	}
-	return r.stmts.Has(r.idx.StmtID(mid, index))
-}
-
 // Size returns the number of statements in the slice.
 func (r *Result) Size() int { return r.stmts.Count() }
-
-// EachStmt walks the slice statements in program order, resolving each to
-// its method body and instruction index; f returning false stops the walk.
-func (r *Result) EachStmt(f func(m *ir.Method, index int) bool) {
-	r.idx.EachStmt(&r.stmts, func(m *ir.Method, _ uint32, idx int) bool {
-		return f(m, idx)
-	})
-}
 
 // Methods returns the sorted set of methods contributing statements.
 func (r *Result) Methods() []string {
@@ -161,26 +132,6 @@ func (r *Result) Sinks() []string { return intern.SortedStrings(&r.sinks, r.tab)
 
 // Sources returns the sorted data origins observed.
 func (r *Result) Sources() []string { return intern.SortedStrings(&r.sources, r.tab) }
-
-// Merge unions o into r. Both results must address the same program through
-// the same index and symbol table (they come from engines sharing one
-// SummaryCache); r adopts o's when it has none.
-func (r *Result) Merge(o *Result) {
-	if r.idx == nil {
-		r.idx = o.idx
-	}
-	if r.tab == nil {
-		r.tab = o.tab
-	}
-	r.stmts.Union(&o.stmts)
-	r.heapReads.Union(&o.heapReads)
-	r.heapWrites.Union(&o.heapWrites)
-	r.sinks.Union(&o.sinks)
-	r.sources.Union(&o.sources)
-	if r.Truncated == nil {
-		r.Truncated = o.Truncated
-	}
-}
 
 // Clone returns an independent copy sharing the (immutable) index and
 // symbol table.

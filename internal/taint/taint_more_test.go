@@ -48,7 +48,7 @@ func TestBackwardThroughStaticFields(t *testing.T) {
 			constIdx = i
 		}
 	}
-	if !res.Contains(onInit.Ref(), constIdx) {
+	if !res.contains(onInit.Ref(), constIdx) {
 		t.Fatal("static-field writer constant missing from slice")
 	}
 }
@@ -82,7 +82,7 @@ func TestBackwardThroughBinop(t *testing.T) {
 	res := e.Backward(StmtID{m.Ref(), site}, m.Instrs[site].Args[1])
 	foundBinop := false
 	for i := range m.Instrs {
-		if m.Instrs[i].Op == ir.OpBinop && res.Contains(m.Ref(), i) {
+		if m.Instrs[i].Op == ir.OpBinop && res.contains(m.Ref(), i) {
 			foundBinop = true
 		}
 	}
@@ -127,7 +127,7 @@ func TestBackwardEscapeIntoHelper(t *testing.T) {
 	helper := p.Method("t.esc.E.addAuth")
 	appended := false
 	for i := range helper.Instrs {
-		if helper.Instrs[i].Op == ir.OpConstStr && res.Contains(helper.Ref(), i) {
+		if helper.Instrs[i].Op == ir.OpConstStr && res.contains(helper.Ref(), i) {
 			appended = true
 		}
 	}
@@ -151,7 +151,7 @@ func TestForwardFactsReachability(t *testing.T) {
 	res := e.ForwardFacts(map[StmtID]int{{Method: onClick.Ref(), Index: seedIdx}: seedReg})
 	doGet := p.Method("t.chain.Api.doGet")
 	site := findInvoke(doGet, execRef)
-	if !res.Contains(doGet.Ref(), site) {
+	if !res.contains(doGet.Ref(), site) {
 		t.Fatal("forward facts did not reach the demarcation point")
 	}
 }
@@ -173,16 +173,13 @@ func TestResultHelpers(t *testing.T) {
 	tab := &intern.SyncTable{}
 	a := NewResult(idx, tab)
 	a.AddStmt("m.A", 1)
-	a.AddHeapWrite("f:x")
-	a.AddSink("media")
-	b := NewResult(idx, tab)
-	b.AddStmt("m.B", 2)
-	b.AddHeapRead("s:y")
-	b.AddSource("location")
-	a.Merge(b)
+	a.AddStmt("m.B", 2)
+	a.heapReads.Add(tab.Intern("s:y"))
+	a.sinks.Add(tab.Intern("media"))
+	a.sources.Add(tab.Intern("location"))
 	if a.Size() != 2 || !hasStr(a.HeapReads(), "s:y") ||
 		!hasStr(a.Sources(), "location") || !hasStr(a.Sinks(), "media") {
-		t.Fatalf("merge lost data: %+v", a)
+		t.Fatalf("accessors lost data: %+v", a)
 	}
 	ms := a.Methods()
 	if len(ms) != 2 || ms[0] != "m.A" || ms[1] != "m.B" {

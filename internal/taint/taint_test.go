@@ -22,6 +22,15 @@ const (
 	getEnt  = "org.apache.http.HttpResponse.getEntity"
 )
 
+// contains reports whether the statement is part of r's slice.
+func (r *Result) contains(method string, index int) bool {
+	mid, ok := r.idx.MethodID(method)
+	if !ok || index < 0 || index >= len(r.idx.MethodAt(mid).Instrs) {
+		return false
+	}
+	return r.stmts.Has(r.idx.StmtID(mid, index))
+}
+
 // simpleApp: a single handler builds a URI with StringBuilder, executes,
 // parses JSON from the response and stores a value into a field.
 func simpleApp() *ir.Program {
@@ -106,7 +115,7 @@ func TestBackwardCollectsURIConstruction(t *testing.T) {
 	// The slice must contain: HttpGet init, toString, both appends, the
 	// URI constant, the StringBuilder init.
 	for _, sym := range []string{getInit, sbStr, sbApp, sbInit} {
-		if idx := findInvoke(m, sym); !res.Contains(m.Ref(), idx) {
+		if idx := findInvoke(m, sym); !res.contains(m.Ref(), idx) {
 			t.Errorf("backward slice missing %s", sym)
 		}
 	}
@@ -114,10 +123,10 @@ func TestBackwardCollectsURIConstruction(t *testing.T) {
 	noise := false
 	for i := range m.Instrs {
 		if m.Instrs[i].Op == ir.OpConstStr {
-			if m.Instrs[i].Str == "https://api.example.com/v1/items?id=" && res.Contains(m.Ref(), i) {
+			if m.Instrs[i].Str == "https://api.example.com/v1/items?id=" && res.contains(m.Ref(), i) {
 				foundConst = true
 			}
-			if m.Instrs[i].Str == "unrelated-noise" && res.Contains(m.Ref(), i) {
+			if m.Instrs[i].Str == "unrelated-noise" && res.contains(m.Ref(), i) {
 				noise = true
 			}
 		}
@@ -139,7 +148,7 @@ func TestForwardCollectsResponseProcessing(t *testing.T) {
 	res := e.Forward(StmtID{m.Ref(), site}, respReg)
 
 	for _, sym := range []string{getEnt, entCont, jParse, jGetStr} {
-		if idx := findInvoke(m, sym); !res.Contains(m.Ref(), idx) {
+		if idx := findInvoke(m, sym); !res.contains(m.Ref(), idx) {
 			t.Errorf("forward slice missing %s", sym)
 		}
 	}
@@ -199,7 +208,7 @@ func TestBackwardCrossesCallBoundary(t *testing.T) {
 	if constIdx < 0 {
 		t.Fatal("missing const")
 	}
-	if !res.Contains(onClick.Ref(), constIdx) {
+	if !res.contains(onClick.Ref(), constIdx) {
 		t.Error("backward slice should reach the caller's URI constant")
 	}
 }
@@ -212,7 +221,7 @@ func TestForwardCrossesReturnBoundary(t *testing.T) {
 	res := e.Forward(StmtID{doGet.Ref(), site}, doGet.Instrs[site].Dst)
 
 	onClick := p.Method("t.chain.Api.onClick")
-	if idx := findInvoke(onClick, jGetStr); !res.Contains(onClick.Ref(), idx) {
+	if idx := findInvoke(onClick, jGetStr); !res.contains(onClick.Ref(), idx) {
 		t.Error("forward slice should follow the return into the caller")
 	}
 	if !hasStr(res.HeapWrites(), "f:t.chain.Api.last") {
@@ -285,7 +294,7 @@ func TestAsyncHeuristicCrossesOneHop(t *testing.T) {
 			cityConst = i
 		}
 	}
-	if !res.Contains(onLoc.Ref(), cityConst) {
+	if !res.contains(onLoc.Ref(), cityConst) {
 		t.Error("async heuristic should pull the location handler's constant into the slice")
 	}
 	if !hasStr(res.HeapReads(), "f:t.async.W.loc") {
@@ -305,7 +314,7 @@ func TestAsyncHeuristicDisabledStopsAtBoundary(t *testing.T) {
 
 	onLoc := p.Method("t.async.W.onLocation")
 	for i := range onLoc.Instrs {
-		if res.Contains(onLoc.Ref(), i) {
+		if res.contains(onLoc.Ref(), i) {
 			t.Fatalf("with hops=0 the slice must not cross the event boundary (got instr %d)", i)
 		}
 	}

@@ -146,22 +146,3 @@ func dedupe(deps []Dep) []Dep {
 	}
 	return out
 }
-
-// Graph renders the dependency edges among transactions as an adjacency
-// list keyed by transaction ID, for report output.
-func Graph(deps []Dep) map[int][]int {
-	out := map[int][]int{}
-	seen := map[[2]int]bool{}
-	for _, d := range deps {
-		k := [2]int{d.From, d.To}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out[d.From] = append(out[d.From], d.To)
-	}
-	for _, vs := range out {
-		sort.Ints(vs)
-	}
-	return out
-}

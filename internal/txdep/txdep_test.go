@@ -57,18 +57,6 @@ func TestNoSelfDependency(t *testing.T) {
 	}
 }
 
-func TestGraphAdjacency(t *testing.T) {
-	deps := []Dep{
-		{From: 1, To: 2, ToPart: "uri"},
-		{From: 1, To: 2, ToPart: "body"},
-		{From: 1, To: 3, ToPart: "uri"},
-	}
-	g := Graph(deps)
-	if len(g[1]) != 2 || g[1][0] != 2 || g[1][1] != 3 {
-		t.Fatalf("graph = %v", g)
-	}
-}
-
 func TestDedupe(t *testing.T) {
 	a := &Tx{ID: 1, DPID: "d@1", Req: &sigbuild.RequestSig{},
 		Resp: mkResp("d@1", map[string]string{"f:x.y": "k"})}

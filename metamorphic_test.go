@@ -4,8 +4,8 @@
 // inter-transaction dependency edges are compared across the whole corpus;
 // identifiers that legitimately differ (demarcation-point sites, heap
 // locations in dependency Via fields) are mapped through the obfuscation
-// mapping before comparison, so the test also validates the mapping the
-// de-obfuscation study relies on.
+// mapping before comparison, so the test also validates the mapping
+// itself.
 package extractocol
 
 import (
@@ -41,7 +41,7 @@ func TestMetamorphicObfuscation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mapping := obfuscate.Apply(obf.Prog, obfuscate.Options{KeepEntryPoints: true})
+			mapping := obfuscate.Apply(obf.Prog)
 			after, err := core.Analyze(obf.Prog, opts)
 			if err != nil {
 				t.Fatalf("obfuscated: %v", err)

@@ -108,7 +108,7 @@ func TestAnalyzeProfileQuantiles(t *testing.T) {
 	}
 	prof := rep.Profile
 	for _, ph := range prof.Phases {
-		h := prof.Hist(obs.HistPhasePrefix + ph.Name)
+		h := prof.Hists[obs.HistPhasePrefix+ph.Name]
 		if h == nil {
 			t.Errorf("phase %q has no latency histogram", ph.Name)
 			continue
@@ -122,12 +122,12 @@ func TestAnalyzeProfileQuantiles(t *testing.T) {
 				ph.Name, h.P50NS, h.P90NS, h.P99NS, h.MaxNS)
 		}
 	}
-	if h := prof.Hist(obs.HistAnalyze); h == nil || h.Count != 1 {
+	if h := prof.Hists[obs.HistAnalyze]; h == nil || h.Count != 1 {
 		t.Errorf("whole-analysis histogram missing or empty: %+v", h)
 	}
 	// Per-job histograms fan out over workers; the slice phase always runs
 	// at least one job on this app.
-	if h := prof.Hist(obs.HistSliceJob); h == nil || h.Count == 0 {
+	if h := prof.Hists[obs.HistSliceJob]; h == nil || h.Count == 0 {
 		t.Errorf("slice job histogram missing or empty: %+v", h)
 	}
 }
@@ -265,7 +265,7 @@ func TestFlightRecorderInPanicDiagnostic(t *testing.T) {
 // TestHistogramRecordZeroAlloc) is 0 allocs/op: bucketing is two shifts
 // and a bits.Len64 into a fixed array.
 func BenchmarkHistogramRecord(b *testing.B) {
-	s := obs.NewShard()
+	s := obs.NewCollector().NewShard()
 	// Pre-insert the name: steady state observes into an existing Hist.
 	s.Observe(obs.HistSliceJob, 1)
 	b.ReportAllocs()
@@ -295,7 +295,7 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on instrumented paths")
 	}
-	live := obs.NewShard()
+	live := obs.NewCollector().NewShard()
 	live.Observe(obs.HistSliceJob, 1)
 	var disabled *obs.Shard
 	var i int64
