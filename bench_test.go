@@ -6,6 +6,7 @@
 package extractocol
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -343,46 +344,59 @@ var (
 	genFixture     []*corpus.App
 )
 
-func genApps(b *testing.B) []*corpus.App {
-	b.Helper()
+func genApps(tb testing.TB) []*corpus.App {
+	tb.Helper()
 	genFixtureOnce.Do(func() { genFixture = corpus.Rand(1729, 100) })
 	return genFixture
 }
 
-// BenchmarkGenCorpusRand measures pure generation throughput: specs drawn
-// from the seed stream plus program construction, 100 apps per op.
-func BenchmarkGenCorpusRand(b *testing.B) {
+// benchOp times op, one call per iteration, and reports its allocations.
+// The operations below are shared with TestAllocCeilings, so a benchmark
+// and its ceiling row always measure the same code path.
+func benchOp(b *testing.B, op func() error) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		apps := corpus.Rand(1729, 100)
-		if len(apps) != 100 {
-			b.Fatalf("apps = %d", len(apps))
+		if err := op(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkGenCorpusAnalyze measures end-to-end analysis over the fixed
-// 100-app generated corpus (serial, default options) — the workload the
-// differential harness replays per axis and TestGenBenchGuard pins.
-func BenchmarkGenCorpusAnalyze(b *testing.B) {
-	apps := genApps(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// genCorpusRandOp is pure generation: specs drawn from the seed stream
+// plus program construction, 100 apps per op.
+func genCorpusRandOp() error {
+	if apps := corpus.Rand(1729, 100); len(apps) != 100 {
+		return fmt.Errorf("apps = %d", len(apps))
+	}
+	return nil
+}
+
+// genCorpusAnalyzeOp is end-to-end analysis over the fixed 100-app
+// generated corpus (serial, default options) — the workload the
+// differential harness replays per axis.
+func genCorpusAnalyzeOp(tb testing.TB) func() error {
+	apps := genApps(tb)
+	return func() error {
 		for _, app := range apps {
 			if _, err := core.Analyze(app.Prog, core.NewOptions()); err != nil {
-				b.Fatal(err)
+				return err
 			}
 		}
+		return nil
 	}
 }
+
+func BenchmarkGenCorpusRand(b *testing.B) { benchOp(b, genCorpusRandOp) }
+
+func BenchmarkGenCorpusAnalyze(b *testing.B) { benchOp(b, genCorpusAnalyzeOp(b)) }
 
 // ---- §3.1 slicing: extraction jobs and shared analysis caches ----------------
 
 // firstDP locates the first demarcation-point invoke of an app in program
 // order, mirroring slice.Find's job enumeration.
-func firstDP(b *testing.B, p *ir.Program, model *semmodel.Model) (taint.StmtID, int) {
-	b.Helper()
+func firstDP(tb testing.TB, p *ir.Program, model *semmodel.Model) (taint.StmtID, int) {
+	tb.Helper()
 	for _, c := range p.AppClasses() {
 		for _, m := range c.Methods {
 			for i := range m.Instrs {
@@ -398,42 +412,61 @@ func firstDP(b *testing.B, p *ir.Program, model *semmodel.Model) (taint.StmtID, 
 			}
 		}
 	}
-	b.Fatal("no demarcation point found")
+	tb.Fatal("no demarcation point found")
 	return taint.StmtID{}, 0
 }
 
-// BenchmarkSliceFind measures full transaction extraction — job
-// enumeration, the shared caches, and backward/forward slicing — on the
-// paper's running example.
-func BenchmarkSliceFind(b *testing.B) {
-	app := corpus.RadioReddit()
+// runningExample returns the paper's running example, the default model
+// and the example's call graph: the inputs of the slicing and pairing
+// operations.
+func runningExample() (*ir.Program, *semmodel.Model, *callgraph.Graph) {
+	p := corpus.RadioReddit().Prog
 	model := semmodel.Default()
-	cg := callgraph.Build(app.Prog, model)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		txs := slice.Find(app.Prog, model, cg, slice.Options{MaxAsyncHops: 1})
-		if len(txs) == 0 {
-			b.Fatal("no transactions")
+	return p, model, callgraph.Build(p, model)
+}
+
+// sliceFindOp is full transaction extraction — job enumeration, the
+// shared caches, and backward/forward slicing — on the paper's running
+// example.
+func sliceFindOp() func() error {
+	p, model, cg := runningExample()
+	return func() error {
+		if txs := slice.Find(p, model, cg, slice.Options{MaxAsyncHops: 1}); len(txs) == 0 {
+			return errors.New("no transactions")
 		}
+		return nil
 	}
 }
 
-// BenchmarkTaintBackward measures one request slice with a fresh engine per
-// iteration (each engine builds its private summary cache from scratch).
-func BenchmarkTaintBackward(b *testing.B) {
-	app := corpus.RadioReddit()
-	model := semmodel.Default()
-	cg := callgraph.Build(app.Prog, model)
-	dp, reg := firstDP(b, app.Prog, model)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := taint.NewEngine(app.Prog, model, cg)
+// taintBackwardOp is one request slice with a fresh engine per call (each
+// engine builds its private summary cache from scratch).
+func taintBackwardOp(tb testing.TB) func() error {
+	p, model, cg := runningExample()
+	dp, reg := firstDP(tb, p, model)
+	return func() error {
+		eng := taint.NewEngine(p, model, cg)
 		if res := eng.Backward(dp, reg); res.Size() == 0 {
-			b.Fatal("empty slice")
+			return errors.New("empty slice")
 		}
+		return nil
 	}
+}
+
+func BenchmarkSliceFind(b *testing.B) { benchOp(b, sliceFindOp()) }
+
+func BenchmarkTaintBackward(b *testing.B) { benchOp(b, taintBackwardOp(b)) }
+
+// augmentSeed returns the running example, the default model and the
+// request slice of the example's first demarcation point: the seed every
+// augmentation starts from.
+func augmentSeed(tb testing.TB) (*ir.Program, *semmodel.Model, *taint.Result) {
+	p, model, cg := runningExample()
+	dp, reg := firstDP(tb, p, model)
+	seed := taint.NewEngine(p, model, cg).Backward(dp, reg)
+	if seed.Size() == 0 {
+		tb.Fatal("empty seed slice")
+	}
+	return p, model, seed
 }
 
 // BenchmarkAugment measures the incremental-worklist slice augmentation.
@@ -442,15 +475,7 @@ func BenchmarkTaintBackward(b *testing.B) {
 // time: every StopTimer/StartTimer pair reads the runtime's memory stats,
 // which stops the world and costs far more than one Augment.
 func BenchmarkAugment(b *testing.B) {
-	app := corpus.RadioReddit()
-	model := semmodel.Default()
-	cg := callgraph.Build(app.Prog, model)
-	dp, reg := firstDP(b, app.Prog, model)
-	eng := taint.NewEngine(app.Prog, model, cg)
-	seed := eng.Backward(dp, reg)
-	if seed.Size() == 0 {
-		b.Fatal("empty seed slice")
-	}
+	p, model, seed := augmentSeed(b)
 	const batch = 1024
 	clones := make([]*taint.Result, 0, batch)
 	b.ReportAllocs()
@@ -463,7 +488,7 @@ func BenchmarkAugment(b *testing.B) {
 		}
 		b.StartTimer()
 		for _, res := range clones {
-			slice.Augment(app.Prog, model, res)
+			slice.Augment(p, model, res)
 			if res.Size() < seed.Size() {
 				b.Fatal("augment shrank the slice")
 			}
@@ -473,30 +498,26 @@ func BenchmarkAugment(b *testing.B) {
 
 // ---- Interned-symbol layer ----------------------------------------------------
 
-// BenchmarkInternIndex measures building the per-program dense index (the
-// method symbol table plus statement/register ID bases) that every analysis
-// phase shares. The index is built once per decoded program, so this is the
+// internIndexOp builds the per-program dense index (the method symbol
+// table plus statement/register ID bases) that every analysis phase
+// shares. The index is built once per decoded program, so this is the
 // interning layer's entire fixed overhead.
-func BenchmarkInternIndex(b *testing.B) {
+func internIndexOp() func() error {
 	app := corpus.RadioReddit()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := ir.NewIndex(app.Prog)
-		if idx.NumMethods() == 0 {
-			b.Fatal("empty index")
+	return func() error {
+		if ir.NewIndex(app.Prog).NumMethods() == 0 {
+			return errors.New("empty index")
 		}
+		return nil
 	}
 }
 
-// BenchmarkInternBitsUnion measures the dense-set operations the slicing
-// and taint hot loops lean on — clone, union, and membership iteration over
+// internBitsUnionOp runs the dense-set operations the slicing and taint
+// hot loops lean on — clone, union, and membership iteration over
 // statement-universe-sized bitsets — the replacements for the old
 // map[string]bool set algebra.
-func BenchmarkInternBitsUnion(b *testing.B) {
-	app := corpus.RadioReddit()
-	idx := ir.NewIndex(app.Prog)
-	n := idx.NumStmts()
+func internBitsUnionOp() func() error {
+	n := ir.NewIndex(corpus.RadioReddit().Prog).NumStmts()
 	x, y := intern.NewBits(n), intern.NewBits(n)
 	for id := 0; id < n; id += 3 {
 		x.Add(uint32(id))
@@ -504,77 +525,78 @@ func BenchmarkInternBitsUnion(b *testing.B) {
 	for id := 0; id < n; id += 7 {
 		y.Add(uint32(id))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		u := x.Clone()
 		u.Union(y)
 		count := 0
 		u.Each(func(uint32) bool { count++; return true })
 		if count == 0 {
-			b.Fatal("empty union")
+			return errors.New("empty union")
 		}
+		return nil
 	}
 }
+
+func BenchmarkInternIndex(b *testing.B) { benchOp(b, internIndexOp()) }
+
+func BenchmarkInternBitsUnion(b *testing.B) { benchOp(b, internBitsUnionOp()) }
 
 // ---- §3.3 pairing: indexed group analysis -------------------------------------
 
-// BenchmarkPairingAnalyze measures the pairing group analysis over real
-// slicer output (the running example's transaction set). This is the hot
-// path the inverted-index rewrite de-quadratized; TestPairingBenchGuard
-// pins it against BENCH_pairing.json.
-func BenchmarkPairingAnalyze(b *testing.B) {
-	app := corpus.RadioReddit()
-	model := semmodel.Default()
-	cg := callgraph.Build(app.Prog, model)
-	txs := slice.Find(app.Prog, model, cg, slice.Options{MaxAsyncHops: 1})
+// pairingAnalyzeOp is the pairing group analysis over real slicer output
+// (the running example's transaction set): the hot path the
+// inverted-index rewrite de-quadratized.
+func pairingAnalyzeOp(tb testing.TB) func() error {
+	p, model, cg := runningExample()
+	txs := slice.Find(p, model, cg, slice.Options{MaxAsyncHops: 1})
 	if len(txs) == 0 {
-		b.Fatal("no transactions")
+		tb.Fatal("no transactions")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pairs := pairing.Analyze(txs)
-		if len(pairs) != len(txs) {
-			b.Fatalf("pairs = %d, txs = %d", len(pairs), len(txs))
+	return func() error {
+		if pairs := pairing.Analyze(txs); len(pairs) != len(txs) {
+			return fmt.Errorf("pairs = %d, txs = %d", len(pairs), len(txs))
 		}
+		return nil
 	}
 }
 
+func BenchmarkPairingAnalyze(b *testing.B) { benchOp(b, pairingAnalyzeOp(b)) }
+
 // ---- Persistent result cache: warm-path analysis ------------------------------
 
-// BenchmarkCacheWarmRun measures a fully warm core.Analyze: the report is
-// served from a primed persistent cache, so each iteration is one key
-// lookup, one entry read, and one decode — the steady-state cost of
-// re-analyzing an unchanged binary.
-func BenchmarkCacheWarmRun(b *testing.B) {
+// cacheWarmRunOp is a fully warm core.Analyze: the report is served from
+// a primed persistent cache, so each call is one key lookup, one entry
+// read, and one decode — the steady-state cost of re-analyzing an
+// unchanged binary.
+func cacheWarmRunOp(tb testing.TB) func() error {
 	app := corpus.RadioReddit()
-	cache, err := resultcache.Open(b.TempDir())
+	cache, err := resultcache.Open(tb.TempDir())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts := core.NewOptions()
 	key, err := resultcache.KeyForProgram(app.Prog, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts.Cache = cache
 	opts.CacheKey = key
 	if _, err := core.Analyze(app.Prog, opts); err != nil { // prime
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		rep, err := core.Analyze(app.Prog, opts)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if rep.Profile.Counters[obs.CtrCacheReportHits] != 1 {
-			b.Fatal("warm run missed the cache")
+			return errors.New("warm run missed the cache")
 		}
+		return nil
 	}
 }
+
+func BenchmarkCacheWarmRun(b *testing.B) { benchOp(b, cacheWarmRunOp(b)) }
 
 // ---- Ablation: the §4 intent-modeling extension -------------------------------
 
@@ -611,7 +633,7 @@ func benchIntents(b *testing.B, model bool) {
 // BenchmarkTracerDisabled measures the span-instrumented hot path — start a
 // span, bump a counter, end the span — on an untraced shard, exactly what
 // every taint fixpoint and worker job executes when no -trace flag is given.
-// The contract (pinned by TestTracerDisabledZeroAlloc) is 0 allocs/op: with
+// The contract (a row of TestAllocCeilings) is 0 allocs/op: with
 // no tracer bound, Span is a nil check returning a value-type ActiveSpan and
 // End is a nil check, so instrumentation costs nothing when off.
 func BenchmarkTracerDisabled(b *testing.B) {
@@ -631,8 +653,9 @@ func BenchmarkTracerDisabled(b *testing.B) {
 // ---- Signature-matcher VM throughput -------------------------------------------
 
 // The classifier fixture is shared across the throughput benchmarks and
-// the BENCH_classify.json guard: the RadioReddit report, a large seeded
-// labeled trace, and the signatures compiled once to sigvm bytecode.
+// the classify rows of TestAllocCeilings: the RadioReddit report, a large
+// seeded labeled trace, and the signatures compiled once to sigvm
+// bytecode.
 var (
 	classifyOnce    sync.Once
 	classifyRep     *core.Report
@@ -641,7 +664,7 @@ var (
 	classifyErr     error
 )
 
-func classifyInput(b *testing.B) (*core.Report, []trace.Entry, *sigvm.Bundle) {
+func classifyInput(tb testing.TB) (*core.Report, []trace.Entry, *sigvm.Bundle) {
 	classifyOnce.Do(func() {
 		app := corpus.RadioReddit()
 		rep, err := core.Analyze(app.Prog, core.NewOptions())
@@ -654,22 +677,26 @@ func classifyInput(b *testing.B) (*core.Report, []trace.Entry, *sigvm.Bundle) {
 		classifyBundle = sigvm.Compile(rep)
 	})
 	if classifyErr != nil {
-		b.Fatal(classifyErr)
+		tb.Fatal(classifyErr)
 	}
 	return classifyRep, classifyEntries, classifyBundle
 }
 
-func benchClassify(b *testing.B, opt trace.ClassifyOptions) {
-	rep, entries, bundle := classifyInput(b)
+// classifyOp classifies the fixture's trace with its precompiled bundle.
+func classifyOp(tb testing.TB, opt trace.ClassifyOptions) func() error {
+	rep, entries, bundle := classifyInput(tb)
 	opt.Bundle = bundle
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := trace.Classify(rep, entries, opt)
-		if res.TraceEntries == 0 {
-			b.Fatal("classifier considered no entries")
+	return func() error {
+		if trace.Classify(rep, entries, opt).TraceEntries == 0 {
+			return errors.New("classifier considered no entries")
 		}
+		return nil
 	}
+}
+
+func benchClassify(b *testing.B, opt trace.ClassifyOptions) {
+	benchOp(b, classifyOp(b, opt))
+	_, entries, _ := classifyInput(b)
 	b.ReportMetric(float64(len(entries))*float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
 }
 

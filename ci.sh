@@ -1,7 +1,7 @@
 #!/bin/sh
-# CI gate: build, vet, race-enabled tests.
+# CI gate: build, vet, race-enabled tests, allocation ceilings.
 #
-#   ./ci.sh          full gate (build + vet + race tests)
+#   ./ci.sh          full gate (build + vet + race tests + allocation ceilings)
 #   ./ci.sh quick    race-disabled short tests only
 #
 # The race run matters: the parallel per-app corpus mode of
@@ -47,6 +47,12 @@ go test -race -run 'TestFaultInjection|TestDecodeFault|TestInjectedHang|TestEval
 
 echo "== go test -race"
 go test -race ./...
+
+echo "== allocation ceilings"
+# The -race step skips TestAllocCeilings: race instrumentation allocates on
+# the instrumented paths and would inflate every count, so the table of
+# allocation ceilings runs here, without -race.
+go test -run '^TestAllocCeilings$' .
 
 echo "== matcher equivalence fuzz"
 # Thirty seconds of FuzzSigVM beyond its seeds: the compiled matcher walks

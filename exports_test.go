@@ -33,7 +33,7 @@ var testOnlyExports = map[string]string{
 	"internal/ir.B.IfEq":               "runtime's TestBranchTakenByInput builds its branch with it",
 	"internal/ir.B.InvokeStaticVoid":   "sigbuild's TestCalleeWritesCallerObjects builds its helper calls with it",
 	"internal/siglang.Parse":           "FuzzSigVM and the sigvm, report and trace tests build signatures from their text form",
-	"internal/taint.Result.Clone":      "the root BenchmarkAugment, which TestSliceBenchGuard runs, copies its seed slice before every augmentation",
+	"internal/taint.Result.Clone":      "the root BenchmarkAugment and the augment row of TestAllocCeilings copy the seed slice before every augmentation",
 }
 
 // modulePath is the import path of the repository root; perfbench's module

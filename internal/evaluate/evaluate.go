@@ -130,14 +130,6 @@ type ParallelStats struct {
 	AppsRun   int        `json:"apps"`
 	AppErrors int        `json:"app_errors"`
 	Errors    []AppError `json:"errors,omitempty"`
-
-	// Report-cache contention, summed from the per-app profiles when the
-	// run used a shared on-disk cache (RunConfig.CacheDir): total time
-	// workers spent blocked on per-key cache locks, contended same-key
-	// acquisitions, and atomic-install retries. All zero on cache-off runs.
-	CacheLockWaitNS     int64 `json:"cache_lock_wait_ns,omitempty"`
-	CacheKeyRaces       int64 `json:"cache_key_races,omitempty"`
-	CacheInstallRetries int64 `json:"cache_install_retries,omitempty"`
 }
 
 // AppError records one failed app in an aggregated corpus run.
@@ -192,9 +184,6 @@ func runAll(cfg RunConfig) ([]*AppResult, []error, *ParallelStats) {
 	for _, r := range results {
 		if r != nil {
 			stats.AppNSSum += r.Report.Duration.Nanoseconds()
-			stats.CacheLockWaitNS += r.Report.Profile.Counter(obs.CtrCacheLockWaitNS)
-			stats.CacheKeyRaces += r.Report.Profile.Counter(obs.CtrCacheKeyRaces)
-			stats.CacheInstallRetries += r.Report.Profile.Counter(obs.CtrCacheInstallRetries)
 		}
 	}
 	if stats.WallNS > 0 {

@@ -8,8 +8,7 @@
 // Concurrency contract: a Table is built once (decode/index time) and is
 // read-only afterwards, so any number of worker goroutines may resolve IDs
 // without synchronization. A SyncTable serializes interning behind a
-// mutex but serves lookups lock-free on an atomically swapped read view is
-// NOT attempted here — reads take an RLock; the hot loops intern only at
+// mutex, and its lookups take a read lock; the hot loops intern only at
 // summary-build time (cold), never per fact, so the lock is off the fast
 // path. Bits values are not synchronized: each worker owns its sets and
 // merges happen single-threaded at phase boundaries.
@@ -30,13 +29,12 @@ const None = ^uint32(0)
 // use NewTable. Not safe for concurrent interning — build it fully before
 // sharing (see the package comment).
 type Table struct {
-	ids  map[string]uint32
-	strs []string
+	ids map[string]uint32
 }
 
 // NewTable returns an empty table with room for n symbols.
 func NewTable(n int) *Table {
-	return &Table{ids: make(map[string]uint32, n), strs: make([]string, 0, n)}
+	return &Table{ids: make(map[string]uint32, n)}
 }
 
 // Intern returns s's ID, assigning the next dense ID on first sight.
@@ -44,9 +42,8 @@ func (t *Table) Intern(s string) uint32 {
 	if id, ok := t.ids[s]; ok {
 		return id
 	}
-	id := uint32(len(t.strs))
+	id := uint32(len(t.ids))
 	t.ids[s] = id
-	t.strs = append(t.strs, s)
 	return id
 }
 

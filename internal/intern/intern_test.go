@@ -23,8 +23,8 @@ func TestTableInternLookupRoundTrip(t *testing.T) {
 	if _, ok := tab.Lookup("gamma"); ok {
 		t.Fatal("Lookup(gamma) found an uninterned symbol")
 	}
-	if len(tab.strs) != 2 || tab.strs[a] != "alpha" || tab.strs[b] != "beta" {
-		t.Fatalf("symbols by ID = %q, want alpha at %d and beta at %d", tab.strs, a, b)
+	if a != 0 || b != 1 {
+		t.Fatalf("alpha = %d, beta = %d, want IDs 0 and 1 in order of first sight", a, b)
 	}
 }
 

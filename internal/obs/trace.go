@@ -14,7 +14,7 @@
 //
 // Everything is nil-safe: with no store, Shard.Span is a pointer test
 // returning a zero ActiveSpan, so instrumented hot loops cost nothing when
-// telemetry is off (pinned by TestTracerDisabledZeroAlloc).
+// telemetry is off (held at 0 allocations by the root TestAllocCeilings).
 package obs
 
 import (

@@ -47,8 +47,8 @@ type evaluator struct {
 	stats   *obs.Shard
 	methods int
 
-	// cg, when non-nil, supplies memoized per-method register types
-	// (BuildTraced sets it); nil falls back to direct inference.
+	// cg supplies memoized per-method register types; BuildTraced sets
+	// it before interpreting any method.
 	cg *callgraph.Graph
 
 	// ck bounds the interpretation (one Step per instruction); truncated
@@ -56,15 +56,6 @@ type evaluator struct {
 	// evalMethod call returns immediately so the evaluator unwinds fast.
 	ck        *budget.Checker
 	truncated *budget.Exceeded
-}
-
-// types returns m's register types, via the call graph's shared memoized
-// inference when available.
-func (ev *evaluator) types(m *ir.Method) []string {
-	if ev.cg != nil {
-		return ev.cg.Types(m)
-	}
-	return callgraph.InferTypes(ev.prog, m)
 }
 
 // filteredMethod reports whether ref contributes filtered statements.

@@ -73,7 +73,7 @@ func (ev *evaluator) resolveCallee(m *ir.Method, in *ir.Instr) *ir.Method {
 	}
 	// Prefer the inferred receiver type.
 	if len(in.Args) > 0 {
-		types := ev.types(m)
+		types := ev.cg.Types(m)
 		if r := in.Args[0]; r >= 0 && r < len(types) && types[r] != "" {
 			if t := ev.prog.ResolveMethod(types[r], name); t != nil {
 				return t
@@ -1049,7 +1049,7 @@ func (ev *evaluator) leadsToFilter(m *ir.Method, in *ir.Instr) bool {
 		if mm.CallbackArg >= len(in.Args) {
 			return false
 		}
-		types := ev.types(m)
+		types := ev.cg.Types(m)
 		r := in.Args[mm.CallbackArg]
 		if r < 0 || r >= len(types) || types[r] == "" {
 			return false

@@ -2,9 +2,8 @@
 // phase latency histograms carry plausible quantiles into the profile, a
 // live ops endpoint exposes Prometheus series mid-run, and the flight
 // recorder lands recent worker spans in the diagnostic of an injected
-// panic. The benchmarks at the bottom pin the plane's costs: recording one
-// histogram observation is allocation-free, and the disabled plane adds
-// nothing to the span-instrumented hot path.
+// panic. The benchmarks at the bottom measure the plane's costs; their
+// allocation contracts are rows of TestAllocCeilings.
 package extractocol
 
 import (
@@ -13,7 +12,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"testing"
 
@@ -257,13 +255,13 @@ func TestFlightRecorderInPanicDiagnostic(t *testing.T) {
 	}
 }
 
-// ---- Telemetry cost pins -------------------------------------------------------
+// ---- Telemetry costs ----------------------------------------------------------
 
 // BenchmarkHistogramRecord measures one steady-state histogram observation
 // on a shard — the exact operation every slice job, sigbuild job and
-// classified entry performs. The contract (pinned by
-// TestHistogramRecordZeroAlloc) is 0 allocs/op: bucketing is two shifts
-// and a bits.Len64 into a fixed array.
+// classified entry performs. The contract (a row of TestAllocCeilings) is
+// 0 allocs/op: bucketing is two shifts and a bits.Len64 into a fixed
+// array.
 func BenchmarkHistogramRecord(b *testing.B) {
 	s := obs.NewCollector().NewShard()
 	// Pre-insert the name: steady state observes into an existing Hist.
@@ -288,121 +286,23 @@ func BenchmarkHistogramDisabled(b *testing.B) {
 	}
 }
 
-// TestHistogramRecordZeroAlloc pins both contracts absolutely (no slack
-// factors) on the benchmarks' loop bodies: recording into a live histogram
-// must not allocate, and the disabled path must not allocate.
-func TestHistogramRecordZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates on instrumented paths")
-	}
-	live := obs.NewCollector().NewShard()
-	live.Observe(obs.HistSliceJob, 1)
-	var disabled *obs.Shard
-	var i int64
-	for name, s := range map[string]*obs.Shard{"record": live, "disabled": disabled} {
-		if a := testing.AllocsPerRun(1000, func() {
-			i++
-			s.Observe(obs.HistSliceJob, i&0xffff)
-		}); a != 0 {
-			t.Errorf("histogram %s path makes %v allocs/op, want 0", name, a)
-		}
-	}
-}
-
-// ---- Telemetry-plane guard -----------------------------------------------------
-//
-// TestObsBenchGuard pins the telemetry plane's costs against BENCH_obs.json
-// with the usual slack factors and EXTRACTOCOL_BENCH_BASELINE=write
-// regeneration convention: the histogram record path, and one end-to-end
-// analysis with the full plane on (registry, event log to a discard
-// writer, flight recorder) — the overhead column of EXPERIMENTS.md.
-
-const obsBaselinePath = "BENCH_obs.json"
-
-// BenchmarkAnalyzeTelemetryOn is BENCH_baseline's analysis with every
-// telemetry hook armed; comparing ns/op against BENCH_baseline.json gives
-// the plane's end-to-end overhead.
-func BenchmarkAnalyzeTelemetryOn(b *testing.B) {
-	app, err := corpus.ByName(guardApp)
-	if err != nil {
-		b.Fatal(err)
-	}
+// analyzeTelemetryOnOp is one analysis of the running example with every
+// telemetry hook armed: a registry logging events to a discard writer,
+// and the flight recorder.
+func analyzeTelemetryOnOp() func() error {
+	app := corpus.RadioReddit()
 	reg := obs.NewRegistry()
 	reg.LogEvents(obs.NewEventLog(io.Discard))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		opts := core.NewOptions()
 		opts.Obs = reg
 		opts.Flight = true
-		if _, err := core.Analyze(app.Prog, opts); err != nil {
-			b.Fatal(err)
-		}
+		_, err := core.Analyze(app.Prog, opts)
+		return err
 	}
 }
 
-func measureObsOps(t *testing.T) sliceBenchBaseline {
-	t.Helper()
-	bl := sliceBenchBaseline{App: guardApp, Ops: map[string]sliceOpBaseline{}}
-	for name, fn := range map[string]func(*testing.B){
-		"hist_record":          BenchmarkHistogramRecord,
-		"analyze_telemetry_on": BenchmarkAnalyzeTelemetryOn,
-	} {
-		res := testing.Benchmark(fn)
-		if res.N == 0 {
-			t.Fatalf("benchmark %q failed to run", name)
-		}
-		bl.Ops[name] = sliceOpBaseline{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-	}
-	return bl
-}
-
-func TestObsBenchGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews timing and allocation counts")
-	}
-
-	cur := measureObsOps(t)
-
-	data, err := os.ReadFile(obsBaselinePath)
-	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_BENCH_BASELINE") == "write" {
-		out, merr := json.MarshalIndent(cur, "", "  ")
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		if werr := os.WriteFile(obsBaselinePath, append(out, '\n'), 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-		t.Logf("wrote %s: %s", obsBaselinePath, out)
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base sliceBenchBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("corrupt %s: %v", obsBaselinePath, err)
-	}
-	if base.App != cur.App {
-		t.Fatalf("baseline measures %q, guard measures %q; regenerate the baseline", base.App, cur.App)
-	}
-
-	for name, b := range base.Ops {
-		got, ok := cur.Ops[name]
-		if !ok {
-			t.Errorf("op %q vanished from the guard; regenerate %s if intentional", name, obsBaselinePath)
-			continue
-		}
-		if got.NsPerOp > b.NsPerOp*nsSlack {
-			t.Errorf("%s takes %d ns/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.NsPerOp, b.NsPerOp, nsSlack, obsBaselinePath)
-		}
-		if got.AllocsPerOp > b.AllocsPerOp*allocsSlack {
-			t.Errorf("%s makes %d allocs/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.AllocsPerOp, b.AllocsPerOp, allocsSlack, obsBaselinePath)
-		}
-	}
-}
+// BenchmarkAnalyzeTelemetryOn is BenchmarkTable3_RadioReddit's analysis
+// with every telemetry hook armed; comparing the two ns/op gives the
+// plane's end-to-end overhead, which no perfbench workload measures.
+func BenchmarkAnalyzeTelemetryOn(b *testing.B) { benchOp(b, analyzeTelemetryOnOp()) }
