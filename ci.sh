@@ -87,9 +87,14 @@ echo "== container and cache entry decoder fuzz"
 # seeds: both decoders read through internal/wire's one reader, so a hole
 # in its bounds or canonical-form checks shows in either. Re-sealed
 # mutations must fail cleanly, a decoded container must re-encode, and a
-# decoded cache entry must re-encode to the same bytes.
-go test -run '^$' -fuzz '^FuzzDexDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dex
-go test -run '^$' -fuzz '^FuzzResultCacheCodec$' -fuzztime 10s -fuzzminimizetime 1s ./internal/resultcache
+# decoded cache entry must re-encode to the same bytes. Minimizing a new
+# interesting input is bounded by 100 calls, not by 1 s: the inputs grow
+# from whole encoded containers and reports, almost no byte of one can go
+# without losing the coverage that made it interesting, so each
+# minimization ran its full second for nothing, and with an input or two
+# found per second the step spent its ten seconds minimizing.
+go test -run '^$' -fuzz '^FuzzDexDecode$' -fuzztime 10s -fuzzminimizetime 100x ./internal/dex
+go test -run '^$' -fuzz '^FuzzResultCacheCodec$' -fuzztime 10s -fuzzminimizetime 100x ./internal/resultcache
 
 echo "== result cache smoke under -race"
 # End-to-end warm-path gate on the real binaries: analyze the same .apkb

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"extractocol/internal/cfg"
 	"extractocol/internal/intern"
 	"extractocol/internal/ir"
 	"extractocol/internal/obs"
@@ -32,9 +33,10 @@ type Edge struct {
 // Graph is the call graph over app methods, in ir.Index space. Beyond the
 // edges it carries the per-program tables every transaction extraction
 // reads: the semantic-model entry of each invoke, each app method's
-// inferred register types and the memoized per-root reachable sets. Build
-// fills all of them but the reachable sets, which fill on first query;
-// every query is safe for concurrent readers.
+// inferred register types, the memoized per-root reachable sets and the
+// memoized per-method control-flow plans. Build fills all of them but the
+// reachable sets and the plans, which fill on first query; every query is
+// safe for concurrent readers.
 type Graph struct {
 	prog *ir.Program
 	idx  *ir.Index
@@ -48,6 +50,7 @@ type Graph struct {
 	sem   []*semmodel.Method            // statement ID -> model entry of the invoke there
 	types [][]string                    // app method ID -> inferred register types
 	reach []atomic.Pointer[intern.Bits] // root method ID -> reachable method-ID set
+	plans []atomic.Pointer[cfg.Plan]    // method ID -> control-flow plan
 	none  intern.Bits                   // the reachable set of a root the program lacks
 
 	typesHits, typesMisses atomic.Int64
@@ -61,7 +64,8 @@ func Build(p *ir.Program, model *semmodel.Model) *Graph {
 	g := &Graph{prog: p, idx: idx,
 		sem:   make([]*semmodel.Method, idx.NumStmts()),
 		types: make([][]string, n),
-		reach: make([]atomic.Pointer[intern.Bits], n)}
+		reach: make([]atomic.Pointer[intern.Bits], n),
+		plans: make([]atomic.Pointer[cfg.Plan], n)}
 	var edges []Edge
 	id := uint32(0)
 	for _, c := range p.Classes() {
@@ -310,6 +314,22 @@ func (g *Graph) ReachableBits(root string) *intern.Bits {
 		b = g.reach[id].Load() // another goroutine won; keep one canonical set
 	}
 	return b
+}
+
+// PlanOf returns the control-flow plan of method id (cfg.NewPlan), built
+// by the first query and returned by every later one, so a method
+// interpreted many times builds its CFG, dominators and loops once per
+// program. The returned plan is shared: callers must treat it as
+// read-only. Safe for concurrent use.
+func (g *Graph) PlanOf(id uint32) *cfg.Plan {
+	if p := g.plans[id].Load(); p != nil {
+		return p
+	}
+	p := cfg.NewPlan(g.idx.MethodAt(id))
+	if !g.plans[id].CompareAndSwap(nil, p) {
+		p = g.plans[id].Load() // another goroutine won; keep one canonical plan
+	}
+	return p
 }
 
 // DrainCacheCounters moves the cache hit/miss totals accumulated since the

@@ -249,6 +249,33 @@ func (g *Graph) naturalLoop(header, latch int) Loop {
 	return Loop{Header: header, Latch: latch, Body: body}
 }
 
+// Plan is what a flow-sensitive walk over one method body reads: its
+// blocks, their reverse post-order and each block's loop header. It
+// depends only on the method, so it is built once per program and shared
+// read-only.
+type Plan struct {
+	Blocks []*Block
+	RPO    []int
+	// LoopOf maps a block ID to the header of the last loop, in Loops
+	// order, whose body holds it (the innermost), or -1 outside loops.
+	LoopOf []int
+}
+
+// NewPlan builds m's CFG and derives its plan.
+func NewPlan(m *ir.Method) *Plan {
+	g := Build(m)
+	loopOf := make([]int, len(g.Blocks))
+	for i := range loopOf {
+		loopOf[i] = -1
+	}
+	for _, l := range g.Loops() {
+		for b := range l.Body {
+			loopOf[b] = l.Header
+		}
+	}
+	return &Plan{Blocks: g.Blocks, RPO: g.ReversePostOrder(), LoopOf: loopOf}
+}
+
 // String renders the graph compactly for debugging.
 func (g *Graph) String() string {
 	s := ""

@@ -123,13 +123,12 @@ func runAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
 // speedup (app time / wall time) — the observability layer's own
 // measurement of how well per-app parallelism pays off.
 type ParallelStats struct {
-	Workers   int        `json:"workers"`
-	WallNS    int64      `json:"wall_ns"`
-	AppNSSum  int64      `json:"app_ns_total"`
-	SpeedupX  float64    `json:"speedup_x"`
-	AppsRun   int        `json:"apps"`
-	AppErrors int        `json:"app_errors"`
-	Errors    []AppError `json:"errors,omitempty"`
+	Workers  int        `json:"workers"`
+	WallNS   int64      `json:"wall_ns"`
+	AppNSSum int64      `json:"app_ns_total"`
+	SpeedupX float64    `json:"speedup_x"`
+	AppsRun  int        `json:"apps"`
+	Errors   []AppError `json:"errors,omitempty"`
 }
 
 // AppError records one failed app in an aggregated corpus run.
@@ -176,11 +175,6 @@ func runAll(cfg RunConfig) ([]*AppResult, []error, *ParallelStats) {
 	})
 
 	stats := &ParallelStats{Workers: workers, WallNS: time.Since(start).Nanoseconds(), AppsRun: len(apps)}
-	for _, err := range errs {
-		if err != nil {
-			stats.AppErrors++
-		}
-	}
 	for _, r := range results {
 		if r != nil {
 			stats.AppNSSum += r.Report.Duration.Nanoseconds()

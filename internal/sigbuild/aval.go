@@ -57,10 +57,7 @@ type aobj struct {
 	bodyKind string      // "query", "json", "text", "xml"
 	jsonTree *siglang.Obj
 
-	// oNVPair.
-	key, val aval
-
-	// oList.
+	// oList; an oNVPair holds its name and value as elems[0] and elems[1].
 	elems []aval
 	open  bool // loop-extended
 
@@ -214,8 +211,6 @@ func cloneObj(o *aobj, memo map[*aobj]*aobj) *aobj {
 	memo[o] = c
 	c.body = cloneObj(o.body, memo)
 	c.request = cloneObj(o.request, memo)
-	c.key = cloneVal(o.key, memo)
-	c.val = cloneVal(o.val, memo)
 	if o.elems != nil {
 		c.elems = make([]aval, len(o.elems))
 		for i := range o.elems {
@@ -362,10 +357,8 @@ func mergeObjs(a, b *aobj, memo map[[2]*aobj]*aobj) *aobj {
 	default:
 		m.request = mergeObjs(a.request, b.request, memo)
 	}
-	m.key = mergeValsMemo(a.key, b.key, memo)
-	m.val = mergeValsMemo(a.val, b.val, memo)
-	// Lists: pairwise merge when same length, else concatenate as
-	// alternatives-in-order.
+	// Lists and name/value pairs: pairwise merge when same length, else
+	// concatenate as alternatives-in-order.
 	if len(a.elems) == len(b.elems) {
 		m.elems = make([]aval, len(a.elems))
 		for i := range a.elems {
@@ -434,14 +427,39 @@ func (o *aobj) resolvedTree(depth int) *siglang.Obj {
 	return out
 }
 
-// env is the per-program-point signature database: register -> value.
-type env map[int]aval
+// env is the per-program-point signature database: one value per register
+// of the method. A zero slot has not been written. Merging with a zero
+// value yields the other side (siglang.Merge(nil, b) is b), so the joins
+// below skip zero slots as a map would skip absent keys.
+type env []aval
+
+// get returns register r's value; NoReg, like any register outside the
+// method, reads as not written.
+func (e env) get(r int) aval {
+	if uint(r) < uint(len(e)) {
+		return e[r]
+	}
+	return aval{}
+}
+
+// set writes register r; a write to NoReg, or outside the method, is
+// dropped.
+func (e env) set(r int, v aval) {
+	if uint(r) < uint(len(e)) {
+		e[r] = v
+	}
+}
+
+// written reports whether v was ever written to a register.
+func (v *aval) written() bool {
+	return v.sig != nil || v.obj != nil || v.locs != nil || v.fromResp != nil || v.respPath != ""
+}
 
 func (e env) clone() env {
 	memo := map[*aobj]*aobj{}
 	out := make(env, len(e))
-	for k, v := range e {
-		out[k] = cloneVal(v, memo)
+	for r := range e {
+		out[r] = cloneVal(e[r], memo)
 	}
 	return out
 }
@@ -450,25 +468,20 @@ func (e env) clone() env {
 // are shared by reference, and only conflicting registers are merged. Used
 // along loop-internal edges, where in-place accumulation is intended.
 func mergeEnvShared(a, b env) env {
+	out := make(env, len(b))
 	if a == nil {
-		out := make(env, len(b))
-		for k, v := range b {
-			out[k] = v
-		}
+		copy(out, b)
 		return out
 	}
-	out := make(env, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	for r, bv := range b {
-		if av, ok := out[r]; ok {
-			if av.obj != nil && av.obj == bv.obj {
-				continue
-			}
-			out[r] = mergeVals(av, bv)
-		} else {
-			out[r] = bv
+	copy(out, a)
+	for r := range b {
+		bv := &b[r]
+		switch av := &out[r]; {
+		case !bv.written():
+		case !av.written():
+			*av = *bv
+		case av.obj == nil || av.obj != bv.obj:
+			*av = mergeVals(*av, *bv)
 		}
 	}
 	return out
@@ -487,10 +500,13 @@ func mergeEnv(a, b env) env {
 	// Copy b under one memo so its aliasing survives the merge.
 	memoB := map[*aobj]*aobj{}
 	merged := map[[2]*aobj]*aobj{}
-	for r, bv := range b {
-		bc := cloneVal(bv, memoB)
-		if av, ok := a[r]; ok {
-			a[r] = mergeValsMemo(av, bc, merged)
+	for r := range b {
+		if !b[r].written() {
+			continue
+		}
+		bc := cloneVal(b[r], memoB)
+		if a[r].written() {
+			a[r] = mergeValsMemo(a[r], bc, merged)
 		} else {
 			a[r] = bc
 		}

@@ -110,11 +110,10 @@ func BuildTraced(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 		filter.Union(tx.Response.Stmts())
 	}
 
-	dpm := model.Lookup(tx.DPRef)
-	if dpm == nil {
+	if model.Lookup(tx.DPRef) == nil {
 		return nil, nil, BuildInfo{}, fmt.Errorf("sigbuild: unmodeled DP %s", tx.DPRef)
 	}
-	ev := newEvaluator(p, model, tx.DP, dpm, filter, tx.Request.Index())
+	ev := newEvaluator(p, tx.DP, filter, tx.Request.Index())
 	ev.stats = stats
 	ev.cg = cg
 	ev.ck = bud.Checker(budget.PhaseSigbuild, site)

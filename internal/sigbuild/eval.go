@@ -3,16 +3,15 @@ package sigbuild
 import (
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 
 	"extractocol/internal/budget"
 	"extractocol/internal/callgraph"
-	"extractocol/internal/cfg"
 	"extractocol/internal/intern"
 	"extractocol/internal/ir"
 	"extractocol/internal/obs"
-	"extractocol/internal/semmodel"
 	"extractocol/internal/siglang"
 	"extractocol/internal/taint"
 )
@@ -22,13 +21,11 @@ import (
 // request snapshot and the response access tree.
 type evaluator struct {
 	prog   *ir.Program
-	model  *semmodel.Model
 	idx    *ir.Index    // dense program index the filter sets live over
 	filter *intern.Bits // dense statement IDs to interpret
 	fmeths *intern.Bits // dense method IDs contributing filtered statements
 
-	dp      taint.StmtID // the transaction's demarcation point
-	dpModel *semmodel.Method
+	dp taint.StmtID // the transaction's demarcation point
 
 	heap map[string]aval // heap location -> abstract value
 
@@ -36,8 +33,7 @@ type evaluator struct {
 	resp    *respState // the transaction's response
 	respSec map[string]*respState
 
-	active map[string]bool // recursion guard
-	depth  int
+	active []uint32 // recursion guard: IDs of the methods being interpreted, outermost first
 
 	nextAlloc int // allocation-site counter for object identity
 
@@ -47,8 +43,9 @@ type evaluator struct {
 	stats   *obs.Shard
 	methods int
 
-	// cg supplies memoized per-method register types; BuildTraced sets
-	// it before interpreting any method.
+	// cg supplies the memoized per-method register types and control-flow
+	// plans and each invoke's model entry; BuildTraced sets it before
+	// interpreting any method.
 	cg *callgraph.Graph
 
 	// ck bounds the interpretation (one Step per instruction); truncated
@@ -66,15 +63,12 @@ func (ev *evaluator) filteredMethod(ref string) bool {
 
 const maxDepth = 48
 
-func newEvaluator(prog *ir.Program, model *semmodel.Model, dp taint.StmtID,
-	dpm *semmodel.Method, filter *intern.Bits, idx *ir.Index) *evaluator {
-
+func newEvaluator(prog *ir.Program, dp taint.StmtID, filter *intern.Bits, idx *ir.Index) *evaluator {
 	ev := &evaluator{
-		prog: prog, model: model, idx: idx, filter: filter, dp: dp, dpModel: dpm,
+		prog: prog, idx: idx, filter: filter, dp: dp,
 		fmeths:  &intern.Bits{},
 		heap:    map[string]aval{},
 		respSec: map[string]*respState{},
-		active:  map[string]bool{},
 	}
 	idx.EachStmt(filter, func(_ *ir.Method, mid uint32, _ int) bool {
 		ev.fmeths.Add(mid)
@@ -102,31 +96,24 @@ func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 	if ev.truncated != nil {
 		return unknownVal(siglang.VAny, "budget")
 	}
-	if ev.active[m.Ref()] || ev.depth > maxDepth {
+	// One ref resolution per method body; the recursion guard, the plan,
+	// the per-instruction filter probe and the model entries are then
+	// dense-ID reads. Every method a caller passes is in the index.
+	mid, ok := ev.idx.MethodID(m.Ref())
+	if !ok {
+		return unknownVal(siglang.VAny, "")
+	}
+	if slices.Contains(ev.active, mid) || len(ev.active) > maxDepth {
 		return unknownVal(siglang.VAny, "recursion")
 	}
 	ev.stats.Add(obs.CtrSigbuildMethods, 1)
 	ev.methods++
-	ev.active[m.Ref()] = true
-	ev.depth++
-	defer func() {
-		delete(ev.active, m.Ref())
-		ev.depth--
-	}()
+	ev.active = append(ev.active, mid)
+	defer func() { ev.active = ev.active[:len(ev.active)-1] }()
 
-	g := cfg.Build(m)
-	loopOf := map[int]int{} // block -> innermost loop header
-	for _, l := range g.Loops() {
-		for b := range l.Body {
-			loopOf[b] = l.Header
-		}
-	}
-
-	// One ref resolution per method body; the per-instruction filter probe
-	// is then a dense bitset read.
-	mid, midOK := ev.idx.MethodID(m.Ref())
-
-	entry := env{}
+	plan := ev.cg.PlanOf(mid)
+	regs := max(m.Registers, m.NumParamRegs())
+	entry := make(env, regs)
 	for i := 0; i < m.NumParamRegs() && i < len(args); i++ {
 		entry[i] = args[i]
 	}
@@ -135,25 +122,22 @@ func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 		entry[i] = unknownVal(siglang.VAny, "arg")
 	}
 
-	outs := map[int]env{}
+	outs := make([]env, len(plan.Blocks)) // block ID -> environment at its end; nil until run
 	var ret aval
 	hasRet := false
 	var exit env    // the returning block's environment, or the join of several
 	forked := false // some block started from a copy of its predecessor's state
 
-	for _, bid := range g.ReversePostOrder() {
-		b := g.Blocks[bid]
-		loop := -1
-		if h, ok := loopOf[bid]; ok {
-			loop = h
-		}
+	for _, bid := range plan.RPO {
+		b := plan.Blocks[bid]
+		loop := plan.LoopOf[bid]
 		var in env
 		if bid == 0 {
 			in = entry
 		}
 		for _, p := range b.Preds {
-			po, ok := outs[p]
-			if !ok {
+			po := outs[p]
+			if po == nil {
 				continue
 			}
 			if loop >= 0 {
@@ -167,7 +151,7 @@ func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 			}
 		}
 		if in == nil {
-			in = env{}
+			in = make(env, regs)
 		}
 		returned := false
 		for idx := b.Start; idx < b.End; idx++ {
@@ -176,11 +160,11 @@ func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 				return unknownVal(siglang.VAny, "budget")
 			}
 			instr := &m.Instrs[idx]
-			inFilter := midOK && ev.filter.Has(ev.idx.StmtID(mid, idx))
+			stmt := ev.idx.StmtID(mid, idx)
 			if instr.Op == ir.OpReturn {
 				returned = true
 				if instr.A != ir.NoReg {
-					v := in[instr.A]
+					v := in.get(instr.A)
 					if hasRet {
 						ret = mergeVals(ret, v)
 					} else {
@@ -189,17 +173,17 @@ func (ev *evaluator) evalMethod(m *ir.Method, args []aval) aval {
 				}
 				continue
 			}
-			if !inFilter {
+			if !ev.filter.Has(stmt) {
 				// Calls still get followed when they lead to methods that
 				// carry slice statements (the demarcation point may live
 				// in a callee even when the call itself moves no tainted
 				// data).
-				if instr.Op == ir.OpInvoke && ev.leadsToFilter(m, instr) {
-					ev.evalInstr(m, idx, instr, in, loop)
+				if instr.Op == ir.OpInvoke && ev.leadsToFilter(m, instr, ev.cg.ModelAt(stmt)) {
+					ev.evalInstr(m, stmt, idx, instr, in, loop)
 				}
 				continue
 			}
-			ev.evalInstr(m, idx, instr, in, loop)
+			ev.evalInstr(m, stmt, idx, instr, in, loop)
 		}
 		outs[bid] = in
 		if returned {
@@ -312,43 +296,42 @@ func (o *aobj) refs(f func(v *aval)) {
 			o.pairs[k] = pv
 		}
 	}
-	f(&o.key)
-	f(&o.val)
 }
 
-// evalInstr applies one instruction's semantics to the environment.
-func (ev *evaluator) evalInstr(m *ir.Method, idx int, in *ir.Instr, en env, loop int) {
+// evalInstr applies the semantics of instruction idx of m, dense statement
+// stmt, to the environment.
+func (ev *evaluator) evalInstr(m *ir.Method, stmt uint32, idx int, in *ir.Instr, en env, loop int) {
 	switch in.Op {
 	case ir.OpConstStr:
-		en[in.Dst] = constStr(in.Str)
+		en.set(in.Dst, constStr(in.Str))
 	case ir.OpConstInt:
-		en[in.Dst] = aval{sig: siglang.Num(strconv.FormatInt(in.Int, 10))}
+		en.set(in.Dst, aval{sig: siglang.Num(strconv.FormatInt(in.Int, 10))})
 	case ir.OpConstNull:
-		en[in.Dst] = aval{sig: siglang.Str("")}
+		en.set(in.Dst, aval{sig: siglang.Str("")})
 	case ir.OpMove:
-		en[in.Dst] = en[in.A]
+		en.set(in.Dst, en.get(in.A))
 	case ir.OpBinop:
-		en[in.Dst] = evalBinop(in.Sym, en[in.A], en[in.B])
+		en.set(in.Dst, evalBinop(in.Sym, en.get(in.A), en.get(in.B)))
 	case ir.OpNew:
-		en[in.Dst] = ev.newObject(in.Sym)
+		en.set(in.Dst, ev.newObject(in.Sym))
 	case ir.OpFieldGet:
-		en[in.Dst] = ev.fieldGet(m, in, en)
+		en.set(in.Dst, ev.fieldGet(m, in, en))
 	case ir.OpFieldPut:
 		ev.fieldPut(m, in, en)
 	case ir.OpStaticGet:
 		loc := "s:" + in.Sym
 		if v, ok := ev.heap[loc]; ok {
-			en[in.Dst] = cloneVal(v, map[*aobj]*aobj{}).withLoc(loc)
+			en.set(in.Dst, cloneVal(v, map[*aobj]*aobj{}).withLoc(loc))
 		} else {
-			en[in.Dst] = unknownVal(ev.staticType(in.Sym), loc).withLoc(loc)
+			en.set(in.Dst, unknownVal(ev.staticType(in.Sym), loc).withLoc(loc))
 		}
 	case ir.OpStaticPut:
 		loc := "s:" + in.Sym
-		v := en[in.B]
+		v := en.get(in.B)
 		ev.recordWriteOrigin(loc, v)
 		ev.heapWrite(loc, v)
 	case ir.OpInvoke:
-		ev.evalInvoke(m, idx, in, en, loop)
+		ev.evalInvoke(m, stmt, idx, in, en, loop)
 	}
 }
 
@@ -374,8 +357,7 @@ func (ev *evaluator) newObject(class string) aval {
 		o.kind = oBuilder
 		o.buf = siglang.Str("")
 	case ev.prog.Class(class) != nil && !ev.prog.Class(class).Library:
-		o.kind = oTyped
-		o.pairs = map[string]aval{}
+		o.kind = oTyped // fieldPut makes its field map on the first write
 	default:
 		o.kind = oOpaque
 	}
@@ -384,7 +366,7 @@ func (ev *evaluator) newObject(class string) aval {
 
 func (ev *evaluator) heapLocFor(m *ir.Method, in *ir.Instr, en env) string {
 	base := m.Class.Name
-	if v, ok := en[in.A]; ok && v.obj != nil && v.obj.class != "" && ev.prog.Class(v.obj.class) != nil {
+	if v := en.get(in.A); v.obj != nil && v.obj.class != "" && ev.prog.Class(v.obj.class) != nil {
 		base = v.obj.class
 	} else if m.Class != nil {
 		// Fall back to the owner of a same-named field on this class
@@ -409,7 +391,7 @@ func (ev *evaluator) fieldOwner(cls, field string) string {
 }
 
 func (ev *evaluator) fieldGet(m *ir.Method, in *ir.Instr, en env) aval {
-	base := en[in.A]
+	base := en.get(in.A)
 	// Response-bound typed object (gson): field access reads the tree.
 	if base.obj != nil && base.obj.kind == oTyped && base.obj.respBound {
 		return ev.typedRespField(base.obj, in.Sym)
@@ -434,8 +416,8 @@ func (ev *evaluator) fieldGet(m *ir.Method, in *ir.Instr, en env) aval {
 }
 
 func (ev *evaluator) fieldPut(m *ir.Method, in *ir.Instr, en env) {
-	base := en[in.A]
-	v := en[in.B]
+	base := en.get(in.A)
+	v := en.get(in.B)
 	if base.obj != nil && base.obj.kind == oTyped {
 		if base.obj.pairs == nil {
 			base.obj.pairs = map[string]aval{}

@@ -11,22 +11,20 @@ import (
 
 // evalInvoke interprets a call according to the semantic model (modeled
 // library methods), recurses into application callees that contribute slice
-// statements, and captures the request/response at demarcation points.
-func (ev *evaluator) evalInvoke(m *ir.Method, idx int, in *ir.Instr, en env, loop int) {
+// statements, and captures the request/response at demarcation points. The
+// call is instruction idx of m, dense statement stmt, whose model entry the
+// call graph resolved once.
+func (ev *evaluator) evalInvoke(m *ir.Method, stmt uint32, idx int, in *ir.Instr, en env, loop int) {
 	arg := func(i int) aval {
 		if i < len(in.Args) && in.Args[i] != ir.NoReg {
-			return en[in.Args[i]]
+			return en.get(in.Args[i])
 		}
 		return unknownVal(siglang.VAny, "")
 	}
-	setDst := func(v aval) {
-		if in.Dst != ir.NoReg {
-			en[in.Dst] = v
-		}
-	}
+	setDst := func(v aval) { en.set(in.Dst, v) }
 
 	here := taint.StmtID{Method: m.Ref(), Index: idx}
-	mm := ev.model.Lookup(in.Sym)
+	mm := ev.cg.ModelAt(stmt)
 
 	// Demarcation points: capture the request; seed the response.
 	if mm != nil && mm.DP {
@@ -97,7 +95,7 @@ func (ev *evaluator) atDP(m *ir.Method, idx int, in *ir.Instr, en env,
 
 	var reqObj *aobj
 	if mm.ReqArg >= 0 && mm.ReqArg < len(in.Args) {
-		reqObj = ev.asRequest(en[in.Args[mm.ReqArg]], mm)
+		reqObj = ev.asRequest(en.get(in.Args[mm.ReqArg]), mm)
 	}
 
 	isPrimary := here == ev.dp
@@ -127,12 +125,12 @@ func (ev *evaluator) atDP(m *ir.Method, idx int, in *ir.Instr, en env,
 	}
 
 	if mm.RespRet && in.Dst != ir.NoReg {
-		en[in.Dst] = aval{obj: &aobj{kind: oRespRaw, resp: rs}, fromResp: rs}
+		en.set(in.Dst, aval{obj: &aobj{kind: oRespRaw, resp: rs}, fromResp: rs})
 	}
 	if mm.CallbackMethod != "" && mm.CallbackArg < len(in.Args) {
 		// Asynchronous DP: interpret the callback with the response bound
 		// to its first parameter.
-		cbv := en[in.Args[mm.CallbackArg]]
+		cbv := en.get(in.Args[mm.CallbackArg])
 		cbClass := ""
 		if cbv.obj != nil {
 			cbClass = cbv.obj.class
@@ -330,9 +328,10 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 					parts = append(parts, siglang.Str("&"))
 				}
 				if el.obj != nil && el.obj.kind == oNVPair {
-					parts = append(parts, el.obj.key.sigOf(), siglang.Str("="), encodeConst(el.obj.val).sigOf())
-					if k, ok := el.obj.key.constString(); ok {
-						fieldDeps[k] = el.obj.val
+					key, val := el.obj.pair()
+					parts = append(parts, key.sigOf(), siglang.Str("="), encodeConst(val).sigOf())
+					if k, ok := key.constString(); ok {
+						fieldDeps[k] = val
 					}
 				} else {
 					parts = append(parts, el.sigOf())
@@ -355,7 +354,7 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 	case semmodel.KMultipartAddPart:
 		if recv.obj != nil && recv.obj.kind == oEntity {
 			recv.obj.elems = append(recv.obj.elems,
-				aval{obj: &aobj{kind: oNVPair, key: arg(1), val: arg(2)}})
+				aval{obj: &aobj{kind: oNVPair, elems: []aval{arg(1), arg(2)}}})
 			if loop >= 0 {
 				recv.obj.open = true
 			}
@@ -369,12 +368,13 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 					parts = append(parts, siglang.Str("&"))
 				}
 				if el.obj != nil && el.obj.kind == oNVPair {
-					parts = append(parts, el.obj.key.sigOf(), siglang.Str("="), el.obj.val.sigOf())
-					if k, ok := el.obj.key.constString(); ok {
+					key, val := el.obj.pair()
+					parts = append(parts, key.sigOf(), siglang.Str("="), val.sigOf())
+					if k, ok := key.constString(); ok {
 						if recv.obj.pairs == nil {
 							recv.obj.pairs = map[string]aval{}
 						}
-						recv.obj.pairs[k] = el.obj.val
+						recv.obj.pairs[k] = val
 					}
 				} else {
 					parts = append(parts, el.sigOf())
@@ -393,8 +393,7 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 			o = &aobj{}
 		}
 		o.kind = oNVPair
-		o.key = arg(1)
-		o.val = arg(2)
+		o.elems = []aval{arg(1), arg(2)}
 
 	// ---- Raw TCP sockets ----------------------------------------------------
 	case semmodel.KSocketInit:
@@ -447,8 +446,8 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 		// InputStreamReader, ...): the wrapper aliases the wrapped stream,
 		// so reads and writes reach the underlying response or request
 		// entity transparently.
-		if len(in.Args) > 1 && in.Args[0] != ir.NoReg {
-			en[in.Args[0]] = arg(1)
+		if len(in.Args) > 1 {
+			en.set(in.Args[0], arg(1))
 		}
 	case semmodel.KStreamWrite:
 		if recv.obj != nil && recv.obj.kind == oEntity {
@@ -592,7 +591,7 @@ func (ev *evaluator) evalModeled(m *ir.Method, idx int, in *ir.Instr, en env,
 		if rsp := respOf(src); rsp != nil {
 			rsp.bodyKind = "json"
 			o := &aobj{kind: oTyped, class: clsName, respBound: true,
-				resp: rsp, node: rsp.root, pairs: map[string]aval{}}
+				resp: rsp, node: rsp.root}
 			setDst(aval{obj: o, fromResp: rsp})
 			return
 		}
@@ -788,6 +787,9 @@ func ensureSet(s *map[string]bool) map[string]bool {
 
 func passThroughObj(v aval) *aobj { return v.obj }
 
+// pair returns a name/value pair's name and value.
+func (o *aobj) pair() (key, val aval) { return o.elems[0], o.elems[1] }
+
 func respOf(v aval) *respState {
 	if v.obj != nil && v.obj.resp != nil {
 		return v.obj.resp
@@ -965,7 +967,7 @@ func (ev *evaluator) typedRespField(o *aobj, field string) aval {
 				o.node.Put(field, child)
 			}
 			sub := &aobj{kind: oTyped, class: fieldType, respBound: true,
-				resp: o.resp, node: child, respPath: path, pairs: map[string]aval{}}
+				resp: o.resp, node: child, respPath: path}
 			return aval{obj: sub, fromResp: o.resp, respPath: path}
 		}
 	}
@@ -1015,12 +1017,12 @@ func (ev *evaluator) dbLoc(m *ir.Method, idx int, in *ir.Instr, en env) string {
 	table := "*"
 	col := "*"
 	if len(in.Args) > 1 {
-		if s, ok := en[in.Args[1]].constString(); ok {
+		if s, ok := en.get(in.Args[1]).constString(); ok {
 			table = s
 		}
 	}
 	if len(in.Args) > 2 {
-		if s, ok := en[in.Args[2]].constString(); ok {
+		if s, ok := en.get(in.Args[2]).constString(); ok {
 			col = s
 		}
 	}
@@ -1038,11 +1040,11 @@ func findOrAddElem(parent *siglang.Elem, tag string) *siglang.Elem {
 	return c
 }
 
-// leadsToFilter reports whether a call may transitively reach statements in
-// the slice filter: an app callee carrying filtered statements, or an async
-// registration whose callback does.
-func (ev *evaluator) leadsToFilter(m *ir.Method, in *ir.Instr) bool {
-	if mm := ev.model.Lookup(in.Sym); mm != nil {
+// leadsToFilter reports whether a call, with model entry mm, may
+// transitively reach statements in the slice filter: an app callee carrying
+// filtered statements, or an async registration whose callback does.
+func (ev *evaluator) leadsToFilter(m *ir.Method, in *ir.Instr, mm *semmodel.Method) bool {
+	if mm != nil {
 		if mm.CallbackMethod == "" {
 			return false
 		}
